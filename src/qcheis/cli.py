@@ -11,8 +11,9 @@ extremality). Every command emits a report with the same shape:
 
 as JSON (default) or CSV; scan commands dump per-point residuals in CSV
 mode instead. Exit status: 0 all checks pass, 1 a check failed, 2 bad
-usage or configuration. With a fixed seed the JSON output is byte
-identical between runs except for wall_ms.
+usage or configuration; a non-finite --c0, --sigma, --q0 or --w0 and a
+--box that is not a finite positive number are usage errors. With a fixed
+seed the JSON output is byte identical between runs except for wall_ms.
 
 Checks that produce a single statistic (exact audits, the spectral
 certificate) report it as both max_residual and mean_residual.
@@ -24,6 +25,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -72,13 +74,13 @@ def _resolve_base(args, rng):
     """The family base point (q0, w0) from flags, or seeded at random."""
     n = args.n
     if args.q0 is not None:
-        q0 = [float(v) for v in args.q0.split(",")]
+        q0 = args.q0
         if len(q0) != 4 * n:
             raise ValueError(f"--q0 needs {4 * n} comma-separated reals")
     else:
         q0 = rng.uniform(-args.box / 2, args.box / 2, size=4 * n).tolist()
     if args.w0 is not None:
-        w0 = [float(v) for v in args.w0.split(",")]
+        w0 = args.w0
         if len(w0) != 3:
             raise ValueError("--w0 needs 3 comma-separated reals")
     else:
@@ -97,8 +99,29 @@ def _scan_points(args, rng):
     return rng.uniform(-args.box, args.box, size=(args.points, d))
 
 
-def _parse_reals(text):
-    return None if text is None else [float(v) for v in text.split(",")]
+def _finite(text):
+    """argparse type: a finite real; nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a real number: {text!r}") \
+            from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _positive(text):
+    """argparse type: a finite real > 0."""
+    value = _finite(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _finite_reals(text):
+    """argparse type: comma-separated finite reals, as a list."""
+    return [_finite(v) for v in text.split(",")]
 
 
 def _config_echo(args, extra=None):
@@ -109,8 +132,8 @@ def _config_echo(args, extra=None):
         "box": args.box,
         "c0": args.c0,
         "sigma": args.sigma,
-        "q0": getattr(args, "q0_resolved", None) or _parse_reals(args.q0),
-        "w0": getattr(args, "w0_resolved", None) or _parse_reals(args.w0),
+        "q0": getattr(args, "q0_resolved", None) or args.q0,
+        "w0": getattr(args, "w0_resolved", None) or args.w0,
         "tol_exact": args.tol_exact,
         "tol_quad": args.tol_quad,
         "format": args.format,
@@ -347,13 +370,13 @@ def build_parser():
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--points", type=int, default=default_points,
                         help="scan size; QMC sample count for functional")
-        sp.add_argument("--box", type=float, default=2.0,
+        sp.add_argument("--box", type=_positive, default=2.0,
                         help="half-width of the sampling box")
-        sp.add_argument("--c0", type=float, default=1.0)
-        sp.add_argument("--sigma", type=float, default=1.0)
-        sp.add_argument("--q0", type=str, default=None,
+        sp.add_argument("--c0", type=_finite, default=1.0)
+        sp.add_argument("--sigma", type=_finite, default=1.0)
+        sp.add_argument("--q0", type=_finite_reals, default=None,
                         help="4n comma-separated reals; default seeded random")
-        sp.add_argument("--w0", type=str, default=None,
+        sp.add_argument("--w0", type=_finite_reals, default=None,
                         help="3 comma-separated reals; default seeded random")
         sp.add_argument("--tol-exact", type=float, default=None,
                         dest="tol_exact",

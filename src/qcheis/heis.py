@@ -21,7 +21,12 @@ relations.
 
 Second-order operators use that the frame is parallel for the flat Biquard
 connection: grad-dh(e_a, e_b) = e_a(e_b h), computed from the ambient jet of
-h plus the (constant) derivatives of the affine frame coefficients.
+h plus the (constant) derivatives of the affine frame coefficients. The
+coefficient matrix is C = [I | V(q)]: the identity on the horizontal
+columns and a vertical block V linear in q, so e_b f = d_b f + V_b . d_w f
+needs no dense C at all, and the derivative term C_a . G_b . grad f reduces
+to the constant contraction sum_s G[b, a, s] d_{w_s} f of the vertical
+gradient alone. What remains dense is the batched product C . hess f . C^T.
 """
 
 from __future__ import annotations
@@ -242,7 +247,10 @@ class HorizontalFrame:
         self.reeb = np.zeros((3, self.dim))
         for s in range(3):
             self.reeb[s, 4 * n + s] = 2.0
-        self._grads = self._build_coeff_grads()
+        vrows = np.array([self._vertical_rows(m) for m in range(4)])
+        # slot coordinate c -> (unit m, component s), flattened for one einsum
+        self._vmap = vrows.transpose(1, 0, 2).reshape(4, 12)
+        self._vgrads = self._build_vertical_grads(vrows)
 
     # -- construction --------------------------------------------------------
 
@@ -258,26 +266,34 @@ class HorizontalFrame:
             rows[c] = [-2 * prod.x, -2 * prod.y, -2 * prod.z]
         return rows
 
-    def _build_coeff_grads(self):
-        G = np.zeros((self.nh, self.dim, self.dim))
+    def _build_vertical_grads(self, vrows):
+        """d_a v_s of frame field b as (b, a, s): the only nonzero block of
+        the coefficient gradients, the block vrows[m, c, s] in every slot."""
+        G = np.zeros((self.nh, self.nh, 3))
         for a in range(self.n):
-            for m in range(4):
-                b = 4 * a + m
-                rows = self._vertical_rows(m)
-                for c in range(4):
-                    G[b, 4 * a + c, self.nh:self.nh + 3] = rows[c]
+            G[4 * a:4 * a + 4, 4 * a:4 * a + 4] = vrows
         return G
 
     # -- evaluation -----------------------------------------------------------
 
-    def coefficients(self, points):
-        """Batched frame coefficients: (N, 4n, dim) floats."""
+    def vertical_coefficients(self, points):
+        """The vertical block V = v(q_a) of every frame field: (N, 4n, 3).
+
+        e_{4a+m} = d_{4a+m} + sum_s V[:, 4a+m, s] d/dw_s, with each V entry
+        linear in the four coordinates of slot a only.
+        """
         points = np.asarray(points, dtype=float)
-        N = points.shape[0]
-        C = np.zeros((N, self.nh, self.dim))
-        for b in range(self.nh):
-            C[:, b, b] = 1.0
-        C += np.einsum("ni,bij->nbj", points, self._grads)
+        q = points[:, :self.nh].reshape(-1, self.n, 4)
+        # einsum, not matmul: a thin (N, 4) product would start BLAS threads
+        return np.einsum("nac,ck->nak", q, self._vmap).reshape(-1, self.nh, 3)
+
+    def coefficients(self, points):
+        """Batched frame coefficients C = [I | V]: (N, 4n, dim) floats."""
+        V = self.vertical_coefficients(points)
+        C = np.zeros((V.shape[0], self.nh, self.dim))
+        idx = np.arange(self.nh)
+        C[:, idx, idx] = 1.0
+        C[:, :, self.nh:] = V
         return C
 
     def coefficient_row(self, b, point: GroupPoint):
@@ -291,9 +307,6 @@ class HorizontalFrame:
         row[self.nh + 1] = -2 * prod.y
         row[self.nh + 2] = -2 * prod.z
         return row
-
-    def coeff_grads(self):
-        return self._grads
 
     def omega(self, s):
         """Matrix of the fundamental 2-form, omega_s[a, b] = g(I_s e_a, e_b)."""
@@ -440,12 +453,21 @@ def frame_audit(frame: HorizontalFrame, contact: ContactForm = None,
 # first and second order horizontal operators (batched, float)
 
 
+def horizontal_gradient(V, grad):
+    """e_b f = d_b f + sum_s V[:, b, s] d/dw_s f: (N, 4n).
+
+    V is the frame's vertical block (vertical_coefficients) at the points
+    and grad the ambient gradient (N, 4n+3) of f there.
+    """
+    nh = V.shape[1]
+    return grad[:, :nh] + np.einsum("nbs,ns->nb", V, grad[:, nh:])
+
+
 def frame_first_order(field: ScalarField, points, frame: HorizontalFrame):
     """(horizontal gradient (N,4n), vertical derivatives (N,3)) of field."""
     points = np.asarray(points, dtype=float)
     jf = field.jets(points, order=1)
-    C = frame.coefficients(points)
-    fg = np.einsum("nbj,nj->nb", C, jf.grad)
+    fg = horizontal_gradient(frame.vertical_coefficients(points), jf.grad)
     xi = 2.0 * jf.grad[:, frame.nh:frame.nh + 3]
     return fg, xi
 
@@ -455,19 +477,23 @@ def frame_second_order(field: ScalarField, points, frame: HorizontalFrame):
 
     Returns (value (N,), fg (N,4n), fh (N,4n,4n), xi (N,3)) where
     fh[., a, b] = e_a(e_b field) = grad-d(field)(e_a, e_b) in the parallel
-    frame, computed as C_a . (G_b grad f) + C_a . (hess f) . C_b with G_b the
-    constant coefficient gradients.
+    frame. With C = [I | V(q)] the frame coefficients and G_b the constant
+    gradients of row b of C,
+
+        e_a(e_b f) = sum_s G[b, a, s] d/dw_s f + (C . hess f . C^T)[a, b]:
+
+    G is nonzero only on (horizontal derivative, vertical component), and
+    C is the identity on its horizontal block, so C_a . G_b . grad f
+    contracts only the vertical gradient, with the constant G[b, a, s].
     """
     points = np.asarray(points, dtype=float)
     jf = field.jets(points, order=2)
     C = frame.coefficients(points)
-    G = frame.coeff_grads()
-    fg = np.einsum("nbj,nj->nb", C, jf.grad)
-    H = jf.hess_full()
-    fh = np.einsum("nai,bij,nj->nab", C, G, jf.grad) \
-        + np.einsum("nai,nij,nbj->nab", C, H, C)
-    xi = 2.0 * jf.grad[:, frame.nh:frame.nh + 3]
-    return jf.value, fg, fh, xi
+    grad_w = jf.grad[:, frame.nh:frame.nh + 3]
+    fg = horizontal_gradient(C[:, :, frame.nh:], jf.grad)
+    fh = C @ jf.hess_full() @ np.swapaxes(C, 1, 2)
+    fh += np.einsum("bas,ns->nab", frame._vgrads, grad_w)
+    return jf.value, fg, fh, 2.0 * grad_w
 
 
 def horiz_grad(field: ScalarField, points, frame: HorizontalFrame):
@@ -498,9 +524,8 @@ def horiz_divergence(components, points, frame: HorizontalFrame):
     points = np.asarray(points, dtype=float)
     if len(components) != frame.nh:
         raise ValueError("need one component field per frame vector")
-    C = frame.coefficients(points)
+    V = frame.vertical_coefficients(points)
     div = np.zeros(points.shape[0])
     for a, comp in enumerate(components):
-        jc = comp.jets(points, order=1)
-        div += np.einsum("nj,nj->n", C[:, a, :], jc.grad)
+        div += horizontal_gradient(V, comp.jets(points, order=1).grad)[:, a]
     return div

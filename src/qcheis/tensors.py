@@ -72,10 +72,9 @@ class ResidualReport:
 
 
 def _casimir_sum(P, Is):
-    """sum_s P(I_s., I_s.) for single or batched P."""
-    if P.ndim == 2:
-        return sum(I.T @ P @ I for I in Is)
-    return sum(np.einsum("ca,ncd,db->nab", I, P, I) for I in Is)
+    """sum_s P(I_s., I_s.) for a single (4n, 4n) P or a batch (N, 4n, 4n);
+    the matmuls broadcast the constant I_s over the batch."""
+    return sum(I.T @ P @ I for I in Is)
 
 
 def project_3_m1(P, frame: HorizontalFrame):

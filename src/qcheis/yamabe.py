@@ -25,6 +25,10 @@ average over the unit cube. Two independent scrambles give the value and a
 difference-based error bar. The ratio is invariant under left translations
 and under u -> lam^{(Q-2)/2} u o delta_lam, and the extremal Phi minimizes
 it; the scans in the test-suite and CLI exercise exactly those statements.
+
+The Sobol generator comes from scipy.stats, which takes about a second to
+import; it loads on the first Sobol draw, not with this module, so the
+pointwise checks never pay for it.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .heis import (GroupPoint, HorizontalFrame, dilation_affine,
-                   frame_second_order, left_translation_affine)
+                   frame_second_order, horizontal_gradient,
+                   left_translation_affine)
 from .jets import (AffineMapField, DomainError, Jet2, JetField, ScalarField,
                    coordinate_jets, pack_sym)
 from .quat import Quaternion, qmul
@@ -334,6 +338,8 @@ def _polar_nodes(n, m, seed, scale_q, scale_w):
 
         integral of F over R^{4n+3} = E_uniform[ F(x(u)) * weight(u) ].
     """
+    from scipy.stats import qmc     # slow to import; see the module notes
+
     d = 4 * n + 3
     sob = qmc.Sobol(d=d, scramble=True, seed=seed)
     u = sob.random(2 ** m)
@@ -419,8 +425,7 @@ def _qmc_integrals(u: ScalarField, frame: HorizontalFrame, two_star,
         pts = x[lo:lo + chunk]
         wts = w[lo:lo + chunk]
         ju = u.jets(pts, order=1)
-        C = frame.coefficients(pts)
-        fg = np.einsum("nbj,nj->nb", C, ju.grad)
+        fg = horizontal_gradient(frame.vertical_coefficients(pts), ju.grad)
         num_parts.append(float(np.sum(np.einsum("nb,nb->n", fg, fg) * wts)))
         den_parts.append(float(np.sum(np.abs(ju.value) ** two_star * wts)))
     N = float(x.shape[0])

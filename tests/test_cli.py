@@ -4,10 +4,15 @@ main(argv) so failures carry real tracebacks."""
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qcheis
 from qcheis.cli import build_parser, main
 
 SCHEMA_KEYS = {"command", "config", "checks", "pass", "wall_ms"}
@@ -90,6 +95,33 @@ def test_exit_two_on_bad_params(tmp_path, capsys):
     assert main(["residual", "--c0", "-1.0"]) == 2
     err = capsys.readouterr().err
     assert "configuration error" in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--c0", "nan"), ("--sigma", "inf"), ("--q0", "0,nan,0,0"),
+    ("--w0", "0,0,-inf"), ("--box", "0"), ("--box", "-1"), ("--box", "nan"),
+])
+def test_exit_two_on_non_finite_or_empty_scan_flags(flag, value, capsys):
+    # a NaN parameter used to reach the report as NaN (exit 1), and --box 0
+    # put every scan point on one location, where every check passed
+    with pytest.raises(SystemExit) as exc:
+        main(["residual", "--points", "5", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}" in captured.err
+    assert captured.out == ""
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import and only the Sobol nodes of
+    # the functional need it; every other command must not pay for it
+    src = str(Path(qcheis.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qcheis.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_exit_two_on_malformed_base_point():

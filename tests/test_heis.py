@@ -12,6 +12,7 @@ from qcheis.heis import (ContactForm, GroupPoint, HorizontalFrame,
                          sublaplacian)
 from qcheis.jets import (PolynomialField, fd_oracle,
                          random_positive_polynomial)
+from qcheis.yamabe import ExtremalParams, h_explicit
 from qcheis.quat import HVector, ImQuaternion, Quaternion, rational_quaternion
 
 
@@ -204,3 +205,49 @@ def test_horiz_divergence_recovers_sublaplacian_for_linear_gradient():
     div = horiz_divergence(comps, pts, frame)
     lap = sublaplacian(f, pts, frame)
     assert np.max(np.abs(div - lap)) < 1e-12
+
+
+def _dense_coeff_grads(frame):
+    """G[b, i, j] = d_i C[b, j], read off the exact rows at unit points; C is
+    affine in the point, so row(e_i) - row(0) is its derivative along i."""
+    n, d = frame.n, frame.dim
+    origin = GroupPoint.from_flat([0] * d, n)
+    G = np.zeros((frame.nh, d, d))
+    for i in range(d):
+        unit = GroupPoint.from_flat([1 if k == i else 0 for k in range(d)], n)
+        for b in range(frame.nh):
+            G[b, i] = np.array(frame.coefficient_row(b, unit), dtype=float) \
+                - np.array(frame.coefficient_row(b, origin), dtype=float)
+    return G
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_structured_frame_operators_match_dense_formulas(n):
+    # the dense (N, 4n, d, d) contractions the structured operators replace:
+    # C = 1 + p.G, e_b f = C_b . grad f and
+    # e_a(e_b f) = C_a . G_b . grad f + C_a . hess f . C_b
+    d = 4 * n + 3
+    rng = np.random.default_rng(80 + n)
+    frame = HorizontalFrame(n)
+    G = _dense_coeff_grads(frame)
+    pts = rng.uniform(-2, 2, size=(200, d))
+    C = np.einsum("ni,bij->nbj", pts, G)
+    C[:, :, :4 * n] += np.eye(4 * n)
+    assert np.array_equal(frame.coefficients(pts), C)
+
+    base = GroupPoint.from_flat(rng.uniform(-1, 1, size=d).tolist(), n)
+    for field in (random_positive_polynomial(d, rng),
+                  h_explicit(ExtremalParams(n=n, c0=0.7, sigma=1.3,
+                                            base=base))):
+        jf = field.jets(pts, order=2)
+        fg_ref = np.einsum("nbj,nj->nb", C, jf.grad)
+        fh_ref = np.einsum("nai,bij,nj->nab", C, G, jf.grad) \
+            + np.einsum("nai,nij,nbj->nab", C, jf.hess_full(), C)
+        value, fg, fh, xi = frame_second_order(field, pts, frame)
+        fg1, xi1 = frame_first_order(field, pts, frame)
+        assert np.array_equal(value, jf.value)
+        assert np.array_equal(xi, 2.0 * jf.grad[:, 4 * n:])
+        assert np.array_equal(xi1, xi)
+        for got, want in ((fg, fg_ref), (fg1, fg_ref), (fh, fh_ref)):
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale

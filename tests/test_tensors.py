@@ -6,7 +6,8 @@ import pytest
 
 from qcheis.heis import HorizontalFrame, frame_second_order
 from qcheis.jets import random_positive_polynomial
-from qcheis.tensors import (TorsionData, aux_forms_from_torsion, dd_ee_tensors,
+from qcheis.tensors import (TorsionData, _casimir_sum, aux_forms_from_torsion,
+                            dd_ee_tensors,
                             d_from_h_jet, ebold_from_u, f_alternative_from_ds,
                             flat_A_vectors, dd_ee_identity_check, project_3_m1,
                             q_quadratic_form, random_torsion,
@@ -41,6 +42,28 @@ def test_projection_splits_and_casimir_eigenvalues(n):
     P3b, Pm1b = project_3_m1(P3, frame)
     assert np.max(np.abs(P3b - P3)) < 1e-15
     assert np.max(np.abs(Pm1b)) < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_batched_casimir_sum_equals_per_matrix_loop(n):
+    # the I_s are signed permutations, so every entry of I_s^T P I_s is one
+    # entry of P up to sign and the batched, looped and dense einsum forms
+    # agree bit for bit
+    frame = HorizontalFrame(n)
+    rng = np.random.default_rng(300 + n)
+    sym = np.stack([_random_symmetric(n, 400 + k) for k in range(30)])
+    scales = rng.integers(-8, 9, size=(30, 3)) / 4.0
+    anti = np.einsum("ks,sab->kab", scales,
+                     np.stack([frame.omega(s) for s in range(3)]))
+    for P in (sym, anti):
+        loop = np.stack([sum(I.T @ Pk @ I for I in frame.Is) for Pk in P])
+        dense = sum(np.einsum("ca,ncd,db->nab", I, P, I) for I in frame.Is)
+        batched = _casimir_sum(P, frame.Is)
+        assert batched.shape == P.shape
+        assert np.array_equal(batched, loop)
+        assert np.array_equal(batched, dense)
+        for Pk, Bk in zip(P, batched):
+            assert np.array_equal(_casimir_sum(Pk, frame.Is), Bk)
 
 
 def test_projection_rejects_asymmetric_input():
