@@ -11,9 +11,12 @@ extremality). Every command emits a report with the same shape:
 
 as JSON (default) or CSV; scan commands dump per-point residuals in CSV
 mode instead. Exit status: 0 all checks pass, 1 a check failed, 2 bad
-usage or configuration; a non-finite --c0, --sigma, --q0 or --w0 and a
---box that is not a finite positive number are usage errors. With a fixed
-seed the JSON output is byte identical between runs except for wall_ms.
+usage or configuration; a non-finite --c0, --sigma, --q0 or --w0, a
+--box that is not a finite positive number and a --tol-exact or --tol-quad
+that is not a finite number >= 0 are usage errors. A report that would
+hold a non-finite number is not written: exit 2 with a message. With a
+fixed seed the JSON output is byte identical between runs except for
+wall_ms.
 
 Checks that produce a single statistic (exact audits, the spectral
 certificate) report it as both max_residual and mean_residual.
@@ -33,8 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .heis import ContactForm, GroupPoint, HorizontalFrame, frame_audit
-from .jets import (CombinationField, DomainError,
-                   random_positive_polynomial)
+from .jets import DomainError, random_positive_polynomial
 from .qmatrix import (_QUAD_A, _QUAD_B, QMatrix, build_q, certify, char_poly,
                       leading_minors, poly_eval, poly_mod_quadratic)
 from .quat import HVector, ImQuaternion, Quaternion
@@ -43,8 +45,8 @@ from .tensors import (aux_forms_from_torsion, f_alternative_from_ds,
                       universal_identity_suite)
 from .yamabe import (ExtremalParams, YamabeConstants, bump_field,
                      conformal_scal, conformal_torsion, dilated_field,
-                     folland_stein_ratio, h_explicit, phi_explicit,
-                     translated_field, yamabe_residual)
+                     folland_stein_ratio, h_explicit, perturbed_ratios,
+                     phi_explicit, translated_field, yamabe_residual)
 
 _FLOOR = 1e-30
 
@@ -116,6 +118,14 @@ def _positive(text):
     value = _finite(text)
     if not value > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _tolerance(text):
+    """argparse type: a finite real >= 0."""
+    value = _finite(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
 
@@ -305,9 +315,8 @@ def cmd_functional(args, rng):
     m = max(10, int(np.ceil(np.log2(max(2, args.points)))))
     tol = _tol(args, _TOL_QUAD)
 
-    def ratio(u, node_map=None):
-        return folland_stein_ratio(u, n, samples_log2=m, seed=args.seed,
-                                   node_map=node_map)
+    def ratio(u):
+        return folland_stein_ratio(u, n, samples_log2=m, seed=args.seed)
 
     est = ratio(phi)
     checks = []
@@ -327,12 +336,11 @@ def cmd_functional(args, rng):
 
     # the bumps are compared on the base estimate's own nodes so the
     # quadrature noise cancels in the margin differences
-    margins = []
-    for k in range(20):
-        bump = bump_field(n, seed=args.seed + 500 + k, box=args.box)
-        perturbed = CombinationField([phi, bump], [1.0, 0.05])
-        est_p = ratio(perturbed, node_map=est.map)
-        margins.append((est_p.ratio - est.ratio) / est.ratio)
+    bumps = [bump_field(n, seed=args.seed + 500 + k, box=args.box)
+             for k in range(20)]
+    perturbed = perturbed_ratios(phi, bumps, 0.05, n, est.map,
+                                 samples_log2=m, seed=args.seed)
+    margins = [(est_p.ratio - est.ratio) / est.ratio for est_p in perturbed]
     worst = max(0.0, -min(margins))
     checks.append(_check("extremality_margin_nonnegative", worst, _TOL_ZERO))
 
@@ -340,6 +348,7 @@ def cmd_functional(args, rng):
         "ratio": est.ratio,
         "ratio_error": est.error,
         "bump_margins": margins,
+        "bump_nodes": [est_p.support_nodes for est_p in perturbed],
         "samples_log2": m,
     }
     return checks, extra, None
@@ -378,10 +387,10 @@ def build_parser():
                         help="4n comma-separated reals; default seeded random")
         sp.add_argument("--w0", type=_finite_reals, default=None,
                         help="3 comma-separated reals; default seeded random")
-        sp.add_argument("--tol-exact", type=float, default=None,
+        sp.add_argument("--tol-exact", type=_tolerance, default=None,
                         dest="tol_exact",
                         help="override for the jet/algebraic tolerances")
-        sp.add_argument("--tol-quad", type=float, default=None,
+        sp.add_argument("--tol-quad", type=_tolerance, default=None,
                         dest="tol_quad",
                         help="override for quadrature-based tolerances")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -441,7 +450,13 @@ def main(argv=None):
         report.update(extra)
 
     if args.format == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        try:
+            text = json.dumps(report, indent=2, sort_keys=True,
+                              allow_nan=False) + "\n"
+        except ValueError as exc:
+            print(f"qcheis: non-finite value in the report ({exc})",
+                  file=sys.stderr)
+            return 2
     else:
         text = _render_csv(report, point_dump)
 

@@ -263,29 +263,43 @@ def dilated_field(u: ScalarField, lam, n, weight_power=0.0) -> ScalarField:
                           scale=float(lam) ** weight_power)
 
 
-def bump_field(n, seed, box=2.0) -> ScalarField:
-    """A seeded C^2 perturbation with compact support.
+# nodes within this much of the bump's boundary (in rho^2) are treated as
+# inside; the jet arithmetic's rho^2 differs from the closed form by round-off
+# of order 1e-15, so the support test can never miss a node the bump touches
+_SUPPORT_SLACK = 1e-9
 
-    A cubed plateau window max(1 - rho^2, 0)^3, with rho an anisotropic
-    distance from a random center inside the box, times a random affine
-    function bounded away from zero. Used for the extremality scans.
+
+class BumpField(ScalarField):
+    """A C^2 perturbation with compact ellipsoidal support.
+
+    A cubed plateau window max(1 - rho^2, 0)^3, with rho^2 the anisotropic
+    distance sum_i ((x_i - center_i) / radii_i)^2, times the affine
+    function lin . x + const.
     """
-    d = 4 * n + 3
-    rng = np.random.default_rng(seed)
-    center = rng.uniform(-box / 2, box / 2, size=d)
-    inv_r2 = np.concatenate([
-        1.0 / rng.uniform(0.6, 1.2, size=4 * n) ** 2,
-        1.0 / rng.uniform(0.8, 1.6, size=3) ** 2,
-    ])
-    lin = rng.uniform(-0.5, 0.5, size=d)
-    const = float(rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0]))
 
-    def builder(points, order):
+    def __init__(self, center, radii, lin, const):
+        self.center = np.asarray(center, dtype=float)
+        self.radii = np.asarray(radii, dtype=float)
+        self.lin = np.asarray(lin, dtype=float)
+        self.const = float(const)
+        self.dim = self.center.shape[0]
+        self._inv_r2 = 1.0 / self.radii ** 2
+
+    def support(self, points):
+        """Mask of the points where the bump may be nonzero: the closed
+        ellipsoid rho <= 1 widened by a round-off slack. Covers every point
+        where jets() gives a nonzero value or gradient."""
+        points = np.asarray(points, dtype=float)
+        rho2 = np.einsum("ni,i->n", (points - self.center) ** 2, self._inv_r2)
+        return rho2 < 1.0 + _SUPPORT_SLACK
+
+    def jets(self, points, order=2):
         points = np.asarray(points, dtype=float)
         coords = coordinate_jets(points, order)
         rho2 = None
-        for i in range(d):
-            term = (coords[i] - center[i]) * (coords[i] - center[i]) * inv_r2[i]
+        for i in range(self.dim):
+            term = (coords[i] - self.center[i]) * (coords[i] - self.center[i]) \
+                * self._inv_r2[i]
             rho2 = term if rho2 is None else rho2 + term
         u = 1.0 - rho2
         w = u * u * u
@@ -294,10 +308,23 @@ def bump_field(n, seed, box=2.0) -> ScalarField:
         grad = np.where(mask[:, None], w.grad, 0.0)
         hess = None if w.hess is None else np.where(mask[:, None], w.hess, 0.0)
         window = Jet2(value, grad, hess)
-        poly = _linear_jet(points, lin, const, order)
+        poly = _linear_jet(points, self.lin, self.const, order)
         return window * poly
 
-    return JetField(d, builder)
+
+def bump_field(n, seed, box=2.0) -> BumpField:
+    """A seeded bump: random center inside the box, horizontal radii in
+    [0.6, 1.2], vertical radii in [0.8, 1.6], and an affine factor bounded
+    away from zero. Used for the extremality scans.
+    """
+    d = 4 * n + 3
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(-box / 2, box / 2, size=d)
+    radii = np.concatenate([rng.uniform(0.6, 1.2, size=4 * n),
+                            rng.uniform(0.8, 1.6, size=3)])
+    lin = rng.uniform(-0.5, 0.5, size=d)
+    const = float(rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0]))
+    return BumpField(center, radii, lin, const)
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +340,7 @@ class FunctionalEstimate:
     per_scramble: tuple
     center: np.ndarray = None
     transform: np.ndarray = None
-
-    def close_to(self, other, rtol):
-        scale = max(abs(self.ratio), abs(other.ratio))
-        return abs(self.ratio - other.ratio) <= rtol * scale
+    support_nodes: int = None
 
     @property
     def map(self):
@@ -325,8 +349,21 @@ class FunctionalEstimate:
         return (self.center, self.transform)
 
 
-def _polar_nodes(n, m, seed, scale_q, scale_w):
-    """Scrambled Sobol nodes mapped through group-adapted polar coordinates.
+def _sobol_chunks(d, m, seed, chunk):
+    """One scramble's 2^m Sobol points in the unit cube, drawn `chunk`
+    rows at a time. Each draw continues the sequence, so the chunks
+    concatenate to exactly the points of one 2^m draw."""
+    from scipy.stats import qmc     # slow to import; see the module notes
+
+    sob = qmc.Sobol(d=d, scramble=True, seed=seed)
+    total = 2 ** m
+    for lo in range(0, total, chunk):
+        yield sob.random(min(chunk, total - lo))
+
+
+def _polar_nodes(u, n, scale_q, scale_w):
+    """Unit-cube points u (N, 4n+3) mapped through group-adapted polar
+    coordinates.
 
     Each quaternion slot is sampled as a radius times a uniform point of the
     3-sphere in Hopf coordinates (sqrt(t) e^{i phi1}, sqrt(1-t) e^{i phi2}),
@@ -337,12 +374,11 @@ def _polar_nodes(n, m, seed, scale_q, scale_w):
     against them. Returns (points (N, 4n+3), weights (N,)) with
 
         integral of F over R^{4n+3} = E_uniform[ F(x(u)) * weight(u) ].
-    """
-    from scipy.stats import qmc     # slow to import; see the module notes
 
+    The map acts row by row, so a chunk of rows maps to the same values
+    as it does inside a larger draw.
+    """
     d = 4 * n + 3
-    sob = qmc.Sobol(d=d, scramble=True, seed=seed)
-    u = sob.random(2 ** m)
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     N = u.shape[0]
     x = np.empty((N, d))
@@ -379,22 +415,23 @@ def _polar_nodes(n, m, seed, scale_q, scale_w):
 _KAPPA = 2.0 * math.sqrt(2.0)
 
 
-def _mapped_nodes(n, m, seed, center, B):
-    z, w = _polar_nodes(n, m, seed, 1.0, 1.0)
-    return center + z @ B.T, w
+def _mapped_nodes(n, m, seed, center, B, chunk):
+    """One scramble's nodes and weights under the affine map center + B z,
+    `chunk` rows at a time; no more than one chunk is held at once."""
+    for u in _sobol_chunks(4 * n + 3, m, seed, chunk):
+        z, w = _polar_nodes(u, n, 1.0, 1.0)
+        yield center + z @ B.T, w
 
 
 def _pilot_moments(u, two_star, n, m, seed, center, B, chunk):
     """Weighted mean and covariance of the density |u|^{2*} under the
     current node map; the constant det(B) cancels in the moments."""
-    x, w = _mapped_nodes(n, m, seed, center, B)
-    tot, mean_parts = 0.0, np.zeros(x.shape[1])
-    cov = np.zeros((x.shape[1], x.shape[1]))
-    vals_all = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], chunk):
-        vals = np.abs(u.jets(x[lo:lo + chunk], order=1).value) ** two_star \
-            * w[lo:lo + chunk]
-        vals_all[lo:lo + chunk] = vals
+    xs, vals = [], []
+    for x, w in _mapped_nodes(n, m, seed, center, B, chunk):
+        xs.append(x)
+        vals.append(np.abs(u.jets(x, order=1).value) ** two_star * w)
+    x = np.concatenate(xs)
+    vals_all = np.concatenate(vals)
     tot = float(np.sum(vals_all))
     if tot <= 0:
         raise DomainError("field has no mass under the pilot nodes")
@@ -416,20 +453,83 @@ def _adapted_map(u, two_star, n, seed, pilot_log2, chunk):
 
 
 def _qmc_integrals(u: ScalarField, frame: HorizontalFrame, two_star,
-                   m, seed, center, B, chunk):
-    """One scramble's estimates of (int |grad_H u|^2, int |u|^{2*})."""
-    x, w = _mapped_nodes(frame.n, m, seed, center, B)
+                   m, seed, center, B, chunk, bumps=(), eps=0.0):
+    """One scramble's estimates of (int |grad_H u|^2, int |u|^{2*}) for u
+    and for each u + eps * b with b in bumps, in one pass over the nodes.
+
+    Returns (nums, dens, counts): nums and dens have one entry for u and
+    then one per bump; counts[k] is the number of nodes where bump k is
+    nonzero. u's jets are evaluated once per chunk and each bump only at
+    the nodes its support() admits; everywhere else u + eps * b = u.
+    Each field's chunk integrands are whole arrays (u's values, with the
+    support nodes overwritten) reduced the same way for every field, so a
+    bump's integrals equal those of u + eps * b evaluated at every node,
+    and a bump that holds no node reproduces u's integrals exactly.
+    """
     detB = abs(float(np.linalg.det(B)))
-    num_parts, den_parts = [], []
-    for lo in range(0, x.shape[0], chunk):
-        pts = x[lo:lo + chunk]
-        wts = w[lo:lo + chunk]
+    num_parts = [[] for _ in range(len(bumps) + 1)]
+    den_parts = [[] for _ in range(len(bumps) + 1)]
+    counts = [0] * len(bumps)
+    total = 0
+    for pts, wts in _mapped_nodes(frame.n, m, seed, center, B, chunk):
+        total += pts.shape[0]
+        V = frame.vertical_coefficients(pts)
         ju = u.jets(pts, order=1)
-        fg = horizontal_gradient(frame.vertical_coefficients(pts), ju.grad)
-        num_parts.append(float(np.sum(np.einsum("nb,nb->n", fg, fg) * wts)))
-        den_parts.append(float(np.sum(np.abs(ju.value) ** two_star * wts)))
-    N = float(x.shape[0])
-    return detB * math.fsum(num_parts) / N, detB * math.fsum(den_parts) / N
+        fg = horizontal_gradient(V, ju.grad)
+        num = np.einsum("nb,nb->n", fg, fg) * wts
+        den = np.abs(ju.value) ** two_star * wts
+        num_parts[0].append(float(np.sum(num)))
+        den_parts[0].append(float(np.sum(den)))
+        for k, bump in enumerate(bumps):
+            idx = np.flatnonzero(bump.support(pts))
+            num_k, den_k = num.copy(), den.copy()
+            if idx.size:
+                jb = bump.jets(pts[idx], order=1)
+                counts[k] += int(np.count_nonzero(jb.value))
+                value = ju.value[idx] + jb.value * eps
+                fg_k = horizontal_gradient(V[idx], ju.grad[idx] + jb.grad * eps)
+                num_k[idx] = np.einsum("nb,nb->n", fg_k, fg_k) * wts[idx]
+                den_k[idx] = np.abs(value) ** two_star * wts[idx]
+            num_parts[k + 1].append(float(np.sum(num_k)))
+            den_parts[k + 1].append(float(np.sum(den_k)))
+    N = float(total)
+    nums = [detB * math.fsum(p) / N for p in num_parts]
+    dens = [detB * math.fsum(p) / N for p in den_parts]
+    return nums, dens, counts
+
+
+def _estimates(u, n, bumps, eps, samples_log2, seed, center, B, chunk):
+    """FunctionalEstimates of u and of each u + eps * b, from two
+    scrambles (seed and seed + 1) that share each pass over the nodes."""
+    frame = HorizontalFrame(n)
+    q = 4 * n + 6
+    two_star = 2.0 * q / (q - 2)
+    passes = [_qmc_integrals(u, frame, two_star, samples_log2, s, center, B,
+                             chunk, bumps, eps)
+              for s in (seed, seed + 1)]
+    out = []
+    for k in range(len(bumps) + 1):
+        nums = [p[0][k] for p in passes]
+        dens = [p[1][k] for p in passes]
+        if min(dens) <= 0:
+            raise DomainError("vanishing denominator in the functional")
+        ratios = [num / den ** (2.0 / two_star) for num, den in zip(nums, dens)]
+        out.append(FunctionalEstimate(
+            ratio=0.5 * (ratios[0] + ratios[1]),
+            error=abs(ratios[0] - ratios[1]),
+            numerator=0.5 * (nums[0] + nums[1]),
+            denominator=0.5 * (dens[0] + dens[1]),
+            per_scramble=tuple(ratios),
+            center=center,
+            transform=B,
+            support_nodes=None if k == 0 else sum(p[2][k - 1] for p in passes),
+        ))
+    return out
+
+
+def _as_map(node_map):
+    center, B = node_map
+    return np.asarray(center, dtype=float), np.asarray(B, dtype=float)
 
 
 def folland_stein_ratio(u: ScalarField, n, samples_log2=18, seed=0,
@@ -443,38 +543,36 @@ def folland_stein_ratio(u: ScalarField, n, samples_log2=18, seed=0,
     accordingly (importance adaptation; no structure of u is assumed). Two
     independent Sobol scrambles (seed and seed+1) each estimate both
     integrals; the reported ratio averages the two and the error is their
-    absolute difference.
+    absolute difference. Nodes are generated and integrated `chunk` rows at
+    a time.
 
     Deterministic for fixed arguments. Passing node_map=(center, matrix)
     (for instance another estimate's .map) skips the pilot and reuses that
     geometry, which puts two fields on identical nodes and makes their
     ratio difference far more accurate than the individual error bars.
     """
-    frame = HorizontalFrame(n)
-    q = 4 * n + 6
-    two_star = 2.0 * q / (q - 2)
     if node_map is None:
-        center, B = _adapted_map(u, two_star, n, seed, pilot_log2, chunk)
+        q = 4 * n + 6
+        center, B = _adapted_map(u, 2.0 * q / (q - 2), n, seed, pilot_log2,
+                                 chunk)
     else:
-        center, B = node_map
-        center = np.asarray(center, dtype=float)
-        B = np.asarray(B, dtype=float)
-    ratios, nums, dens = [], [], []
-    for s in (seed, seed + 1):
-        num, den = _qmc_integrals(u, frame, two_star, samples_log2, s,
-                                  center, B, chunk)
-        if den <= 0:
-            raise DomainError("vanishing denominator in the functional")
-        ratios.append(num / den ** (2.0 / two_star))
-        nums.append(num)
-        dens.append(den)
-    ratio = 0.5 * (ratios[0] + ratios[1])
-    return FunctionalEstimate(
-        ratio=ratio,
-        error=abs(ratios[0] - ratios[1]),
-        numerator=0.5 * (nums[0] + nums[1]),
-        denominator=0.5 * (dens[0] + dens[1]),
-        per_scramble=tuple(ratios),
-        center=center,
-        transform=B,
-    )
+        center, B = _as_map(node_map)
+    return _estimates(u, n, (), 0.0, samples_log2, seed, center, B, chunk)[0]
+
+
+def perturbed_ratios(u: ScalarField, bumps, eps, n, node_map,
+                     samples_log2=18, seed=0, chunk=2 ** 14):
+    """The estimates of R(u + eps * b) for every b in bumps, in one pass
+    over each scramble's nodes.
+
+    Each result equals folland_stein_ratio(CombinationField([u, b],
+    [1.0, eps]), n, samples_log2, seed, node_map=node_map) exactly, and
+    carries support_nodes: the number of nodes, over both scrambles, where
+    b is nonzero. A bump with no node in its support gets R(u) on these
+    nodes, so its estimate says nothing about the perturbation. The bumps
+    need support(points), a mask covering every point where they are
+    nonzero (BumpField has one).
+    """
+    center, B = _as_map(node_map)
+    return _estimates(u, n, list(bumps), eps, samples_log2, seed, center, B,
+                      chunk)[1:]
