@@ -364,10 +364,11 @@ class AffineMapField(ScalarField):
 
     def jets(self, points, order=2):
         points = np.asarray(points)
-        mapped = points @ self.matrix.T + self.offset
+        # einsum, not matmul: a thin (N, d) product would start BLAS threads
+        mapped = np.einsum("nj,ij->ni", points, self.matrix) + self.offset
         ju = self.base.jets(mapped, order=order)
         value = self.scale * ju.value
-        grad = self.scale * (ju.grad @ self.matrix)
+        grad = self.scale * np.einsum("ni,ij->nj", ju.grad, self.matrix)
         if ju.hess is None:
             return Jet2(value, grad, None)
         full = self.scale * np.einsum(

@@ -112,6 +112,33 @@ def test_exit_two_on_non_finite_or_empty_scan_flags(flag, value, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--tol-exact", "nan"), ("--tol-quad", "-1e-4"),
+])
+def test_exit_two_on_invalid_tolerance(flag, value, capsys):
+    # a NaN tolerance used to reach the report as NaN, which is not JSON
+    with pytest.raises(SystemExit) as exc:
+        main(["residual", "--points", "5", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}" in captured.err
+    assert captured.out == ""
+
+
+def test_functional_reports_bump_node_counts(tmp_path):
+    # at n=2 and 2^10 nodes most bumps hold no node; their margin is then
+    # exactly 0 and the count is what shows the check saw nothing there
+    code, report = _run_json(
+        tmp_path, ["functional", "--n", "2", "--points", "1024"])
+    assert code in (0, 1)
+    counts, margins = report["bump_nodes"], report["bump_margins"]
+    assert len(counts) == 20
+    assert all(isinstance(c, int) and c >= 0 for c in counts)
+    assert 0 in counts
+    for c, margin in zip(counts, margins):
+        assert (c == 0) == (margin == 0.0)
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about a second to import and only the Sobol nodes of
     # the functional need it; every other command must not pay for it

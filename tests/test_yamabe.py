@@ -16,11 +16,12 @@ from scipy.integrate import IntegrationWarning, dblquad
 from qcheis.heis import GroupPoint, HorizontalFrame, group_multiply
 from qcheis.jets import CombinationField, DomainError, fd_oracle
 from qcheis.quat import HVector, ImQuaternion, Quaternion
-from qcheis.yamabe import (ExtremalParams, FunctionalEstimate,
-                           YamabeConstants, bump_field, conformal_scal,
-                           conformal_torsion, dilated_field,
-                           folland_stein_ratio, h_explicit, phi_explicit,
-                           phi_from_h, translated_field, yamabe_residual)
+from qcheis.yamabe import (BumpField, ExtremalParams, FunctionalEstimate,
+                           YamabeConstants, _mapped_nodes, _sobol_chunks,
+                           bump_field, conformal_scal, conformal_torsion,
+                           dilated_field, folland_stein_ratio, h_explicit,
+                           perturbed_ratios, phi_explicit, phi_from_h,
+                           translated_field, yamabe_residual)
 
 # frozen from the radial oracle below; R = num / den^{4/5}
 ORACLE_NUM = 0.507339015802
@@ -161,6 +162,28 @@ def test_bump_field_support_and_smoothness():
     assert np.max(np.abs(jb.hess_full() - fd.hess_full())) < 1e-4
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_bump_support_covers_every_nonzero_point(n):
+    # points within 1e-6 of the ellipsoid in rho^2, plus a few far inside
+    # and far outside; the support mask must hold wherever the bump is not 0
+    d = 4 * n + 3
+    rng = np.random.default_rng(70 + n)
+    for seed in range(5):
+        bump = bump_field(n, seed=seed)
+        dirs = rng.normal(size=(4000, d))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        rho = np.sqrt(1.0 + rng.uniform(-1e-6, 1e-6, size=4000))
+        rho[:20] = np.sqrt(1.0 + rng.uniform(-1e-15, 1e-15, size=20))
+        rho[-20:] = rng.uniform(0.0, 2.0, size=20)
+        pts = bump.center + dirs * rho[:, None] * bump.radii
+        jb = bump.jets(pts, order=1)
+        nonzero = (jb.value != 0) | np.any(jb.grad != 0, axis=1)
+        inside = bump.support(pts)
+        assert np.all(inside[nonzero])
+        assert 0 < np.count_nonzero(nonzero) < len(pts)
+        assert not np.all(inside)
+
+
 def test_dilated_field_composes_and_scales():
     phi = phi_explicit(ExtremalParams.centered(1))
     lam = 2.0
@@ -229,6 +252,49 @@ def test_functional_estimate_node_map_reuse_is_deterministic():
     again = folland_stein_ratio(phi, 1, samples_log2=13, seed=3,
                                 pilot_log2=11)
     assert again.ratio == est.ratio
+
+
+@pytest.mark.parametrize("m,chunk", [(10, 2 ** 8), (10, 2 ** 12)])
+def test_streamed_nodes_equal_one_draw(m, chunk):
+    from scipy.stats import qmc
+    d = 7
+    whole = qmc.Sobol(d=d, scramble=True, seed=4).random(2 ** m)
+    parts = list(_sobol_chunks(d, m, 4, chunk))
+    assert len(parts) == max(1, 2 ** m // chunk)
+    assert np.array_equal(np.concatenate(parts), whole)
+    center = np.linspace(-0.5, 0.5, d)
+    B = np.triu(np.full((d, d), 0.25)) + np.eye(d)
+    x_one, w_one = next(_mapped_nodes(1, m, 4, center, B, 2 ** m))
+    xs, ws = zip(*_mapped_nodes(1, m, 4, center, B, chunk))
+    assert np.array_equal(np.concatenate(xs), x_one)
+    assert np.array_equal(np.concatenate(ws), w_one)
+
+
+@pytest.mark.parametrize("n,m", [(1, 12), (2, 10)])
+def test_perturbed_ratios_equal_per_bump_ratios(n, m):
+    # one streamed pass gives exactly what the per-bump path gives, down to
+    # bumps with a single node in their support; a bump far from every node
+    # keeps the base ratio bit for bit, so its margin is exactly 0.0
+    d = 4 * n + 3
+    phi = phi_explicit(ExtremalParams.centered(n))
+    est = folland_stein_ratio(phi, n, samples_log2=m, seed=0, pilot_log2=12)
+    far = BumpField(np.full(d, 1e4), np.ones(d), np.zeros(d), 1.0)
+    bumps = [bump_field(n, seed=500 + k) for k in range(20)] + [far]
+    got = perturbed_ratios(phi, bumps, 0.05, n, est.map, samples_log2=m,
+                           seed=0)
+    assert len(got) == len(bumps)
+    for bump, est_p in zip(bumps, got):
+        ref = folland_stein_ratio(CombinationField([phi, bump], [1.0, 0.05]),
+                                  n, samples_log2=m, seed=0, node_map=est.map)
+        assert (est_p.ratio, est_p.per_scramble, est_p.error,
+                est_p.numerator, est_p.denominator) == \
+            (ref.ratio, ref.per_scramble, ref.error, ref.numerator,
+             ref.denominator)
+    counts = [est_p.support_nodes for est_p in got]
+    assert counts[-1] == 0 and got[-1].ratio == est.ratio
+    assert (got[-1].ratio - est.ratio) / est.ratio == 0.0
+    assert any(c == 1 for c in counts) or n == 2
+    assert all(est_p.ratio != est.ratio for est_p, c in zip(got, counts) if c)
 
 
 def test_functional_invariances_at_reduced_sampling():
