@@ -28,7 +28,8 @@ from .tensors import (project_3_m1, trace_free, TorsionData, random_torsion,
 from .yamabe import (ExtremalParams, YamabeConstants, h_explicit, phi_from_h,
                      phi_explicit, yamabe_residual, conformal_scal,
                      conformal_torsion, symmetrized_hessian, translated_field,
-                     dilated_field, bump_field, folland_stein_ratio,
+                     dilated_field, BumpField, bump_field,
+                     folland_stein_ratio, perturbed_ratios,
                      FunctionalEstimate)
 from .qmatrix import build_q, q_float, char_poly, certify, QMatrix
 
@@ -50,7 +51,8 @@ __all__ = [
     "q_quadratic_form", "relative_residual", "ResidualReport",
     "ExtremalParams", "YamabeConstants", "h_explicit", "phi_from_h",
     "phi_explicit", "yamabe_residual", "conformal_scal", "conformal_torsion",
-    "symmetrized_hessian", "translated_field", "dilated_field", "bump_field",
-    "folland_stein_ratio", "FunctionalEstimate", "build_q", "q_float",
+    "symmetrized_hessian", "translated_field", "dilated_field", "BumpField",
+    "bump_field", "folland_stein_ratio", "perturbed_ratios",
+    "FunctionalEstimate", "build_q", "q_float",
     "char_poly", "certify", "QMatrix",
 ]

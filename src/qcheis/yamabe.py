@@ -424,6 +424,9 @@ def _polar_nodes(u, n, scale_q, scale_w):
 # covariance into the node map.
 _KAPPA = 2.0 * math.sqrt(2.0)
 
+# rows of nodes generated and integrated at once
+_CHUNK = 2 ** 14
+
 
 def _mapped_nodes(n, m, seed, center, B, chunk):
     """One scramble's nodes and weights under the affine map center + B z,
@@ -463,7 +466,7 @@ def _adapted_map(u, two_star, n, seed, pilot_log2, chunk):
 
 
 def _qmc_integrals(u: ScalarField, frame: HorizontalFrame, two_star,
-                   m, seed, center, B, chunk, bumps=(), eps=0.0):
+                   m, seed, center, B, chunk, bumps, eps):
     """One scramble's estimates of (int |grad_H u|^2, int |u|^{2*}) for u
     and for each u + eps * b with b in bumps, in one pass over the nodes.
 
@@ -544,7 +547,7 @@ def _as_map(node_map):
 
 def folland_stein_ratio(u: ScalarField, n, samples_log2=18, seed=0,
                         pilot_log2=14, node_map=None,
-                        chunk=2 ** 14) -> FunctionalEstimate:
+                        chunk=_CHUNK) -> FunctionalEstimate:
     """R(u) = (int |grad_H u|^2) / (int |u|^{2*})^{2/2*} with an error bar.
 
     The nodes are polar quasi-Monte Carlo points pushed through an affine
@@ -571,7 +574,7 @@ def folland_stein_ratio(u: ScalarField, n, samples_log2=18, seed=0,
 
 
 def perturbed_ratios(u: ScalarField, bumps, eps, n, node_map,
-                     samples_log2=18, seed=0, chunk=2 ** 14):
+                     samples_log2=18, seed=0):
     """The estimates of R(u + eps * b) for every b in bumps, in one pass
     over each scramble's nodes.
 
@@ -585,4 +588,4 @@ def perturbed_ratios(u: ScalarField, bumps, eps, n, node_map,
     """
     center, B = _as_map(node_map)
     return _estimates(u, n, list(bumps), eps, samples_log2, seed, center, B,
-                      chunk)[1:]
+                      _CHUNK)[1:]
