@@ -94,9 +94,11 @@ class YamabeConstants:
 def _linear_jet(points, coeffs, const, order):
     """Jet of the affine function coeffs . p + const."""
     N, d = points.shape
-    # einsum, not matmul: a thin (N, d) product would start BLAS threads,
-    # and einsum gives each row the same value in a batch of any size
-    value = np.einsum("nd,d->n", points, coeffs) + const
+    # einsum, not matmul: a thin (N, d) product would start BLAS threads.
+    # On C-ordered rows the sum runs along each row, so a row gets the same
+    # value in a batch of any size and layout (perturbed_ratios evaluates
+    # bumps on subsets of a chunk and relies on this)
+    value = np.einsum("nd,d->n", np.ascontiguousarray(points), coeffs) + const
     grad = np.broadcast_to(coeffs, (N, d)).copy()
     hess = None if order == 1 else np.zeros((N, d * (d + 1) // 2))
     return Jet2(value, grad, hess)

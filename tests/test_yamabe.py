@@ -184,6 +184,26 @@ def test_bump_support_covers_every_nonzero_point(n):
         assert not np.all(inside)
 
 
+def test_bump_jets_do_not_depend_on_the_batch():
+    # perturbed_ratios evaluates a bump on the support rows of a chunk only,
+    # and matches the full-chunk evaluation exactly; that needs every row's
+    # jet to be the same alone, inside a batch and in a Fortran-ordered batch
+    bump = bump_field(1, seed=8)
+    pts = bump.center + np.random.default_rng(3).uniform(-0.4, 0.4,
+                                                         size=(257, 7))
+    full = bump.jets(pts, order=1)
+    assert np.count_nonzero(full.value) > 100
+    for batch in (np.asfortranarray(pts), pts[::-1]):
+        jb = bump.jets(batch, order=1)
+        order = slice(None) if batch.flags.f_contiguous else slice(None, None, -1)
+        assert np.array_equal(jb.value[order], full.value)
+        assert np.array_equal(jb.grad[order], full.grad)
+    for i in range(0, 257, 16):
+        one = bump.jets(pts[i:i + 1], order=1)
+        assert one.value[0] == full.value[i]
+        assert np.array_equal(one.grad[0], full.grad[i])
+
+
 def test_dilated_field_composes_and_scales():
     phi = phi_explicit(ExtremalParams.centered(1))
     lam = 2.0
