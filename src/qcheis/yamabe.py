@@ -586,7 +586,8 @@ def perturbed_ratios(u: ScalarField, bumps, eps, n, node_map,
     b is nonzero. A bump with no node in its support gets R(u) on these
     nodes, so its estimate says nothing about the perturbation. The bumps
     need support(points), a mask covering every point where they are
-    nonzero (BumpField has one).
+    nonzero, and jets whose value at a point does not depend on the rest
+    of the batch; BumpField has both.
     """
     center, B = _as_map(node_map)
     return _estimates(u, n, list(bumps), eps, samples_log2, seed, center, B,
