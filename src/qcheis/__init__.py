@@ -16,15 +16,14 @@ from .jets import (Jet2, DomainError, ScalarField, PolynomialField, JetField,
 from .heis import (GroupPoint, group_multiply, group_inverse, dilate,
                    left_translation_affine, dilation_affine, ContactForm,
                    HorizontalFrame, build_frame, frame_audit,
-                   frame_first_order, frame_second_order, horiz_grad,
-                   vertical_derivs, frame_hessian, sublaplacian,
+                   frame_first_order, frame_second_order, sublaplacian,
                    horiz_divergence)
 from .tensors import (project_3_m1, trace_free, TorsionData, random_torsion,
                       AuxForms, aux_forms_from_torsion, f_alternative_from_ds,
                       ebold_from_u, dd_ee_tensors, dd_ee_identity_check,
-                      d_from_h_jet, e_from_h_jet, sublaplacian_formula,
-                      flat_A_vectors, universal_identity_suite,
-                      q_quadratic_form, relative_residual, ResidualReport)
+                      d_from_h_jet, e_from_h_jet, flat_A_vectors,
+                      universal_identity_suite, q_quadratic_form,
+                      relative_residual, ResidualReport)
 from .yamabe import (ExtremalParams, YamabeConstants, h_explicit, phi_from_h,
                      phi_explicit, yamabe_residual, conformal_scal,
                      conformal_torsion, symmetrized_hessian, translated_field,
@@ -42,13 +41,13 @@ __all__ = [
     "random_positive_polynomial", "fd_oracle", "GroupPoint", "group_multiply",
     "group_inverse", "dilate", "left_translation_affine", "dilation_affine",
     "ContactForm", "HorizontalFrame", "build_frame", "frame_audit",
-    "frame_first_order", "frame_second_order", "horiz_grad",
-    "vertical_derivs", "frame_hessian", "sublaplacian", "horiz_divergence",
-    "project_3_m1", "trace_free", "TorsionData", "random_torsion", "AuxForms",
-    "aux_forms_from_torsion", "f_alternative_from_ds", "ebold_from_u",
-    "dd_ee_tensors", "dd_ee_identity_check", "d_from_h_jet", "e_from_h_jet",
-    "sublaplacian_formula", "flat_A_vectors", "universal_identity_suite",
-    "q_quadratic_form", "relative_residual", "ResidualReport",
+    "frame_first_order", "frame_second_order", "sublaplacian",
+    "horiz_divergence", "project_3_m1", "trace_free", "TorsionData",
+    "random_torsion", "AuxForms", "aux_forms_from_torsion",
+    "f_alternative_from_ds", "ebold_from_u", "dd_ee_tensors",
+    "dd_ee_identity_check", "d_from_h_jet", "e_from_h_jet", "flat_A_vectors",
+    "universal_identity_suite", "q_quadratic_form", "relative_residual",
+    "ResidualReport",
     "ExtremalParams", "YamabeConstants", "h_explicit", "phi_from_h",
     "phi_explicit", "yamabe_residual", "conformal_scal", "conformal_torsion",
     "symmetrized_hessian", "translated_field", "dilated_field", "BumpField",

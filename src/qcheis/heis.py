@@ -6,18 +6,22 @@ dimension Q = 4n + 6 under the parabolic dilations (q, w) -> (l q, l^2 w).
 Points are coordinatized as (t^1, x^1, y^1, z^1, ..., t^n, x^n, y^n, z^n,
 w_1, w_2, w_3) in R^{4n+3}.
 
-The standard contact form Theta = (1/2)(dw - q d(conj q) + dq conj(q)) and
-the left-invariant horizontal frame are built mechanically from quaternion
-algebra rather than transcribed: the frame field in slot a and unit
-direction mu is the left translate of the coordinate vector, which works out
-to d/d(mu-coordinate) plus the vertical coefficients -2 Im(mu conj(q_a)),
-and the contact coefficients and d(Theta) come from differentiating the
-defining formula term by term. frame_audit then certifies, in exact rational
-arithmetic, the facts that pin every convention: Theta_s annihilates the
-frame, Theta_s(xi_k) = delta_sk for the Reeb normalization xi_s = 2 d/dw_s,
-d(Theta_s)(e_a, e_b) = 2 g(I_s e_a, e_b) for the complex structures I_s
-given by left quaternion multiplication, and the I_s satisfy the quaternion
-relations.
+Every structure map comes from one integer table, the structure constants
+of the quaternion product, read off qmul once. Through the bilinear map
+Im(x conj(y)) it gives the twist 2 Im(q0 conj(q)) of a left translation,
+the vertical coefficients -2 Im(mu conj(q_a)) of the left-invariant
+horizontal frame (the left translate of the coordinate vector d/dmu), and
+the coefficients of the standard contact form
+Theta = (1/2)(dw - q d(conj q) + dq conj(q)), whose constant d(Theta) is
+read off the same coefficients; left multiplication by i, j, k gives the
+complex structures I_s. The coefficient maps are affine in the point and
+keep its scalar type: float points give float coefficients, exact points
+(Fraction or int) exact ones. So the float scans and the exact frame_audit
+run the same code. frame_audit certifies, in exact rational arithmetic,
+the facts that pin every convention: Theta_s annihilates the frame,
+Theta_s(xi_k) = delta_sk for the Reeb normalization xi_s = 2 d/dw_s,
+d(Theta_s)(e_a, e_b) = 2 g(I_s e_a, e_b), and the I_s satisfy the
+quaternion relations.
 
 Second-order operators use that the frame is parallel for the flat Biquard
 connection: grad-dh(e_a, e_b) = e_a(e_b h), computed from the ambient jet of
@@ -31,13 +35,36 @@ gradient alone. What remains dense is the batched product C . hess f . C^T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .quat import HVector, ImQuaternion, Quaternion, im_product, qmul
-from .jets import Jet2, ScalarField
+from .jets import ScalarField
+
+
+# ---------------------------------------------------------------------------
+# the quaternion structure constants
+
+
+def _hamilton_table():
+    """E[m, c, k] with unit_m unit_c = sum_k E[m, c, k] unit_k."""
+    units = [Quaternion.unit(m) for m in range(4)]
+    return np.array([[qmul(a, b).components() for b in units] for a in units])
+
+
+_HAMILTON = _hamilton_table()
+# Im(x conj(y)) = sum_{k, c} x_k y_c _IM_CONJ[k, c, :], as conj(unit_c) = +-unit_c
+_IM_CONJ = (_HAMILTON * np.array([1, -1, -1, -1])[None, :, None])[:, :, 1:]
+
+
+def _scalars(x):
+    """x as an array for the coefficient maps: floating input as float64,
+    any other (int, Fraction) as exact Python scalars in an object array."""
+    x = np.asarray(x)
+    return x.astype(float, copy=False) if x.dtype.kind == "f" else x.astype(object)
 
 
 # ---------------------------------------------------------------------------
@@ -99,21 +126,20 @@ def dilate(lam, p: GroupPoint) -> GroupPoint:
 
 
 def left_translation_affine(p0: GroupPoint):
-    """The affine map of L_{p0}: p -> p0 . p as (matrix, offset) on R^{4n+3}.
+    """The affine map of L_{p0}: p -> p0 . p as (matrix, offset) arrays on
+    R^{4n+3}.
 
     The q-part is a shift; the w-part picks up the twist 2 Im(q0 conj(q)),
-    linear in q. Entries inherit the scalar type of p0.
+    linear in q. An exact p0 gives exact (object) arrays, a float p0 float
+    ones.
     """
     n = p0.n
-    d = 4 * n + 3
-    A = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    for a in range(n):
-        q0a = p0.q.components[a]
-        for c in range(4):
-            col = qmul(q0a, Quaternion.unit(c).conj())
-            for s, comp in enumerate((col.x, col.y, col.z)):
-                A[4 * n + s][4 * a + c] = 2 * comp
-    return A, p0.flat()
+    nh = 4 * n
+    offset = _scalars(p0.flat())
+    A = np.eye(nh + 3, dtype=offset.dtype)
+    q0 = offset[:nh].reshape(n, 4)
+    A[nh:, :nh] = 2 * np.einsum("ak,kcs->sac", q0, _IM_CONJ).reshape(3, nh)
+    return A, offset
 
 
 def dilation_affine(lam, n):
@@ -133,10 +159,10 @@ def dilation_affine(lam, n):
 class ContactForm:
     """The three 1-forms Theta_s with affine coefficients, and d(Theta_s).
 
-    coefficient_row(s, p) gives the covector of Theta_s at p; the exterior
-    derivatives are the constant antisymmetric matrices
-    W_s[i, j] = d_i c_{s j} - d_j c_{s i}, so
-    d(Theta_s)(u, v) = u^T W_s v.
+    coefficients(points) gives the covectors of Theta_1, Theta_2, Theta_3
+    at each point in the points' scalar type. The exterior derivatives are
+    the constant antisymmetric matrices W_s[i, j] = d_i c_{s j} - d_j c_{s i}
+    of the same coefficients, so d(Theta_s)(u, v) = u^T W_s v.
     """
 
     def __init__(self, n):
@@ -144,137 +170,65 @@ class ContactForm:
         self.dim = 4 * n + 3
         self._dtheta = self._build_dtheta()
 
-    def coefficient_rows(self, point: GroupPoint):
-        """Exact covectors of Theta_1, Theta_2, Theta_3 at point.
+    def coefficients(self, points):
+        """Covectors of Theta_s at each point: (N, 3, dim).
 
-        Scalar type follows the point; the quaternion product per coordinate
-        is shared by the three rows.
+        The coefficient of dq_{a, mu} in (1/2)(-q d(conj q) + dq conj(q))
+        is (1/2)(-q_a conj(mu) + mu conj(q_a)) = -Im(q_a conj(mu)), as
+        mu conj(q_a) is the conjugate of q_a conj(mu); dw_s has 1/2.
         """
-        n = self.n
-        half = Fraction(1, 2)
-        rows = [[0] * self.dim for _ in range(3)]
-        for a in range(n):
-            qa = point.q.components[a]
-            for c in range(4):
-                # coefficient of dq_{a,c} in (1/2)(-q d(conj q) + dq conj(q))
-                val = -qmul(qa, Quaternion.unit(c).conj()) \
-                    + qmul(Quaternion.unit(c), qa.conj())
-                for s, comp in enumerate((val.x, val.y, val.z)):
-                    if comp:
-                        rows[s][4 * a + c] = half * comp
-        for s in range(3):
-            rows[s][4 * n + s] = half
-        return rows
-
-    def coefficient_row(self, s, point: GroupPoint):
-        """Exact covector of Theta_s at point."""
-        return self.coefficient_rows(point)[s]
-
-    def coefficient_batch(self, points):
-        """Float coefficients for a batch: (N, 3, dim)."""
-        points = np.asarray(points, dtype=float)
-        N = points.shape[0]
-        out = np.zeros((N, 3, self.dim))
-        for s in range(3):
-            out[:, s, 4 * self.n + s] = 0.5
-        for a in range(self.n):
-            q = points[:, 4 * a:4 * a + 4]
-            for c in range(4):
-                # columns of the linear map q_a -> coefficient, from unit vectors
-                for comp in range(4):
-                    unit = Quaternion.unit(comp)
-                    val = -qmul(unit, Quaternion.unit(c).conj()) \
-                        + qmul(Quaternion.unit(c), unit.conj())
-                    for s, v in enumerate((val.x, val.y, val.z)):
-                        if v:
-                            out[:, s, 4 * a + c] += 0.5 * v * q[:, comp]
+        points = _scalars(points)
+        N, nh = points.shape[0], 4 * self.n
+        q = points[:, :nh].reshape(N, self.n, 4)
+        out = np.zeros((N, 3, self.dim), dtype=points.dtype)
+        out[:, :, :nh] = -np.einsum("nak,kcs->nsac", q, _IM_CONJ).reshape(N, 3, nh)
+        out[:, [0, 1, 2], [nh, nh + 1, nh + 2]] = Fraction(1, 2)
         return out
 
     def _build_dtheta(self):
-        n, d = self.n, self.dim
-        W = [[[0] * d for _ in range(d)] for _ in range(3)]
-        # d_i c_{s j}: coefficients are linear in the q-coordinates only
-        for a in range(n):
-            for c in range(4):          # form index j = 4a+c
-                for i in range(4):      # derivative index 4a+i
-                    unit_i = Quaternion.unit(i)
-                    val = -qmul(unit_i, Quaternion.unit(c).conj()) \
-                        + qmul(Quaternion.unit(c), unit_i.conj())
-                    for s, v in enumerate((val.x, val.y, val.z)):
-                        if v:
-                            W[s][4 * a + i][4 * a + c] += Fraction(1, 2) * v
-        for s in range(3):
-            for i in range(d):
-                for j in range(i):
-                    W[s][i][j], W[s][j][i] = W[s][i][j] - W[s][j][i], \
-                        W[s][j][i] - W[s][i][j]
-                W[s][i][i] = 0
-        return W
+        # the coefficients are affine, so d_i c_{s j} is their change from
+        # the origin to the unit point of coordinate i
+        c = self.coefficients(np.eye(self.dim + 1, self.dim, -1, dtype=int))
+        D = c[1:] - c[0]
+        return D.transpose(1, 0, 2) - D.transpose(1, 2, 0)
 
     def dtheta(self, s):
+        """W_s as an exact (dim, dim) object array."""
         return self._dtheta[s]
-
-    def dtheta_arrays(self):
-        return np.array(self._dtheta, dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # the horizontal frame
 
 
-def _left_mult_matrix(m):
-    """4x4 integer matrix of left multiplication by the unit with index m."""
-    cols = []
-    for c in range(4):
-        prod = qmul(Quaternion.unit(m), Quaternion.unit(c))
-        cols.append(prod.components())
-    return [[cols[c][r] for c in range(4)] for r in range(4)]
-
-
 class HorizontalFrame:
     """The 4n horizontal fields, 3 Reeb fields and complex structures I_s.
 
     Frame field b = 4a + m (slot a, unit m) has the coefficient covector
-    e_b = d_b + sum_s v_s(q_a) d/dw_s with v(q_a) = -2 Im(mu_m conj(q_a)).
-    Immutable after construction in normal use; tests copy and tamper.
+    e_b = d_b + sum_s v_s(q_a) d/dw_s with v(q_a) = -2 Im(mu_m conj(q_a));
+    vertical_coefficients gives the v block and coefficients the whole
+    covectors, both in the points' scalar type. Is (3, 4n, 4n) holds the
+    I_s, left multiplication by i, j, k in every slot, and reeb (3, dim)
+    the fields xi_s = 2 d/dw_s, as integer arrays. Immutable after
+    construction in normal use; tests copy and tamper.
     """
 
     def __init__(self, n):
         self.n = n
         self.dim = 4 * n + 3
         self.nh = 4 * n
-        self.Is = self._build_Is()
-        self.reeb = np.zeros((3, self.dim))
-        for s in range(3):
-            self.reeb[s, 4 * n + s] = 2.0
-        vrows = np.array([self._vertical_rows(m) for m in range(4)])
+        # column c of left multiplication by unit m is unit_m unit_c
+        self.Is = np.array([np.kron(np.eye(n, dtype=int), _HAMILTON[m].T)
+                            for m in (1, 2, 3)])
+        self.reeb = 2 * np.eye(3, self.dim, self.nh, dtype=int)
+        vrows = -2 * _IM_CONJ    # vrows[m, c, s] = d v_s / d q_c of unit m
         # slot coordinate c -> (unit m, component s), flattened for one einsum
         self._vmap = vrows.transpose(1, 0, 2).reshape(4, 12)
-        self._vgrads = self._build_vertical_grads(vrows)
-
-    # -- construction --------------------------------------------------------
-
-    def _build_Is(self):
-        blocks = [np.array(_left_mult_matrix(m), dtype=float) for m in (1, 2, 3)]
-        return [np.kron(np.eye(self.n), B) for B in blocks]
-
-    def _vertical_rows(self, m):
-        """The linear map q-coords of one slot -> 3 vertical coefficients."""
-        rows = np.zeros((4, 3))
-        for c in range(4):
-            prod = qmul(Quaternion.unit(m), Quaternion.unit(c).conj())
-            rows[c] = [-2 * prod.x, -2 * prod.y, -2 * prod.z]
-        return rows
-
-    def _build_vertical_grads(self, vrows):
-        """d_a v_s of frame field b as (b, a, s): the only nonzero block of
-        the coefficient gradients, the block vrows[m, c, s] in every slot."""
-        G = np.zeros((self.nh, self.nh, 3))
-        for a in range(self.n):
-            G[4 * a:4 * a + 4, 4 * a:4 * a + 4] = vrows
-        return G
-
-    # -- evaluation -----------------------------------------------------------
+        # d_a v_s of frame field b as (b, a, s): the only nonzero block of
+        # the coefficient gradients, the block vrows in every slot
+        self._vgrads = np.zeros((self.nh, self.nh, 3), dtype=int)
+        for a in range(n):
+            self._vgrads[4 * a:4 * a + 4, 4 * a:4 * a + 4] = vrows
 
     def vertical_coefficients(self, points):
         """The vertical block V = v(q_a) of every frame field: (N, 4n, 3).
@@ -282,48 +236,23 @@ class HorizontalFrame:
         e_{4a+m} = d_{4a+m} + sum_s V[:, 4a+m, s] d/dw_s, with each V entry
         linear in the four coordinates of slot a only.
         """
-        points = np.asarray(points, dtype=float)
+        points = _scalars(points)
         q = points[:, :self.nh].reshape(-1, self.n, 4)
         # einsum, not matmul: a thin (N, 4) product would start BLAS threads
         return np.einsum("nac,ck->nak", q, self._vmap).reshape(-1, self.nh, 3)
 
     def coefficients(self, points):
-        """Batched frame coefficients C = [I | V]: (N, 4n, dim) floats."""
+        """Frame coefficients C = [I | V]: (N, 4n, dim)."""
         V = self.vertical_coefficients(points)
-        C = np.zeros((V.shape[0], self.nh, self.dim))
+        C = np.zeros((V.shape[0], self.nh, self.dim), dtype=V.dtype)
         idx = np.arange(self.nh)
-        C[:, idx, idx] = 1.0
+        C[:, idx, idx] = 1
         C[:, :, self.nh:] = V
         return C
-
-    def coefficient_row(self, b, point: GroupPoint):
-        """Exact covector of frame field b at an exact group point."""
-        a, m = divmod(b, 4)
-        row = [0] * self.dim
-        row[b] = 1
-        qa = point.q.components[a]
-        prod = qmul(Quaternion.unit(m), qa.conj())
-        row[self.nh + 0] = -2 * prod.x
-        row[self.nh + 1] = -2 * prod.y
-        row[self.nh + 2] = -2 * prod.z
-        return row
 
     def omega(self, s):
         """Matrix of the fundamental 2-form, omega_s[a, b] = g(I_s e_a, e_b)."""
         return self.Is[s].T
-
-    def exact_Is(self):
-        """The I_s as exact integer matrices (lists of lists)."""
-        out = []
-        for m in (1, 2, 3):
-            B = _left_mult_matrix(m)
-            M = [[0] * self.nh for _ in range(self.nh)]
-            for a in range(self.n):
-                for r in range(4):
-                    for c in range(4):
-                        M[4 * a + r][4 * a + c] = B[r][c]
-            out.append(M)
-        return out
 
 
 def build_frame(n) -> HorizontalFrame:
@@ -351,102 +280,64 @@ class AuditReport:
         return all(v == 0 for v in self.violations.values())
 
 
+def _numerators(*arrays):
+    """Exact arrays as Python-int numerators over one common denominator:
+    (numerator arrays, denominator)."""
+    den = math.lcm(*(v.denominator for a in arrays for v in a.flat))
+    scale = np.frompyfunc(lambda v: v.numerator * (den // v.denominator), 1, 1)
+    return [scale(a) for a in arrays], den
+
+
+def _max_abs(*arrays):
+    """The largest |entry| of exact arrays, as a Fraction."""
+    return Fraction(max(abs(v) for a in arrays for v in a.flat))
+
+
 def frame_audit(frame: HorizontalFrame, contact: ContactForm = None,
                 n_points=100, seed=0, reeb=None, Is=None) -> AuditReport:
     """Exact rational audit of the frame against the contact structure.
 
     Checks, at n_points random rational points (entries k/16, |k| <= 32):
     Theta_s(e_b) = 0; Theta_s(xi_k) = delta_sk; d(Theta_s)(e_a, e_b) =
-    2 g(I_s e_a, e_b); and the quaternion relations of the I_s. The reeb and
-    Is arguments exist so tests can audit deliberately broken frames; by
-    default the frame's own data is used. All violations are exact maxima
-    over Fractions, zero means zero.
+    2 g(I_s e_a, e_b); and the quaternion relations of the I_s. The frame
+    and the contact form are evaluated by their coefficient methods at the
+    exact points. The reeb and Is arguments (lists of lists of int or
+    Fraction) exist so tests can audit deliberately broken frames; by
+    default the frame's own arrays are used. All violations are exact
+    maxima over Fractions, zero means zero.
     """
-    n = frame.n
-    d = frame.dim
+    if n_points < 1:
+        raise ValueError("the audit needs at least one point")
+    n, d = frame.n, frame.dim
     contact = contact or ContactForm(n)
-    if reeb is None:
-        reeb = [[Fraction(0)] * d for _ in range(3)]
-        for s in range(3):
-            reeb[s][4 * n + s] = Fraction(2)
-    if Is is None:
-        Is = frame.exact_Is()
+    reeb = np.array(frame.reeb if reeb is None else reeb, dtype=object)
+    Is = np.array(frame.Is if Is is None else Is, dtype=object)
 
     rng = np.random.default_rng(seed)
-    viol = {
-        "theta_on_frame": Fraction(0),
-        "reeb_normalization": Fraction(0),
-        "compatibility_2g": Fraction(0),
-        "quaternion_relations": Fraction(0),
-    }
-
-    # sparse views: the 2-form matrices have a handful of entries per slot
-    # and each frame row has at most four, so everything below skips zeros
-    dtheta_nnz = []
-    for s in range(3):
-        W = contact.dtheta(s)
-        dtheta_nnz.append([(i, j, W[i][j]) for i in range(d)
-                           for j in range(d) if W[i][j]])
-
-    for _ in range(n_points):
-        flat = [Fraction(int(rng.integers(-32, 33)), 16) for _ in range(d)]
-        p = GroupPoint.from_flat(flat, n)
-        rows = contact.coefficient_rows(p)
-        frame_rows = []
-        for b in range(frame.nh):
-            full = frame.coefficient_row(b, p)
-            frame_rows.append({i: v for i, v in enumerate(full) if v})
-        # Theta_s(e_b) = 0
-        for s in range(3):
-            row = rows[s]
-            for fb in frame_rows:
-                v = sum(row[i] * val for i, val in fb.items())
-                viol["theta_on_frame"] = max(viol["theta_on_frame"], abs(v))
-        # Theta_s(xi_k) = delta_sk
-        for s in range(3):
-            for k in range(3):
-                v = sum(rows[s][i] * reeb[k][i] for i in range(d))
-                target = 1 if s == k else 0
-                viol["reeb_normalization"] = max(viol["reeb_normalization"],
-                                                 abs(v - target))
-        # d(Theta_s)(e_a, e_b) = 2 g(I_s e_a, e_b)
-        for s in range(3):
-            for a in range(frame.nh):
-                ua = frame_rows[a]
-                Wu = {}
-                for i, j, w in dtheta_nnz[s]:
-                    vi = ua.get(i)
-                    if vi:
-                        Wu[j] = Wu.get(j, 0) + vi * w
-                for b in range(frame.nh):
-                    ub = frame_rows[b]
-                    lhs = sum(wv * ub[j] for j, wv in Wu.items() if j in ub)
-                    rhs = 2 * Is[s][b][a]      # g(I_s e_a, e_b) = (I_s)_{b a}
-                    viol["compatibility_2g"] = max(viol["compatibility_2g"],
-                                                   abs(lhs - rhs))
-
-    # quaternion relations of the I_s (point independent)
-    nh = frame.nh
-
-    def matmul(A, B):
-        return [[sum(A[i][k] * B[k][j] for k in range(nh)) for j in range(nh)]
-                for i in range(nh)]
-
-    def maxdev(A, B):
-        return max(abs(A[i][j] - B[i][j]) for i in range(nh) for j in range(nh))
-
-    ident = [[1 if i == j else 0 for j in range(nh)] for i in range(nh)]
-    neg = [[-ident[i][j] for j in range(nh)] for i in range(nh)]
-    qv = Fraction(0)
-    for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        qv = max(qv, maxdev(matmul(Is[i], Is[j]), Is[k]))
-    for s in range(3):
-        qv = max(qv, maxdev(matmul(Is[s], Is[s]), neg))
-        transpose = [[Is[s][j][i] for j in range(nh)] for i in range(nh)]
-        qv = max(qv, maxdev(matmul(transpose, Is[s]), ident))
-    viol["quaternion_relations"] = qv
-
-    return AuditReport(n=n, points=n_points, violations=viol)
+    points = np.array([Fraction(int(k), 16) for k in
+                       rng.integers(-32, 33, size=n_points * d)],
+                      dtype=object).reshape(n_points, d)
+    # the contractions below have up to a million terms at a few hundred
+    # points, so they run on integer numerators, not on Fractions
+    (theta, C, W), den = _numerators(
+        contact.coefficients(points), frame.coefficients(points),
+        np.array([contact.dtheta(s) for s in range(3)]))
+    Ct = np.swapaxes(C, 1, 2)
+    ident = np.eye(frame.nh, dtype=int)
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    return AuditReport(n=n, points=n_points, violations={
+        # Theta_s(e_b) is theta C^T over den^2
+        "theta_on_frame": _max_abs(theta @ Ct) / den ** 2,
+        "reeb_normalization": _max_abs(
+            theta @ reeb.T - den * np.eye(3, dtype=int)) / den,
+        # d(Theta_s)(e_a, e_b) is C W_s C^T over den^3; g(I_s e_a, e_b) = (I_s)_{ba}
+        "compatibility_2g": _max_abs(
+            C[:, None] @ W @ Ct[:, None]
+            - 2 * den ** 3 * np.swapaxes(Is, 1, 2)) / den ** 3,
+        "quaternion_relations": _max_abs(
+            *(Is[i] @ Is[j] - Is[k] for i, j, k in cyclic),
+            *(I @ I + ident for I in Is), *(I.T @ I - ident for I in Is)),
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +348,8 @@ def horizontal_gradient(V, grad):
     """e_b f = d_b f + sum_s V[:, b, s] d/dw_s f: (N, 4n).
 
     V is the frame's vertical block (vertical_coefficients) at the points
-    and grad the ambient gradient (N, 4n+3) of f there.
+    and grad the ambient gradient (N, 4n+3) of f there. It is the frame
+    acting on a covector field, in the scalar type of its arguments.
     """
     nh = V.shape[1]
     return grad[:, :nh] + np.einsum("nbs,ns->nb", V, grad[:, nh:])
@@ -494,21 +386,6 @@ def frame_second_order(field: ScalarField, points, frame: HorizontalFrame):
     fh = C @ jf.hess_full() @ np.swapaxes(C, 1, 2)
     fh += np.einsum("bas,ns->nab", frame._vgrads, grad_w)
     return jf.value, fg, fh, 2.0 * grad_w
-
-
-def horiz_grad(field: ScalarField, points, frame: HorizontalFrame):
-    """Components (e_1 f, ..., e_{4n} f) at each point: (N, 4n)."""
-    return frame_first_order(field, points, frame)[0]
-
-
-def vertical_derivs(field: ScalarField, points, frame: HorizontalFrame):
-    """(xi_1 f, xi_2 f, xi_3 f) at each point: (N, 3)."""
-    return frame_first_order(field, points, frame)[1]
-
-
-def frame_hessian(field: ScalarField, points, frame: HorizontalFrame):
-    """The (generally non-symmetric) matrix e_a(e_b f): (N, 4n, 4n)."""
-    return frame_second_order(field, points, frame)[2]
 
 
 def sublaplacian(field: ScalarField, points, frame: HorizontalFrame):

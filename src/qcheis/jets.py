@@ -67,16 +67,9 @@ class Jet2:
 
     __slots__ = ("value", "grad", "hess")
 
-    def __init__(self, value, grad, hess=None, dim=None, full_hess=None):
-        value = np.asarray(value)
-        grad = np.asarray(grad)
-        if full_hess is not None:
-            full_hess = np.asarray(full_hess)
-            if not np.array_equal(full_hess, np.swapaxes(full_hess, -1, -2)):
-                raise ValueError("Hessian must be exactly symmetric")
-            hess = pack_sym(full_hess)
-        self.value = value
-        self.grad = grad
+    def __init__(self, value, grad, hess=None):
+        self.value = np.asarray(value)
+        self.grad = np.asarray(grad)
         self.hess = hess if hess is None else np.asarray(hess)
 
     # -- structure ----------------------------------------------------------
@@ -201,27 +194,6 @@ class Jet2:
         iu0, iu1 = _triu(self.dim)
         gg = self.grad[:, iu0] * self.grad[:, iu1]
         return Jet2(v, grad, inv[:, None] * self.hess - (inv * inv)[:, None] * gg)
-
-
-def jet_arith(a: Jet2, b, op: str) -> Jet2:
-    """Named dispatch over the jet operations.
-
-    op is one of add, sub, mul, div, pow_real, log. For pow_real, b is the
-    real exponent; for log, b is ignored.
-    """
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow_real":
-        return a.pow_real(b)
-    if op == "log":
-        return a.log()
-    raise ValueError(f"unknown jet op {op!r}")
 
 
 def coordinate_jets(points, order=2):

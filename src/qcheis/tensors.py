@@ -63,9 +63,6 @@ class ResidualReport:
     def max_residual(self):
         return max(self.residuals.values())
 
-    def passes(self, tol):
-        return self.max_residual <= tol
-
 
 # ---------------------------------------------------------------------------
 # projections
@@ -338,15 +335,6 @@ def e_from_h_jet(fg, fh, xi, h, frame: HorizontalFrame):
     gh2 = np.einsum("na,na->n", fg, fg)
     coef = -2.0 + 4.0 * h - 3.0 * gh2 / h
     return 0.25 * hinv2[:, None] * (main + coef[:, None] * fg)
-
-
-def sublaplacian_formula(h, fg, n):
-    """The right side 2n - 4nh + (n+2) h^-1 |grad h|^2 of the reduced
-    Yamabe equation for h. Formal only; it encodes Scal-bar = Scal =
-    16n(n+2) and does not hold for general h on the flat group."""
-    h = np.asarray(h, dtype=float)
-    gh2 = np.einsum("na,na->n", fg, fg)
-    return 2.0 * n - 4.0 * n * h + (n + 2) * gh2 / h
 
 
 def flat_A_vectors(n):

@@ -51,7 +51,6 @@ from .heis import (GroupPoint, HorizontalFrame, dilation_affine,
                    left_translation_affine)
 from .jets import (AffineMapField, DomainError, Jet2, JetField, ScalarField,
                    coordinate_jets, pack_sym)
-from .quat import Quaternion, qmul
 from .tensors import project_3_m1, trace_free
 
 
@@ -129,20 +128,12 @@ def h_explicit(params: ExtremalParams) -> ScalarField:
     n = params.n
     d = 4 * n + 3
     nh = 4 * n
-    q0_flat = np.array([float(v) for v in params.base.q.flat()])
-    w0 = [float(v) for v in params.base.w.components()]
-
-    # twist_s = w_s + w0_s + sum over coords of the linear map 2 Im(q0 conj(.))
-    twist_rows = np.zeros((3, d))
-    for s in range(3):
-        twist_rows[s, nh + s] = 1.0
-    for a in range(n):
-        q0a = Quaternion.from_seq([float(v) for v in
-                                   params.base.q.components[a].components()])
-        for c in range(4):
-            prod = qmul(q0a, Quaternion.unit(c).conj())
-            for s, comp in enumerate((prod.x, prod.y, prod.z)):
-                twist_rows[s, 4 * a + c] += 2.0 * comp
+    # h is the centred h composed with L_{p0}: the horizontal shift is q0,
+    # and twist_s = w_s + w0_s + 2 Im(q0 conj(q))_s is row 4n+s of L_{p0}
+    A, offset = left_translation_affine(params.base)
+    twist_rows = np.array(A[nh:], dtype=float)
+    q0_flat = np.array(offset[:nh], dtype=float)
+    w0 = np.array(offset[nh:], dtype=float)
 
     c0 = float(params.c0)
     sigma = float(params.sigma)
@@ -262,16 +253,14 @@ def conformal_torsion(h_field: ScalarField, points, frame: HorizontalFrame):
 def translated_field(u: ScalarField, p0: GroupPoint) -> ScalarField:
     """u composed with the left translation by p0."""
     A, b = left_translation_affine(p0)
-    A = np.array([[float(v) for v in row] for row in A])
-    b = np.array([float(v) for v in b])
-    return AffineMapField(u, A, b, scale=1.0)
+    return AffineMapField(u, np.array(A, dtype=float), np.array(b, dtype=float),
+                          scale=1.0)
 
 
 def dilated_field(u: ScalarField, lam, n, weight_power=0.0) -> ScalarField:
     """lam^weight_power * (u o delta_lam); weight (Q-2)/2 preserves R."""
-    A, b = dilation_affine(lam, n)
-    A = np.array([[float(v) for v in row] for row in A])
-    return AffineMapField(u, A, np.zeros(4 * n + 3),
+    A, _ = dilation_affine(lam, n)
+    return AffineMapField(u, np.array(A, dtype=float), np.zeros(4 * n + 3),
                           scale=float(lam) ** weight_power)
 
 

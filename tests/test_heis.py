@@ -1,5 +1,6 @@
 """Group law, contact structure, frame audit, and frame differential ops."""
 
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,8 @@ from qcheis.heis import (ContactForm, GroupPoint, HorizontalFrame,
 from qcheis.jets import (PolynomialField, fd_oracle,
                          random_positive_polynomial)
 from qcheis.yamabe import ExtremalParams, h_explicit
-from qcheis.quat import HVector, ImQuaternion, Quaternion, rational_quaternion
+from qcheis.quat import (HVector, ImQuaternion, Quaternion, qmul,
+                         rational_quaternion)
 
 
 def _rational_point(n, rng):
@@ -99,7 +101,7 @@ def test_frame_audit_flags_broken_reeb():
 
 def test_frame_audit_flags_broken_complex_structure():
     frame = build_frame(1)
-    Is = frame.exact_Is()
+    Is = frame.Is.tolist()
     Is[0] = [[-v for v in row] for row in Is[0]]  # flip the sign of I_1
     report = frame_audit(frame, n_points=10, seed=3, Is=Is)
     assert not report.all_zero
@@ -107,20 +109,46 @@ def test_frame_audit_flags_broken_complex_structure():
 
 
 @pytest.mark.parametrize("n", [1, 2])
+def test_frame_audit_flags_tampered_frame_coefficients(n):
+    frame = copy.deepcopy(build_frame(n))
+    frame._vmap[1, 0] += 1      # d v_1 / d x of the field e_t, in every slot
+    report = frame_audit(frame, n_points=10, seed=4)
+    assert report.violations["theta_on_frame"] > 0
+    assert frame_audit(build_frame(n), n_points=10, seed=4).all_zero
+
+
+@pytest.mark.parametrize("n", [1, 2])
 def test_contact_coefficients_batch_matches_exact_rows(n):
+    # one coefficient path for both scalar types: Fraction points give
+    # exact entries, equal to the defining quaternion formulas, and those
+    # entries cast to float are the float result
     contact = ContactForm(n)
     frame = HorizontalFrame(n)
     rng = np.random.default_rng(50 + n)
-    p = _rational_point(n, rng)
-    pts = np.array([[float(x) for x in p.flat()]])
-    batch = contact.coefficient_batch(pts)
-    rows = contact.coefficient_rows(p)
-    assert np.max(np.abs(batch[0] - np.array(rows, dtype=float))) < 1e-15
-    # frame coefficient rows agree with the batch evaluation too
-    C = frame.coefficients(pts)
-    for b in range(4 * n):
-        row = frame.coefficient_row(b, p)
-        assert np.max(np.abs(C[0, b] - np.array(row, dtype=float))) < 1e-15
+    points = [_rational_point(n, rng) for _ in range(6)]
+    exact = np.array([p.flat() for p in points], dtype=object)
+    for method in (contact.coefficients, frame.vertical_coefficients,
+                   frame.coefficients):
+        got = method(exact)
+        assert got.dtype == object
+        assert all(type(v) in (Fraction, int) for v in got.flat)
+        assert np.array_equal(got.astype(float), method(exact.astype(float)))
+
+    # Theta = (1/2)(dw - q d(conj q) + dq conj(q)) and
+    # e_{4a+m} = d_{4a+m} - 2 Im(mu_m conj(q_a)) . d_w, term by term
+    theta = contact.coefficients(exact)
+    V = frame.vertical_coefficients(exact)
+    half = Fraction(1, 2)
+    for i, p in enumerate(points):
+        for a, qa in enumerate(p.q.components):
+            for m in range(4):
+                mu = Quaternion.unit(m)
+                dq = (qmul(mu, qa.conj()) - qmul(qa, mu.conj())) * half
+                assert theta[i, :, 4 * a + m].tolist() == dq.im().components()
+                v = -2 * qmul(mu, qa.conj())
+                assert V[i, 4 * a + m].tolist() == v.im().components()
+        assert theta[i, :, 4 * n:].tolist() == \
+            [[half if s == k else 0 for k in range(3)] for s in range(3)]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -208,17 +236,12 @@ def test_horiz_divergence_recovers_sublaplacian_for_linear_gradient():
 
 
 def _dense_coeff_grads(frame):
-    """G[b, i, j] = d_i C[b, j], read off the exact rows at unit points; C is
-    affine in the point, so row(e_i) - row(0) is its derivative along i."""
-    n, d = frame.n, frame.dim
-    origin = GroupPoint.from_flat([0] * d, n)
-    G = np.zeros((frame.nh, d, d))
-    for i in range(d):
-        unit = GroupPoint.from_flat([1 if k == i else 0 for k in range(d)], n)
-        for b in range(frame.nh):
-            G[b, i] = np.array(frame.coefficient_row(b, unit), dtype=float) \
-                - np.array(frame.coefficient_row(b, origin), dtype=float)
-    return G
+    """G[b, i, j] = d_i C[b, j], read off the exact coefficients at the origin
+    and the unit points; C is affine in the point, so C(e_i) - C(0) is its
+    derivative along i."""
+    d = frame.dim
+    C = frame.coefficients(np.eye(d + 1, d, -1, dtype=int))
+    return (C[1:] - C[0]).transpose(1, 0, 2).astype(float)
 
 
 @pytest.mark.parametrize("n", [1, 2])
