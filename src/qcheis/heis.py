@@ -226,7 +226,7 @@ class HorizontalFrame:
         self._vmap = vrows.transpose(1, 0, 2).reshape(4, 12)
         # d_a v_s of frame field b as (b, a, s): the only nonzero block of
         # the coefficient gradients, the block vrows in every slot
-        self._vgrads = np.zeros((self.nh, self.nh, 3), dtype=int)
+        self._vgrads = np.zeros((self.nh, self.nh, 3))
         for a in range(n):
             self._vgrads[4 * a:4 * a + 4, 4 * a:4 * a + 4] = vrows
 
@@ -238,8 +238,11 @@ class HorizontalFrame:
         """
         points = _scalars(points)
         q = points[:, :self.nh].reshape(-1, self.n, 4)
-        # einsum, not matmul: a thin (N, 4) product would start BLAS threads
-        return np.einsum("nac,ck->nak", q, self._vmap).reshape(-1, self.nh, 3)
+        # einsum, not matmul: a thin (N, 4) product would start BLAS threads.
+        # The table takes the points' dtype: einsum over mixed dtypes runs a
+        # buffered loop about twice as slow
+        vmap = self._vmap.astype(points.dtype)
+        return np.einsum("nac,ck->nak", q, vmap).reshape(-1, self.nh, 3)
 
     def coefficients(self, points):
         """Frame coefficients C = [I | V]: (N, 4n, dim)."""

@@ -315,11 +315,14 @@ def d_from_h_jet(fg, fh, xi, h, frame: HorizontalFrame):
     + h^-2 sum_s dh(xi_s) dh(I_s e_a), with Hdh the frame Hessian."""
     h = np.asarray(h, dtype=float)
     hinv2 = 1.0 / (h * h)
+    # the integer I_s as floats: einsum over mixed dtypes runs a slower
+    # buffered loop
+    Is = frame.Is.astype(float)
     main = 3.0 * np.einsum("nab,nb->na", fh, fg)
-    for I in frame.Is:
+    for I in Is:
         main -= np.einsum("ba,nbc,cd,nd->na", I, fh, I, fg)
     vert = np.zeros_like(fg)
-    for s, I in enumerate(frame.Is):
+    for s, I in enumerate(Is):
         vert += xi[:, s:s + 1] * np.einsum("ba,nb->na", I, fg)
     return 0.25 * hinv2[:, None] * main + hinv2[:, None] * vert
 
@@ -330,7 +333,7 @@ def e_from_h_jet(fg, fh, xi, h, frame: HorizontalFrame):
     h = np.asarray(h, dtype=float)
     hinv2 = 1.0 / (h * h)
     main = np.einsum("nab,nb->na", fh, fg)
-    for I in frame.Is:
+    for I in frame.Is.astype(float):
         main += np.einsum("ba,nbc,cd,nd->na", I, fh, I, fg)
     gh2 = np.einsum("na,na->n", fg, fg)
     coef = -2.0 + 4.0 * h - 3.0 * gh2 / h
@@ -382,7 +385,7 @@ def universal_identity_suite(h_field: ScalarField, points,
     gh2 = np.einsum("na,na->n", fg, fg)
     hess_gh = np.einsum("nab,nb->na", fh, fg)
     twist = np.zeros_like(fg)
-    for s, I in enumerate(frame.Is):
+    for s, I in enumerate(frame.Is.astype(float)):
         twist += xi[:, s:s + 1] * np.einsum("ba,nb->na", I, fg)
 
     rhs1 = hinv2[:, None] * hess_gh + hinv2[:, None] * twist \
