@@ -232,7 +232,7 @@ def cmd_identities(args, rng):
     d_sum, f_cyc = [], []
     pair_res = {k: [] for k in ("dd_norm", "ee_norm", "dd_dot_ee", "combined")}
     for k in range(args.points):
-        td = random_torsion(n, seed=args.seed + k)
+        td = random_torsion(n, seed=args.seed + k, frame=frame)
         aux = aux_forms_from_torsion(td, frame)
         d_sum.append(relative_residual(aux.D, -td.T0 @ td.dh / td.h))
         for direct, cyclic in zip(aux.Fs, f_alternative_from_ds(aux, frame)):
@@ -403,23 +403,28 @@ def build_parser():
     return p
 
 
+def _render_point_dump(label, pts, vals):
+    """The per-point CSV, byte-identical to csv.writer's rendering of the
+    same rows: no field (an int, a float repr or a plain label) ever needs
+    quoting, so the rows are joined directly."""
+    header = ",".join(["index"] + [f"p{i}" for i in range(pts.shape[1])]
+                      + [label])
+    rows = [f"{i},{','.join(map(repr, row))},{v!r}"
+            for i, (row, v) in enumerate(zip(pts.tolist(), vals.tolist()))]
+    return "\r\n".join([header] + rows) + "\r\n"
+
+
 def _render_csv(report, point_dump):
+    if point_dump is not None:
+        return _render_point_dump(*point_dump)
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if point_dump is not None:
-        label, pts, vals = point_dump
-        d = pts.shape[1]
-        writer.writerow(["index"] + [f"p{i}" for i in range(d)] + [label])
-        for i in range(pts.shape[0]):
-            writer.writerow([i] + [repr(float(v)) for v in pts[i]]
-                            + [repr(float(vals[i]))])
-    else:
-        writer.writerow(["name", "max_residual", "mean_residual",
-                         "tolerance", "pass"])
-        for c in report["checks"]:
-            writer.writerow([c["name"], repr(c["max_residual"]),
-                             repr(c["mean_residual"]), repr(c["tolerance"]),
-                             c["pass"]])
+    writer.writerow(["name", "max_residual", "mean_residual",
+                     "tolerance", "pass"])
+    for c in report["checks"]:
+        writer.writerow([c["name"], repr(c["max_residual"]),
+                         repr(c["mean_residual"]), repr(c["tolerance"]),
+                         c["pass"]])
     return buf.getvalue()
 
 

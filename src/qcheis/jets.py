@@ -4,8 +4,11 @@ A Jet2 carries the truncated Taylor data (value, gradient, Hessian) of a
 scalar function at a batch of points, and the arithmetic below (add, sub,
 mul, div, pow_real, log) propagates that data by the chain and Leibniz
 rules. All first and second order differential operators in the toolkit
-(horizontal gradient, sub-Laplacian, frame Hessian) are evaluated from these
+(horizontal gradient, sub-Laplacian, frame Hessian) are evaluated from
 ambient jets, so exactness here is what makes the identity checks sharp.
+A field whose derivatives are known in closed form (the extremal h and the
+bump window in yamabe) writes its Jet2 directly instead of composing one
+from these operations.
 
 Storage is batched: value (N,), gradient (N, d), Hessian packed as the upper
 triangle (N, d(d+1)/2). Packing keeps symmetry true by construction through

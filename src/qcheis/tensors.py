@@ -136,17 +136,18 @@ class TorsionData:
         return checks
 
 
-def random_torsion(n, seed) -> TorsionData:
+def random_torsion(n, seed, frame: HorizontalFrame = None) -> TorsionData:
     """Reproducible TorsionData with dyadic entries.
 
     Entries are multiples of 1/16, so the projections (divisions by 4 and,
     for the trace part, by 4n with n <= 2) stay exact in double precision
     and the type invariants hold with zero error, not just small error.
     For n = 1 the trace-free [3]-projection of any symmetric matrix
-    vanishes identically, so U comes out exactly zero.
+    vanishes identically, so U comes out exactly zero. Pass the caller's
+    frame to skip building one per sample.
     """
     rng = np.random.default_rng(seed)
-    frame = HorizontalFrame(n)
+    frame = frame or HorizontalFrame(n)
     nh = 4 * n
 
     def dyadic(shape):
@@ -320,7 +321,7 @@ def d_from_h_jet(fg, fh, xi, h, frame: HorizontalFrame):
     Is = frame.Is.astype(float)
     main = 3.0 * np.einsum("nab,nb->na", fh, fg)
     for I in Is:
-        main -= np.einsum("ba,nbc,cd,nd->na", I, fh, I, fg)
+        main -= np.einsum("nad,nd->na", I.T @ fh @ I, fg)
     vert = np.zeros_like(fg)
     for s, I in enumerate(Is):
         vert += xi[:, s:s + 1] * np.einsum("ba,nb->na", I, fg)
@@ -334,7 +335,7 @@ def e_from_h_jet(fg, fh, xi, h, frame: HorizontalFrame):
     hinv2 = 1.0 / (h * h)
     main = np.einsum("nab,nb->na", fh, fg)
     for I in frame.Is.astype(float):
-        main += np.einsum("ba,nbc,cd,nd->na", I, fh, I, fg)
+        main += np.einsum("nad,nd->na", I.T @ fh @ I, fg)
     gh2 = np.einsum("na,na->n", fg, fg)
     coef = -2.0 + 4.0 * h - 3.0 * gh2 / h
     return 0.25 * hinv2[:, None] * (main + coef[:, None] * fg)

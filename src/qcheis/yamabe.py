@@ -50,7 +50,7 @@ from .heis import (GroupPoint, HorizontalFrame, dilation_affine,
                    frame_second_order, horizontal_gradient,
                    left_translation_affine)
 from .jets import (AffineMapField, DomainError, Jet2, JetField, ScalarField,
-                   coordinate_jets, pack_sym)
+                   pack_sym)
 from .tensors import project_3_m1, trace_free
 
 
@@ -90,40 +90,19 @@ class YamabeConstants:
 # the explicit family
 
 
-def _linear_jet(points, coeffs, const, order):
-    """Jet of the affine function coeffs . p + const."""
-    N, d = points.shape
-    # einsum, not matmul: a thin (N, d) product would start BLAS threads.
-    # On C-ordered rows the sum runs along each row, so a row gets the same
-    # value in a batch of any size and layout (perturbed_ratios evaluates
-    # bumps on subsets of a chunk and relies on this)
-    value = np.einsum("nd,d->n", np.ascontiguousarray(points), coeffs) + const
-    grad = np.broadcast_to(coeffs, (N, d)).copy()
-    hess = None if order == 1 else np.zeros((N, d * (d + 1) // 2))
-    return Jet2(value, grad, hess)
-
-
-def _shifted_square_jet(points, nh, offset, order):
-    """Jet of |p_H + offset|^2 over the first nh coordinates."""
-    N, d = points.shape
-    shifted = points[:, :nh] + offset
-    value = np.einsum("ni,ni->n", shifted, shifted)
-    grad = np.zeros((N, d))
-    grad[:, :nh] = 2.0 * shifted
-    if order == 1:
-        return Jet2(value, grad, None)
-    full = np.zeros((N, d, d))
-    idx = np.arange(nh)
-    full[:, idx, idx] = 2.0
-    return Jet2(value, grad, pack_sym(full))
-
-
 def h_explicit(params: ExtremalParams) -> ScalarField:
     """The conformal factor c0[(sigma+|q+q0|^2)^2 + |w+w0+2Im(q0 conj q)|^2].
 
-    Built as a jet composition of the displayed pieces: a shifted square in
-    the horizontal coordinates and three affine twist functions, one per
-    vertical direction. Exact for polynomial data up to rounding.
+    h is a quartic, so its jets are written out in closed form. With
+    s = q + q0, r = sigma + |s|^2 and the twist tw = T p + w0, where T is
+    the 3 x d block of vertical rows of L_{p0}:
+
+        h       = c0 (r^2 + |tw|^2),
+        grad h  = 2 c0 T^T tw  +  4 c0 r s          (s on the q-columns),
+        hess h  = 2 c0 T^T T   +  8 c0 s s^T + 4 c0 r Id   (q-block).
+
+    The T^T T term is one constant packed row. Every product is row-wise,
+    so a row's jet does not depend on the rest of its batch.
     """
     n = params.n
     d = 4 * n + 3
@@ -131,21 +110,38 @@ def h_explicit(params: ExtremalParams) -> ScalarField:
     # h is the centred h composed with L_{p0}: the horizontal shift is q0,
     # and twist_s = w_s + w0_s + 2 Im(q0 conj(q))_s is row 4n+s of L_{p0}
     A, offset = left_translation_affine(params.base)
-    twist_rows = np.array(A[nh:], dtype=float)
-    q0_flat = np.array(offset[:nh], dtype=float)
+    T = np.array(A[nh:], dtype=float)
+    q0 = np.array(offset[:nh], dtype=float)
     w0 = np.array(offset[nh:], dtype=float)
 
     c0 = float(params.c0)
     sigma = float(params.sigma)
 
+    # the packed Hessian holds row i of the upper triangle in the slots from
+    # diag[i] = (i, i) on; the q-block of row i < nh is the first nh - i
+    diag = [i * d - i * (i - 1) // 2 for i in range(nh)]
+    twist_hess = pack_sym(2.0 * c0 * (T.T @ T))
+    twist_grad = 2.0 * c0 * T
+
     def builder(points, order):
-        points = np.asarray(points, dtype=float)
-        radial = _shifted_square_jet(points, nh, q0_flat, order) + sigma
-        acc = radial * radial
-        for s in range(3):
-            tw = _linear_jet(points, twist_rows[s], w0[s], order)
-            acc = acc + tw * tw
-        return acc * c0
+        points = np.ascontiguousarray(points, dtype=float)
+        s = points[:, :nh] + q0
+        r = sigma + np.einsum("ni,ni->n", s, s)
+        # einsum, not matmul: a thin (N, d) product would start BLAS threads
+        tw = np.einsum("nj,sj->ns", points, T) + w0
+        value = c0 * (r * r + np.einsum("ns,ns->n", tw, tw))
+        grad = np.einsum("ns,sj->nj", tw, twist_grad)
+        grad[:, :nh] += (4.0 * c0 * r)[:, None] * s
+        if order == 1:
+            return Jet2(value, grad, None)
+        hess = np.empty((points.shape[0], twist_hess.shape[0]))
+        hess[:] = twist_hess
+        s8 = 8.0 * c0 * s
+        r4 = 4.0 * c0 * r
+        for i, lo in enumerate(diag):
+            hess[:, lo:lo + nh - i] += s8[:, i:i + 1] * s[:, i:]
+            hess[:, lo] += r4
+        return Jet2(value, grad, hess)
 
     return JetField(d, builder)
 
@@ -265,17 +261,23 @@ def dilated_field(u: ScalarField, lam, n, weight_power=0.0) -> ScalarField:
 
 
 # nodes within this much of the bump's boundary (in rho^2) are treated as
-# inside; the jet arithmetic's rho^2 differs from the closed form by round-off
-# of order 1e-15, so the support test can never miss a node the bump touches
+# inside; a batch of another layout may sum rho^2 in another order, which
+# moves it by round-off of order 1e-15, so the support test can never miss a
+# node the bump touches
 _SUPPORT_SLACK = 1e-9
 
 
 class BumpField(ScalarField):
     """A C^2 perturbation with compact ellipsoidal support.
 
-    A cubed plateau window max(1 - rho^2, 0)^3, with rho^2 the anisotropic
-    distance sum_i ((x_i - center_i) / radii_i)^2, times the affine
-    function lin . x + const.
+    A cubed plateau window w = max(1 - rho^2, 0)^3, with rho^2 the
+    anisotropic distance sum_i ((x_i - center_i) / radii_i)^2, times the
+    affine function L = lin . x + const. The jets are closed forms: with
+    u = max(1 - rho^2, 0) and g = grad rho^2,
+
+        grad w = -3 u^2 g,    hess w = 6 u g g^T - 3 u^2 hess(rho^2),
+
+    and the Leibniz rule for w L, whose Hessian has no L'' term.
     """
 
     def __init__(self, center, radii, lin, const):
@@ -285,32 +287,41 @@ class BumpField(ScalarField):
         self.const = float(const)
         self.dim = self.center.shape[0]
         self._inv_r2 = 1.0 / self.radii ** 2
+        iu0, iu1 = np.triu_indices(self.dim)
+        self._packed = (iu0, iu1, np.flatnonzero(iu0 == iu1))
+
+    def _rho2(self, dx):
+        return np.einsum("ni,i->n", dx * dx, self._inv_r2)
 
     def support(self, points):
         """Mask of the points where the bump may be nonzero: the closed
         ellipsoid rho <= 1 widened by a round-off slack. Covers every point
         where jets() gives a nonzero value or gradient."""
         points = np.asarray(points, dtype=float)
-        rho2 = np.einsum("ni,i->n", (points - self.center) ** 2, self._inv_r2)
-        return rho2 < 1.0 + _SUPPORT_SLACK
+        return self._rho2(points - self.center) < 1.0 + _SUPPORT_SLACK
 
     def jets(self, points, order=2):
-        points = np.asarray(points, dtype=float)
-        coords = coordinate_jets(points, order)
-        rho2 = None
-        for i in range(self.dim):
-            term = (coords[i] - self.center[i]) * (coords[i] - self.center[i]) \
-                * self._inv_r2[i]
-            rho2 = term if rho2 is None else rho2 + term
-        u = 1.0 - rho2
-        w = u * u * u
-        mask = u.value > 0
-        value = np.where(mask, w.value, 0.0)
-        grad = np.where(mask[:, None], w.grad, 0.0)
-        hess = None if w.hess is None else np.where(mask[:, None], w.hess, 0.0)
-        window = Jet2(value, grad, hess)
-        poly = _linear_jet(points, self.lin, self.const, order)
-        return window * poly
+        # every operation is row-wise, and the einsum sums run along
+        # C-ordered rows, so a row gets the same jet in a batch of any size
+        # and layout (perturbed_ratios evaluates bumps on subsets of a chunk
+        # and relies on this)
+        points = np.ascontiguousarray(points, dtype=float)
+        dx = points - self.center
+        u = np.maximum(1.0 - self._rho2(dx), 0.0)
+        u2 = u * u
+        g = 2.0 * dx * self._inv_r2
+        w = u2 * u
+        grad_w = (-3.0 * u2)[:, None] * g
+        lin_value = np.einsum("nd,d->n", points, self.lin) + self.const
+        value = w * lin_value
+        grad = w[:, None] * self.lin + lin_value[:, None] * grad_w
+        if order == 1:
+            return Jet2(value, grad, None)
+        iu0, iu1, diag = self._packed
+        hess = ((6.0 * u * lin_value)[:, None] * g[:, iu0] * g[:, iu1]
+                + grad_w[:, iu0] * self.lin[iu1] + self.lin[iu0] * grad_w[:, iu1])
+        hess[:, diag] -= (6.0 * u2 * lin_value)[:, None] * self._inv_r2
+        return Jet2(value, grad, hess)
 
 
 def bump_field(n, seed, box=2.0) -> BumpField:

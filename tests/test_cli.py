@@ -3,6 +3,7 @@ output formats, and flag plumbing. Everything runs in-process through
 main(argv) so failures carry real tracebacks."""
 
 import csv
+import io
 import json
 import os
 import re
@@ -10,10 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qcheis
-from qcheis.cli import build_parser, main
+from qcheis.cli import _render_csv, build_parser, main
 
 SCHEMA_KEYS = {"command", "config", "checks", "pass", "wall_ms"}
 CHECK_KEYS = {"name", "max_residual", "mean_residual", "tolerance", "pass"}
@@ -200,6 +202,27 @@ def test_csv_point_dump_for_scan_commands(tmp_path):
     assert rows[0][-1] == "relative_residual"
     assert len(rows) == 26
     assert float(rows[1][-1]) < 1e-9
+
+
+def test_csv_point_dump_is_byte_identical_to_csv_writer():
+    # the point dump joins its rows directly; it must be what csv.writer
+    # writes for the same rows, down to signed zeros, extreme exponents and
+    # the \r\n line ends
+    specials = [0.0, -0.0, 1e-300, 1e300, 5e-324, -1.5, 2.0, 0.1]
+    rng = np.random.default_rng(11)
+    pts = np.concatenate([np.array(specials).reshape(2, 4),
+                          rng.normal(size=(30, 4)) * 10.0 ** rng.integers(
+                              -20, 20, size=(30, 4))])
+    vals = np.concatenate([[-0.0, 1e300], rng.uniform(size=30)])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["index", "p0", "p1", "p2", "p3", "t0bar_norm"])
+    for i in range(pts.shape[0]):
+        writer.writerow([i] + [repr(float(v)) for v in pts[i]]
+                        + [repr(float(vals[i]))])
+    got = _render_csv(None, ("t0bar_norm", pts, vals))
+    assert got == buf.getvalue()
+    assert _render_csv(None, ("x", pts[:0], vals[:0])) == "index,p0,p1,p2,p3,x\r\n"
 
 
 def test_csv_checks_table_for_exact_commands(tmp_path):

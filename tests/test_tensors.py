@@ -8,7 +8,8 @@ from qcheis.heis import HorizontalFrame, frame_second_order
 from qcheis.jets import random_positive_polynomial
 from qcheis.tensors import (TorsionData, _casimir_sum, aux_forms_from_torsion,
                             dd_ee_tensors,
-                            d_from_h_jet, ebold_from_u, f_alternative_from_ds,
+                            d_from_h_jet, e_from_h_jet, ebold_from_u,
+                            f_alternative_from_ds,
                             flat_A_vectors, dd_ee_identity_check, project_3_m1,
                             q_quadratic_form, random_torsion,
                             relative_residual, trace_free,
@@ -109,6 +110,17 @@ def test_random_torsion_is_deterministic():
     assert np.array_equal(a.dh, b.dh) and a.h == b.h
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_random_torsion_with_the_callers_frame_is_the_same(n):
+    frame = HorizontalFrame(n)
+    for seed in range(5):
+        a = random_torsion(n, seed, frame=frame)
+        b = random_torsion(n, seed)
+        for key in ("T0", "U", "dh", "dhxi"):
+            assert np.array_equal(getattr(a, key), getattr(b, key))
+        assert a.h == b.h
+
+
 def test_torsion_validate_rejects_wrong_type():
     frame = HorizontalFrame(2)
     td = random_torsion(2, 3)
@@ -179,6 +191,30 @@ def test_universal_identities_for_random_fields(n):
         pts = rng.uniform(-2, 2, size=(50, d))
         report = universal_identity_suite(h_field, pts, frame)
         assert report.max_residual <= 1e-12, (seed, report.residuals)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_d_and_e_from_h_jet_match_four_operand_einsum(n):
+    # the I_s^T Hdh I_s terms are batched matmuls now; the reference is the
+    # one-step contraction sum_{b,c,d} I[b,a] Hdh[b,c] I[c,d] dh[d]
+    d = 4 * n + 3
+    frame = HorizontalFrame(n)
+    rng = np.random.default_rng(50 + n)
+    h_field = random_positive_polynomial(d, rng)
+    h, fg, fh, xi = frame_second_order(h_field, rng.uniform(-2, 2, (40, d)),
+                                       frame)
+    Is = frame.Is.astype(float)
+    twisted = sum(np.einsum("ba,nbc,cd,nd->na", I, fh, I, fg) for I in Is)
+    hess_gh = np.einsum("nab,nb->na", fh, fg)
+    vert = sum(xi[:, s:s + 1] * np.einsum("ba,nb->na", I, fg)
+               for s, I in enumerate(Is))
+    hinv2 = (1.0 / (h * h))[:, None]
+    coef = (-2.0 + 4.0 * h - 3.0 * np.einsum("na,na->n", fg, fg) / h)[:, None]
+    d_ref = 0.25 * hinv2 * (3.0 * hess_gh - twisted) + hinv2 * vert
+    e_ref = 0.25 * hinv2 * (hess_gh + twisted + coef * fg)
+    for got, ref in ((d_from_h_jet(fg, fh, xi, h, frame), d_ref),
+                     (e_from_h_jet(fg, fh, xi, h, frame), e_ref)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [1, 2])

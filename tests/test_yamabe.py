@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, dblquad
 
-from qcheis.heis import GroupPoint, HorizontalFrame, group_multiply
-from qcheis.jets import CombinationField, DomainError, fd_oracle
+from qcheis.heis import (GroupPoint, HorizontalFrame, group_multiply,
+                         left_translation_affine)
+from qcheis.jets import (CombinationField, DomainError, Jet2, JetField,
+                         coordinate_jets, fd_oracle, pack_sym)
 from qcheis.quat import HVector, ImQuaternion, Quaternion
 from qcheis.yamabe import (BumpField, ExtremalParams, FunctionalEstimate,
                            YamabeConstants, _mapped_nodes, _sobol_chunks,
@@ -53,6 +55,134 @@ def test_h_explicit_matches_closed_formula(n):
         tw = np.array([float(c) for c in twist.components()])
         expect = params.c0 * (radial ** 2 + float(tw @ tw))
         assert abs(v - expect) <= 1e-12 * max(1.0, abs(expect))
+
+
+# ---------------------------------------------------------------------------
+# references: h and the bump built by Jet2 composition, as the closed forms
+# in qcheis.yamabe replaced them
+
+
+def _linear_jet(points, coeffs, const, order):
+    """Jet of the affine function coeffs . p + const."""
+    N, d = points.shape
+    value = np.einsum("nd,d->n", np.ascontiguousarray(points), coeffs) + const
+    grad = np.broadcast_to(coeffs, (N, d)).copy()
+    hess = None if order == 1 else np.zeros((N, d * (d + 1) // 2))
+    return Jet2(value, grad, hess)
+
+
+def _shifted_square_jet(points, nh, offset, order):
+    """Jet of |p_H + offset|^2 over the first nh coordinates."""
+    N, d = points.shape
+    shifted = points[:, :nh] + offset
+    value = np.einsum("ni,ni->n", shifted, shifted)
+    grad = np.zeros((N, d))
+    grad[:, :nh] = 2.0 * shifted
+    if order == 1:
+        return Jet2(value, grad, None)
+    full = np.zeros((N, d, d))
+    idx = np.arange(nh)
+    full[:, idx, idx] = 2.0
+    return Jet2(value, grad, pack_sym(full))
+
+
+def _composed_h(params):
+    """h as c0 [(sigma + |q + q0|^2)^2 + sum_s twist_s^2] in Jet2 products."""
+    nh = 4 * params.n
+    A, offset = left_translation_affine(params.base)
+    twist_rows = np.array(A[nh:], dtype=float)
+    q0 = np.array(offset[:nh], dtype=float)
+    w0 = np.array(offset[nh:], dtype=float)
+
+    def builder(points, order):
+        points = np.asarray(points, dtype=float)
+        radial = _shifted_square_jet(points, nh, q0, order) + params.sigma
+        acc = radial * radial
+        for s in range(3):
+            tw = _linear_jet(points, twist_rows[s], w0[s], order)
+            acc = acc + tw * tw
+        return acc * params.c0
+
+    return JetField(nh + 3, builder)
+
+
+def _composed_bump_jets(bump, points, order):
+    """The bump's window (1 - rho^2)^3 and affine factor in Jet2 products."""
+    points = np.asarray(points, dtype=float)
+    coords = coordinate_jets(points, order)
+    rho2 = None
+    for i in range(bump.dim):
+        term = (coords[i] - bump.center[i]) * (coords[i] - bump.center[i]) \
+            * (1.0 / bump.radii[i] ** 2)
+        rho2 = term if rho2 is None else rho2 + term
+    u = 1.0 - rho2
+    w = u * u * u
+    mask = u.value > 0
+    hess = None if w.hess is None else np.where(mask[:, None], w.hess, 0.0)
+    window = Jet2(np.where(mask, w.value, 0.0),
+                  np.where(mask[:, None], w.grad, 0.0), hess)
+    return window * _linear_jet(points, bump.lin, bump.const, order)
+
+
+def _assert_jets_close(got, ref, rtol):
+    assert got.order == ref.order
+    pairs = [(got.value, ref.value), (got.grad, ref.grad)]
+    if ref.hess is not None:
+        pairs.append((got.hess, ref.hess))
+    for a, b in pairs:
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("order", [1, 2])
+def test_h_closed_form_matches_jet_composition(n, order):
+    rng = np.random.default_rng(90 + 2 * n + order)
+    for _ in range(3):
+        c0, sigma = rng.uniform(0.2, 3.0, size=2)
+        params = ExtremalParams(n=n, c0=c0, sigma=sigma,
+                                base=_point(n, rng, span=2.0))
+        pts = rng.uniform(-2, 2, size=(500, 4 * n + 3))
+        _assert_jets_close(h_explicit(params).jets(pts, order=order),
+                           _composed_h(params).jets(pts, order=order), 1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("order", [1, 2])
+def test_bump_closed_form_matches_jet_composition(n, order):
+    rng = np.random.default_rng(95 + 2 * n + order)
+    for seed in range(3):
+        bump = bump_field(n, seed=seed)
+        pts = bump.center + rng.uniform(-0.8, 0.8, size=(500, 4 * n + 3))
+        got = bump.jets(pts, order=order)
+        assert 0 < np.count_nonzero(got.value) < len(pts)
+        _assert_jets_close(got, _composed_bump_jets(bump, pts, order), 1e-13)
+
+
+def test_closed_form_jets_use_no_jet_products(monkeypatch):
+    # h and the bump are closed forms; a Jet2 * Jet2 product on their path
+    # means someone went back to composing them. Scaling by a number stays
+    # allowed (phi_from_h scales h's jet by 2)
+    original = Jet2.__mul__
+
+    def scalar_only(self, other):
+        if isinstance(other, Jet2):
+            raise AssertionError("Jet2 * Jet2 on a closed-form path")
+        return original(self, other)
+
+    monkeypatch.setattr(Jet2, "__mul__", scalar_only)
+    monkeypatch.setattr(Jet2, "__rmul__", scalar_only)
+    x, y = coordinate_jets(np.zeros((1, 7)))[:2]
+    with pytest.raises(AssertionError):
+        x * y
+    rng = np.random.default_rng(3)
+    for n in (1, 2):
+        params = ExtremalParams(n=n, c0=1.5, sigma=0.5, base=_point(n, rng))
+        bump = bump_field(n, seed=n)
+        pts = bump.center + rng.uniform(-0.5, 0.5, size=(20, 4 * n + 3))
+        assert h_explicit(params).jets(pts, order=2).order == 2
+        assert phi_explicit(params).jets(pts, order=2).order == 2
+        assert np.count_nonzero(bump.jets(pts, order=2).hess)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -162,6 +292,18 @@ def test_bump_field_support_and_smoothness():
     assert np.max(np.abs(jb.hess_full() - fd.hess_full())) < 1e-4
 
 
+def test_bump_order2_jets_match_fd_oracle_n2():
+    bump = bump_field(2, seed=5)
+    near = bump.center + np.random.default_rng(4).uniform(-0.3, 0.3,
+                                                          size=(5, 11))
+    jb = bump.jets(near, order=2)
+    assert np.all(jb.value != 0.0)
+    fd = fd_oracle(bump, near)
+    assert np.max(np.abs(jb.value - fd.value)) == 0.0
+    assert np.max(np.abs(jb.grad - fd.grad)) < 1e-6
+    assert np.max(np.abs(jb.hess_full() - fd.hess_full())) < 1e-4
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_bump_support_covers_every_nonzero_point(n):
     # points within 1e-6 of the ellipsoid in rho^2, plus a few far inside
@@ -191,17 +333,21 @@ def test_bump_jets_do_not_depend_on_the_batch():
     bump = bump_field(1, seed=8)
     pts = bump.center + np.random.default_rng(3).uniform(-0.4, 0.4,
                                                          size=(257, 7))
-    full = bump.jets(pts, order=1)
-    assert np.count_nonzero(full.value) > 100
-    for batch in (np.asfortranarray(pts), pts[::-1]):
-        jb = bump.jets(batch, order=1)
-        order = slice(None) if batch.flags.f_contiguous else slice(None, None, -1)
-        assert np.array_equal(jb.value[order], full.value)
-        assert np.array_equal(jb.grad[order], full.grad)
-    for i in range(0, 257, 16):
-        one = bump.jets(pts[i:i + 1], order=1)
-        assert one.value[0] == full.value[i]
-        assert np.array_equal(one.grad[0], full.grad[i])
+    for jet_order in (1, 2):
+        full = bump.jets(pts, order=jet_order)
+        assert np.count_nonzero(full.value) > 100
+        parts = ("value", "grad") if jet_order == 1 else ("value", "grad", "hess")
+        for batch in (np.asfortranarray(pts), pts[::-1]):
+            jb = bump.jets(batch, order=jet_order)
+            rows = slice(None) if batch.flags.f_contiguous else slice(None, None, -1)
+            for part in parts:
+                assert np.array_equal(getattr(jb, part)[rows],
+                                      getattr(full, part))
+        for i in range(0, 257, 16):
+            one = bump.jets(pts[i:i + 1], order=jet_order)
+            for part in parts:
+                assert np.array_equal(getattr(one, part)[0],
+                                      getattr(full, part)[i])
 
 
 def test_dilated_field_composes_and_scales():
