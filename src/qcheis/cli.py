@@ -403,20 +403,17 @@ def build_parser():
     return p
 
 
-def _render_point_dump(label, pts, vals):
-    """The per-point CSV, byte-identical to csv.writer's rendering of the
-    same rows: no field (an int, a float repr or a plain label) ever needs
-    quoting, so the rows are joined directly."""
-    header = ",".join(["index"] + [f"p{i}" for i in range(pts.shape[1])]
-                      + [label])
-    rows = [f"{i},{','.join(map(repr, row))},{v!r}"
-            for i, (row, v) in enumerate(zip(pts.tolist(), vals.tolist()))]
-    return "\r\n".join([header] + rows) + "\r\n"
-
-
 def _render_csv(report, point_dump):
     if point_dump is not None:
-        return _render_point_dump(*point_dump)
+        # no field (an int, a float repr or a plain label) ever needs
+        # quoting, so the rows are joined directly; the text is byte
+        # identical to what csv.writer writes for the same rows
+        label, pts, vals = point_dump
+        header = ",".join(["index"] + [f"p{i}" for i in range(pts.shape[1])]
+                          + [label])
+        rows = [f"{i},{','.join(map(repr, row))},{v!r}"
+                for i, (row, v) in enumerate(zip(pts.tolist(), vals.tolist()))]
+        return "\r\n".join([header] + rows) + "\r\n"
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["name", "max_residual", "mean_residual",
