@@ -21,8 +21,7 @@ from .heis import (GroupPoint, group_multiply, group_inverse, dilate,
 from .tensors import (project_3_m1, trace_free, TorsionData, random_torsion,
                       AuxForms, aux_forms_from_torsion, f_alternative_from_ds,
                       ebold_from_u, dd_ee_tensors, dd_ee_identity_check,
-                      d_from_h_jet, e_from_h_jet, flat_A_vectors,
-                      universal_identity_suite, q_quadratic_form,
+                      d_from_h_jet, e_from_h_jet, universal_identity_suite,
                       relative_residual, ResidualReport)
 from .yamabe import (ExtremalParams, YamabeConstants, h_explicit, phi_from_h,
                      phi_explicit, yamabe_residual, conformal_scal,
@@ -45,9 +44,8 @@ __all__ = [
     "horiz_divergence", "project_3_m1", "trace_free", "TorsionData",
     "random_torsion", "AuxForms", "aux_forms_from_torsion",
     "f_alternative_from_ds", "ebold_from_u", "dd_ee_tensors",
-    "dd_ee_identity_check", "d_from_h_jet", "e_from_h_jet", "flat_A_vectors",
-    "universal_identity_suite", "q_quadratic_form", "relative_residual",
-    "ResidualReport",
+    "dd_ee_identity_check", "d_from_h_jet", "e_from_h_jet",
+    "universal_identity_suite", "relative_residual", "ResidualReport",
     "ExtremalParams", "YamabeConstants", "h_explicit", "phi_from_h",
     "phi_explicit", "yamabe_residual", "conformal_scal", "conformal_torsion",
     "symmetrized_hessian", "translated_field", "dilated_field", "BumpField",

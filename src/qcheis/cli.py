@@ -37,8 +37,8 @@ import numpy as np
 
 from .heis import ContactForm, GroupPoint, HorizontalFrame, frame_audit
 from .jets import DomainError, random_positive_polynomial
-from .qmatrix import (_QUAD_A, _QUAD_B, QMatrix, build_q, certify, char_poly,
-                      leading_minors, poly_eval, poly_mod_quadratic)
+from .qmatrix import (_QUAD_A, _QUAD_B, QMatrix, build_q, certify, poly_eval,
+                      poly_mod_quadratic, spectral_certificate)
 from .quat import HVector, ImQuaternion, Quaternion
 from .tensors import (aux_forms_from_torsion, f_alternative_from_ds,
                       dd_ee_identity_check, random_torsion, relative_residual,
@@ -56,6 +56,9 @@ _TOL_TENSOR = 1e-10
 _TOL_STRUCT = 1e-12
 _TOL_QUAD = 1e-4
 _TOL_ZERO = 0.0
+
+# torsion samples per batch in `identities`
+_TORSION_BATCH = 128
 
 
 def _check(name, values, tolerance):
@@ -229,23 +232,29 @@ def cmd_identities(args, rng):
     tol_l = _tol(args, _TOL_TENSOR)
     tol_j = _tol(args, _TOL_JET)
 
-    d_sum, f_cyc = [], []
-    pair_res = {k: [] for k in ("dd_norm", "ee_norm", "dd_dot_ee", "combined")}
-    for k in range(args.points):
-        td = random_torsion(n, seed=args.seed + k, frame=frame)
+    # torsion samples run in batches along a leading axis; bounded batches
+    # keep memory flat in --points, as each sample holds (4n)^3 entries
+    seeds = range(args.seed, args.seed + args.points)
+    rows = {}
+    for lo in range(0, args.points, _TORSION_BATCH):
+        td = random_torsion(n, seeds[lo:lo + _TORSION_BATCH], frame)
         aux = aux_forms_from_torsion(td, frame)
-        d_sum.append(relative_residual(aux.D, -td.T0 @ td.dh / td.h))
-        for direct, cyclic in zip(aux.Fs, f_alternative_from_ds(aux, frame)):
-            f_cyc.append(relative_residual(direct, cyclic))
+        direct_d = -(td.T0 @ td.dh[..., None])[..., 0] / td.h[:, None]
+        batch = {
+            "d_sum_decomposition": relative_residual(aux.D, direct_d),
+            # sample-major, as the F_s of each sample sit side by side
+            "f_from_d_cyclic": np.stack(
+                [relative_residual(direct, cyclic) for direct, cyclic
+                 in zip(aux.Fs, f_alternative_from_ds(aux, frame))],
+                axis=1).ravel(),
+        }
         for key, v in dd_ee_identity_check(td, frame).residuals.items():
-            pair_res[key].append(v)
-
-    checks = [
-        _check("d_sum_decomposition", d_sum, tol_s),
-        _check("f_from_d_cyclic", f_cyc, tol_s),
-    ]
-    for key, vals in pair_res.items():
-        checks.append(_check(f"tensor_identity_{key}", vals, tol_l))
+            batch[f"tensor_identity_{key}"] = v
+        for name, v in batch.items():
+            rows.setdefault(name, []).append(v)
+    checks = [_check(name, np.concatenate(vals),
+                     tol_l if name.startswith("tensor_") else tol_s)
+              for name, vals in rows.items()]
 
     d = 4 * n + 3
     n_fields = max(1, min(200, args.points // 5))
@@ -271,16 +280,14 @@ def cmd_qmatrix(args, rng):
         rows[1][0] += Fraction(1, 100)
         q = QMatrix(entries=tuple(tuple(r) for r in rows))
 
-    poly = char_poly(q)
+    # the tampered matrix fails certify's claims, so it is only reported
+    cert = spectral_certificate(q) if args.tamper_q else certify(q)
+    poly = cert.char_coeffs
     at_one = abs(poly_eval(poly, Fraction(1)))
     rem_a = max(abs(c) for c in poly_mod_quadratic(poly, _QUAD_A))
     rem_b = max(abs(c) for c in poly_mod_quadratic(poly, _QUAD_B))
-    minors = leading_minors(q.entries)
-    shifted = leading_minors(tuple(
-        tuple(q[i, j] - (1 if i == j else 0) for j in range(7))
-        for i in range(7)))
-    minors_ok = 0.0 if all(m > 0 for m in minors) else 1.0
-    shifted_ok = 0.0 if all(m >= 0 for m in shifted) else 1.0
+    minors_ok = 0.0 if cert.positive_definite else 1.0
+    shifted_ok = 0.0 if cert.shifted_minors_nonnegative else 1.0
 
     claimed = sorted([1.0,
                       (9 - 73 ** 0.5) / 2, (9 + 73 ** 0.5) / 2,
@@ -298,9 +305,7 @@ def cmd_qmatrix(args, rng):
         _check("shifted_minors_nonnegative", shifted_ok, _TOL_ZERO),
         _check("float_spectrum_cross_check", eig_dev, 1e-12),
     ]
-    extra = None
-    if not args.tamper_q:
-        extra = {"certificate": certify(q).to_dict()}
+    extra = None if args.tamper_q else {"certificate": cert.to_dict()}
     return checks, extra, None
 
 

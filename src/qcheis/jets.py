@@ -94,13 +94,6 @@ class Jet2:
             raise ValueError("order-1 jet has no Hessian")
         return unpack_sym(self.hess, self.dim)
 
-    @classmethod
-    def constant(cls, value, n, dim, order=2, dtype=float):
-        value = np.full(n, value, dtype=dtype)
-        grad = np.zeros((n, dim), dtype=dtype)
-        hess = None if order == 1 else np.zeros((n, dim * (dim + 1) // 2), dtype=dtype)
-        return cls(value, grad, hess)
-
     def _pair_hess(self, other):
         if self.hess is None or other.hess is None:
             return None, None

@@ -70,7 +70,7 @@ def build_q() -> QMatrix:
 
 
 def q_float():
-    """The matrix as a float array, for the runtime quadratic form."""
+    """The matrix as a float array, for float cross-checks."""
     return np.array([[float(v) for v in row] for row in _Q_ROWS])
 
 
@@ -190,10 +190,10 @@ class SpectralCertificate:
     matrix: QMatrix
     char_coeffs: tuple
     factors: tuple              # ((coeffs, multiplicity), ...)
+    unfactored: tuple           # what the claimed factors leave; (1,) if none
     eigenvalues: tuple          # ((float value, multiplicity, label), ...)
     minors: tuple
     minors_shifted: tuple       # of Q - I
-    min_eigenvalue: float
 
     @property
     def positive_definite(self):
@@ -202,6 +202,10 @@ class SpectralCertificate:
     @property
     def shifted_minors_nonnegative(self):
         return all(m >= 0 for m in self.minors_shifted)
+
+    @property
+    def min_eigenvalue(self):
+        return min(v for v, m, _ in self.eigenvalues if m > 0)
 
     def to_dict(self):
         return {
@@ -223,25 +227,13 @@ class SpectralCertificate:
         }
 
 
-def certify(q: QMatrix = None) -> SpectralCertificate:
-    """Full exact certificate: factorization, minors, sharp lower bound.
-
-    Raises if the matrix fails symmetry, if the claimed factors do not
-    exhaust the characteristic polynomial, or if any leading minor of Q is
-    not positive.
-    """
-    q = q or build_q()
-    if not q.is_symmetric():
-        raise ValueError("matrix is not symmetric")
+def spectral_certificate(q: QMatrix) -> SpectralCertificate:
+    """Factorization, minors and eigenvalues of q as found: a matrix that
+    fails the claims is reported here, and certify() raises on it."""
     poly = char_poly(q)
-
     m1, rest = factor_multiplicity(poly, _LINEAR)
     ma, rest = factor_multiplicity(rest, _QUAD_A)
     mb, rest = factor_multiplicity(rest, _QUAD_B)
-    if rest != (F(1),):
-        raise ValueError("claimed factors do not exhaust the spectrum")
-    if m1 + 2 * ma + 2 * mb != 7:
-        raise ValueError("factor multiplicities do not sum to the degree")
 
     r73 = sqrt(73.0)
     r89 = sqrt(89.0)
@@ -252,20 +244,32 @@ def certify(q: QMatrix = None) -> SpectralCertificate:
         ((11.0 - r89) / 2.0, mb, "(11 - sqrt(89))/2"),
         ((11.0 + r89) / 2.0, mb, "(11 + sqrt(89))/2"),
     )
-
-    minors = leading_minors(q.entries)
-    if not all(m > 0 for m in minors):
-        raise ValueError("a leading principal minor is not positive")
     shifted = [[q[i, j] - (1 if i == j else 0) for j in range(7)]
                for i in range(7)]
-    minors_shifted = leading_minors(shifted)
-
     return SpectralCertificate(
         matrix=q,
         char_coeffs=poly,
         factors=((_LINEAR, m1), (_QUAD_A, ma), (_QUAD_B, mb)),
+        unfactored=rest,
         eigenvalues=eigenvalues,
-        minors=minors,
-        minors_shifted=minors_shifted,
-        min_eigenvalue=min(v for v, m, _ in eigenvalues if m > 0),
+        minors=leading_minors(q.entries),
+        minors_shifted=leading_minors(shifted),
     )
+
+
+def certify(q: QMatrix = None) -> SpectralCertificate:
+    """Full exact certificate: factorization, minors, sharp lower bound.
+
+    Raises if the matrix fails symmetry, if the claimed factors do not
+    exhaust the characteristic polynomial, or if any leading minor of Q is
+    not positive.
+    """
+    q = q or build_q()
+    if not q.is_symmetric():
+        raise ValueError("matrix is not symmetric")
+    cert = spectral_certificate(q)
+    if cert.unfactored != (F(1),):
+        raise ValueError("claimed factors do not exhaust the spectrum")
+    if not cert.positive_definite:
+        raise ValueError("a leading principal minor is not positive")
+    return cert

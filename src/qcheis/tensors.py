@@ -31,12 +31,16 @@ left, the one-form data on the right).
 Everything here is frame-componentwise: a bilinear form is its 4n x 4n
 matrix P[a, b] = P(e_a, e_b), a one-form its 4n-vector, and composition
 with I_s acts by P(I_s., I_s.) = I_s^T P I_s, v(I_s .) = I_s^T v.
+
+Every array may carry a leading batch axis: TorsionData for N samples holds
+T0 and U as (N, 4n, 4n), dh as (N, 4n), dhxi as (N, 3) and h as (N,), and
+what is built from it gains the same axis. A single sample runs the same
+code without that axis, and each row of a batch equals its single result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -47,12 +51,17 @@ _FLOOR = 1e-30
 
 
 def relative_residual(lhs, rhs):
-    """max |lhs - rhs| over max(|lhs|, |rhs|, floor); scale-free."""
+    """max |lhs - rhs| over max(|lhs|, |rhs|, floor) along the last axis.
+
+    Scale-free row by row: each row has its own scale, never the batch's,
+    so it gets the residual it gets alone. Ravel both sides for one total.
+    """
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    scale = max(np.max(np.abs(lhs), initial=0.0),
-                np.max(np.abs(rhs), initial=0.0), _FLOOR)
-    return float(np.max(np.abs(lhs - rhs)) / scale)
+    scale = np.maximum(np.maximum(np.max(np.abs(lhs), axis=-1, initial=0.0),
+                                  np.max(np.abs(rhs), axis=-1, initial=0.0)),
+                       _FLOOR)
+    return np.max(np.abs(lhs - rhs), axis=-1) / scale
 
 
 @dataclass
@@ -61,7 +70,7 @@ class ResidualReport:
 
     @property
     def max_residual(self):
-        return max(self.residuals.values())
+        return max(np.max(v) for v in self.residuals.values())
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +103,7 @@ def trace_free(P, frame: HorizontalFrame):
     P = np.asarray(P, dtype=float)
     nh = frame.nh
     tr = np.trace(P, axis1=-2, axis2=-1)
-    eye = np.eye(nh)
-    if P.ndim == 2:
-        return P - (tr / nh) * eye
-    return P - (tr[:, None, None] / nh) * eye
+    return P - (tr[..., None, None] / nh) * np.eye(nh)
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +116,8 @@ class TorsionData:
 
     T0 is of type [-1], U of type [3] and trace-free, dh holds the frame
     components of the horizontal gradient, dhxi the three vertical
-    derivatives, h the (positive) value of the conformal factor.
+    derivatives, h the (positive) value of the conformal factor. A batch
+    of N samples stacks each field along a leading axis; h is then (N,).
     """
     n: int
     T0: np.ndarray
@@ -122,16 +129,17 @@ class TorsionData:
     def validate(self, frame: HorizontalFrame = None, tol=0.0):
         frame = frame or HorizontalFrame(self.n)
         Is = frame.Is
+        T0, U = self.T0, self.U
         checks = {}
-        checks["T0_symmetric"] = np.max(np.abs(self.T0 - self.T0.T))
-        checks["U_symmetric"] = np.max(np.abs(self.U - self.U.T))
-        checks["T0_minus_one_type"] = np.max(np.abs(
-            self.T0 + _casimir_sum(self.T0, Is)))
+        checks["T0_symmetric"] = np.max(np.abs(T0 - np.swapaxes(T0, -1, -2)))
+        checks["U_symmetric"] = np.max(np.abs(U - np.swapaxes(U, -1, -2)))
+        checks["T0_minus_one_type"] = np.max(np.abs(T0 + _casimir_sum(T0, Is)))
         checks["U_three_type"] = max(
-            np.max(np.abs(I.T @ self.U @ I - self.U)) for I in Is)
-        checks["U_trace_free"] = abs(np.trace(self.U))
+            np.max(np.abs(I.T @ U @ I - U)) for I in Is)
+        checks["U_trace_free"] = np.max(np.abs(
+            np.trace(U, axis1=-2, axis2=-1)))
         bad = {k: v for k, v in checks.items() if v > tol}
-        if bad or self.h <= 0:
+        if bad or np.any(np.asarray(self.h) <= 0):
             raise ValueError(f"invalid torsion data: {bad or 'h <= 0'}")
         return checks
 
@@ -139,31 +147,37 @@ class TorsionData:
 def random_torsion(n, seed, frame: HorizontalFrame = None) -> TorsionData:
     """Reproducible TorsionData with dyadic entries.
 
+    seed is one integer, or a sequence of them for a batch along a leading
+    axis. Each sample has its own default_rng(seed), so each row of a batch
+    is bit-identical to the single draw from its seed.
+
     Entries are multiples of 1/16, so the projections (divisions by 4 and,
     for the trace part, by 4n with n <= 2) stay exact in double precision
     and the type invariants hold with zero error, not just small error.
     For n = 1 the trace-free [3]-projection of any symmetric matrix
     vanishes identically, so U comes out exactly zero. Pass the caller's
-    frame to skip building one per sample.
+    frame to skip building one per call.
     """
-    rng = np.random.default_rng(seed)
+    single = np.ndim(seed) == 0
     frame = frame or HorizontalFrame(n)
     nh = 4 * n
-
-    def dyadic(shape):
-        return rng.integers(-24, 25, size=shape) / 16.0
-
-    S1 = dyadic((nh, nh))
-    S1 = (S1 + S1.T) / 2.0
-    S2 = dyadic((nh, nh))
-    S2 = (S2 + S2.T) / 2.0
-    P3_1, T0 = project_3_m1(S1, frame)
+    draws = []
+    for s in ([seed] if single else seed):
+        rng = np.random.default_rng(s)
+        # one call per field, in this order: the streams depend on it
+        draws.append((rng.integers(-24, 25, size=(nh, nh)),
+                      rng.integers(-24, 25, size=(nh, nh)),
+                      rng.integers(-24, 25, size=nh),
+                      rng.integers(-24, 25, size=3),
+                      rng.integers(0, 33)))
+    S1, S2, dh, dhxi, h = (np.array(field) / 16.0 for field in zip(*draws))
+    S1, S2 = ((S + np.swapaxes(S, -1, -2)) / 2.0 for S in (S1, S2))
+    _, T0 = project_3_m1(S1, frame)
     U3, _ = project_3_m1(S2, frame)
-    U = trace_free(U3, frame)
-    dh = dyadic(nh)
-    dhxi = dyadic(3)
-    h = 1.0 + rng.integers(0, 33) / 16.0
-    return TorsionData(n=n, T0=T0, U=U, dh=dh, dhxi=dhxi, h=float(h))
+    fields = dict(T0=T0, U=trace_free(U3, frame), dh=dh, dhxi=dhxi, h=1.0 + h)
+    if single:
+        fields = {key: value[0] for key, value in fields.items()}
+    return TorsionData(n=n, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -196,15 +210,28 @@ def ebold_from_u(U):
     return -2.0 * np.asarray(U, dtype=float)
 
 
+def _apply(M, v):
+    """M v, row by row over leading batch axes of either operand; each row
+    is the same matmul call as a single sample's."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _dot(u, v):
+    """u . v row by row, by the same matmul call as for one pair."""
+    return _apply(u[..., None, :], v)[..., 0]
+
+
 def aux_forms_from_torsion(td: TorsionData, frame: HorizontalFrame = None) -> AuxForms:
     frame = frame or HorizontalFrame(td.n)
     Is = frame.Is
-    h, dh, T0 = td.h, td.dh, td.T0
-    Ds = [-(T0 @ dh + I.T @ T0 @ (I @ dh)) / (2.0 * h) for I in Is]
+    dh, T0 = td.dh, td.T0
+    h = np.asarray(td.h)[..., None]
+    Ds = [-(_apply(T0, dh) + _apply(I.T @ T0, _apply(I, dh))) / (2.0 * h)
+          for I in Is]
     D = Ds[0] + Ds[1] + Ds[2]
-    E = ebold_from_u(td.U) @ dh / h
-    Fs = [-(T0 @ (I @ dh)) / h for I in Is]
-    f = 0.5 + h + 0.25 * float(dh @ dh) / h
+    E = _apply(ebold_from_u(td.U), dh) / h
+    Fs = [-_apply(T0, _apply(I, dh)) / h for I in Is]
+    f = 0.5 + td.h + 0.25 * _dot(dh, dh) / td.h
     return AuxForms(D1=Ds[0], D2=Ds[1], D3=Ds[2], D=D, E=E,
                     F1=Fs[0], F2=Fs[1], F3=Fs[2], f=f)
 
@@ -216,13 +243,9 @@ def f_alternative_from_ds(aux: AuxForms, frame: HorizontalFrame):
     directly computed F_s.
     """
     Is = frame.Is
-    out = []
-    order = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     Ds = aux.Ds
-    for (i, j, k) in order:
-        comb = -Ds[i] + Ds[j] + Ds[k]
-        out.append(Is[i].T @ comb)
-    return out
+    return [_apply(Is[i].T, -Ds[i] + Ds[j] + Ds[k])
+            for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +254,13 @@ def f_alternative_from_ds(aux: AuxForms, frame: HorizontalFrame):
 
 def _paired_tensor(v, T, Is):
     """v(X)T(Y,Z) + v(Y)T(X,Z) + sum_s [same with X,Y twisted by I_s]."""
-    out = np.einsum("a,bc->abc", v, T) + np.einsum("b,ac->abc", v, T)
+    def pair(v, T):
+        return (v[..., :, None, None] * T[..., None, :, :]
+                + v[..., None, :, None] * T[..., :, None, :])
+
+    out = pair(v, T)
     for I in Is:
-        vI = I.T @ v
-        TI = I.T @ T
-        out += np.einsum("a,bc->abc", vI, TI) + np.einsum("b,ac->abc", vI, TI)
+        out += pair(_apply(I.T, v), I.T @ T)
     return out
 
 
@@ -247,8 +272,9 @@ def dd_ee_tensors(td: TorsionData, frame: HorizontalFrame = None):
     """
     frame = frame or HorizontalFrame(td.n)
     Is = frame.Is
-    DD = -_paired_tensor(td.dh, td.T0, Is) / (8.0 * td.h)
-    EE3 = _paired_tensor(td.dh, ebold_from_u(td.U), Is) / (8.0 * td.h)
+    h = np.asarray(td.h)[..., None, None, None]
+    DD = -_paired_tensor(td.dh, td.T0, Is) / (8.0 * h)
+    EE3 = _paired_tensor(td.dh, ebold_from_u(td.U), Is) / (8.0 * h)
     return DD, EE3
 
 
@@ -272,33 +298,35 @@ def dd_ee_identity_check(td: TorsionData, frame: HorizontalFrame = None) -> Resi
     h, dh = td.h, td.dh
     EE = ebold_from_u(td.U)
 
-    dh2 = float(dh @ dh)
-    t0n2 = float(np.sum(td.T0 * td.T0))
-    een2 = float(np.sum(EE * EE))
-    dnorms = [float(d @ d) for d in aux.Ds]
-    dcross = float(aux.D1 @ aux.D2 + aux.D1 @ aux.D3 + aux.D2 @ aux.D3)
-    en2 = float(aux.E @ aux.E)
-    eds = float(sum(aux.E @ d for d in aux.Ds))
+    def norm2(X, Y, ndim=3):
+        # a plain sum of products over the trailing axes; einsum sums in
+        # another order and moves the residuals at round-off
+        return np.sum(X * Y, axis=tuple(range(-ndim, 0)))
 
-    res = {}
-    lhs = float(np.sum(DD * DD))
-    rhs = dh2 * t0n2 / (8 * h * h) - 0.25 * sum(dnorms) + 0.5 * dcross
-    res["dd_norm"] = relative_residual(lhs, rhs)
-
-    lhs = float(np.sum(EE3 * EE3))
-    rhs = dh2 * een2 / (8 * h * h) - 0.25 * en2
-    res["ee_norm"] = relative_residual(lhs, rhs)
-
-    lhs = float(np.sum(DD * EE3))
-    rhs = 0.25 * eds
-    res["dd_dot_ee"] = relative_residual(lhs, rhs)
-
+    D1, D2, D3 = aux.Ds
+    dh2 = _dot(dh, dh)
+    t0n2 = norm2(td.T0, td.T0, 2)
+    een2 = norm2(EE, EE, 2)
+    dnorms = sum(_dot(d, d) for d in aux.Ds)
+    dcross = _dot(D1, D2) + _dot(D1, D3) + _dot(D2, D3)
+    en2 = _dot(aux.E, aux.E)
+    eds = sum(_dot(aux.E, d) for d in aux.Ds)
     mix = DD + EE3
-    lhs = dh2 * (t0n2 + een2) / (4 * h * h)
-    rhs = 2.0 * float(np.sum(mix * mix)) - eds + 0.5 * en2 \
-        + 0.5 * sum(dnorms) - dcross
-    res["combined"] = relative_residual(lhs, rhs)
-    return ResidualReport(res)
+    sides = {
+        "dd_norm": (norm2(DD, DD),
+                    dh2 * t0n2 / (8 * h * h) - 0.25 * dnorms + 0.5 * dcross),
+        "ee_norm": (norm2(EE3, EE3), dh2 * een2 / (8 * h * h) - 0.25 * en2),
+        "dd_dot_ee": (norm2(DD, EE3), 0.25 * eds),
+        "combined": (dh2 * (t0n2 + een2) / (4 * h * h),
+                     2.0 * norm2(mix, mix) - eds + 0.5 * en2 + 0.5 * dnorms
+                     - dcross),
+    }
+    # one scalar per sample: a trailing axis of length one makes each its
+    # own row, scaled by itself
+    return ResidualReport({
+        key: relative_residual(np.asarray(lhs)[..., None],
+                               np.asarray(rhs)[..., None])
+        for key, (lhs, rhs) in sides.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +367,6 @@ def e_from_h_jet(fg, fh, xi, h, frame: HorizontalFrame):
     gh2 = np.einsum("na,na->n", fg, fg)
     coef = -2.0 + 4.0 * h - 3.0 * gh2 / h
     return 0.25 * hinv2[:, None] * (main + coef[:, None] * fg)
-
-
-def flat_A_vectors(n):
-    """The vectors A_i = I_i [xi_j, xi_k] on the flat group: the center is
-    abelian, so all three vanish. Kept as explicit inputs so the quadratic
-    form can be exercised with nonzero A-blocks from elsewhere."""
-    nh = 4 * n
-    return [np.zeros(nh) for _ in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -391,33 +411,12 @@ def universal_identity_suite(h_field: ScalarField, points,
 
     rhs1 = hinv2[:, None] * hess_gh + hinv2[:, None] * twist \
         + 0.25 * (hinv2 * (-2.0 + 4.0 * h - 3.0 * gh2 * hinv))[:, None] * fg
-    res = {"sum_identity": relative_residual(E + D, rhs1)}
+    res = {"sum_identity": relative_residual((E + D).ravel(), rhs1.ravel())}
 
     f = 0.5 + h + 0.25 * gh2 * hinv
     # df(e_b) = dh(e_b)(1 - |gh|^2/(4h^2)) + (1/2h) sum_a Hdh(e_b, e_a) dh(e_a)
     df = fg * (1.0 - 0.25 * gh2 * hinv2)[:, None] + 0.5 * hinv[:, None] * hess_gh
     rhs2 = h[:, None] * (E + D) - hinv[:, None] * twist \
         + (hinv * f)[:, None] * fg
-    res["f_differential"] = relative_residual(2.0 * df, rhs2)
+    res["f_differential"] = relative_residual((2.0 * df).ravel(), rhs2.ravel())
     return ResidualReport(res)
-
-
-# ---------------------------------------------------------------------------
-# the quadratic form of the divergence theorem
-
-
-def q_quadratic_form(blocks) -> float:
-    """h <QV, V> without the h: sum_{rs} Q[r,s] <V_r, V_s> over the seven
-    blocks V = (E, D1, D2, D3, A1, A2, A3), each a 4n-vector."""
-    from .qmatrix import q_float
-
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
-    if len(blocks) != 7:
-        raise ValueError("expected 7 blocks (E, D1..D3, A1..A3)")
-    Q = q_float()
-    total = 0.0
-    for r in range(7):
-        for s in range(7):
-            if Q[r, s]:
-                total += Q[r, s] * float(blocks[r] @ blocks[s])
-    return total

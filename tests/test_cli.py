@@ -193,6 +193,41 @@ def test_reports_are_deterministic_modulo_wall_time(tmp_path):
         assert ta == tb
 
 
+def _torsion_checks_by_loop(n, seed, points):
+    """The identities torsion checks as one single-sample call per seed,
+    residuals listed in the order the report averages them."""
+    from qcheis.heis import HorizontalFrame
+    from qcheis.tensors import (aux_forms_from_torsion, dd_ee_identity_check,
+                                f_alternative_from_ds, random_torsion,
+                                relative_residual)
+    frame = HorizontalFrame(n)
+    vals = {"d_sum_decomposition": [], "f_from_d_cyclic": []}
+    for k in range(points):
+        td = random_torsion(n, seed + k, frame)
+        aux = aux_forms_from_torsion(td, frame)
+        vals["d_sum_decomposition"].append(
+            relative_residual(aux.D, -td.T0 @ td.dh / td.h))
+        for direct, cyclic in zip(aux.Fs, f_alternative_from_ds(aux, frame)):
+            vals["f_from_d_cyclic"].append(relative_residual(direct, cyclic))
+        for key, v in dd_ee_identity_check(td, frame).residuals.items():
+            vals.setdefault(f"tensor_identity_{key}", []).append(v)
+    return {name: (float(np.max(v)), float(np.mean(v)))
+            for name, v in vals.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_identities_torsion_checks_equal_the_per_sample_loop(tmp_path, n):
+    # 300 samples run as two full batches and a partial one; every row is
+    # computed by the same calls as a single sample, so max and mean agree
+    # exactly (bound 0), not just to round-off
+    code, report = _run_json(tmp_path, ["identities", "--n", str(n),
+                                        "--seed", "4", "--points", "300"])
+    assert code == 0
+    got = {c["name"]: (c["max_residual"], c["mean_residual"])
+           for c in report["checks"] if not c["name"].startswith("jet_")}
+    assert got == _torsion_checks_by_loop(n, 4, 300)
+
+
 def test_csv_point_dump_for_scan_commands(tmp_path):
     out = tmp_path / "dump.csv"
     assert main(["residual", "--points", "25", "--format", "csv",

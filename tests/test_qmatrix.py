@@ -13,7 +13,8 @@ import pytest
 
 from qcheis.qmatrix import (QMatrix, build_q, certify, char_poly,
                             factor_multiplicity, leading_minors, poly_divmod,
-                            poly_eval, poly_mod_quadratic, q_float)
+                            poly_eval, poly_mod_quadratic, q_float,
+                            spectral_certificate)
 
 CHAR_POLY = (F(1), F(-32), F(368), F(-1790), F(3375), F(-2850), F(1056),
              F(-128))
@@ -119,6 +120,13 @@ def test_certify_rejects_tampered_matrix():
     bad = QMatrix(entries=tuple(tuple(r) for r in rows))
     with pytest.raises(ValueError):
         certify(bad)
+    # the reporting form computes the same data and leaves the judgement
+    # to its caller
+    found = spectral_certificate(bad)
+    assert found.char_coeffs == char_poly(bad)
+    assert found.minors == leading_minors(bad.entries)
+    assert found.unfactored != (F(1),)
+    assert spectral_certificate(q).to_dict() == certify(q).to_dict()
 
 
 def test_certify_rejects_asymmetric_matrix():

@@ -10,8 +10,8 @@ from qcheis.tensors import (TorsionData, _casimir_sum, aux_forms_from_torsion,
                             dd_ee_tensors,
                             d_from_h_jet, e_from_h_jet, ebold_from_u,
                             f_alternative_from_ds,
-                            flat_A_vectors, dd_ee_identity_check, project_3_m1,
-                            q_quadratic_form, random_torsion,
+                            dd_ee_identity_check, project_3_m1,
+                            random_torsion,
                             relative_residual, trace_free,
                             universal_identity_suite)
 from qcheis.yamabe import ExtremalParams, h_explicit
@@ -234,26 +234,93 @@ def test_d_one_form_vanishes_along_extremal_family(n):
         assert np.max(np.abs(D)) < 1e-13
 
 
-def test_flat_a_vectors_are_zero():
-    for n in (1, 2):
-        for v in flat_A_vectors(n):
-            assert np.all(v == 0.0)
-
-
-def test_quadratic_form_unit_vectors_and_positivity():
-    rng = np.random.default_rng(17)
-    nh = 4
-    e = np.zeros(nh)
-    e[0] = 1.0
-    zero = np.zeros(nh)
-    # the pure-E diagonal entry of the matrix is 5/2
-    val = q_quadratic_form([e, zero, zero, zero, zero, zero, zero])
-    assert abs(val - 2.5) < 1e-15
-    for _ in range(20):
-        blocks = [rng.normal(size=nh) for _ in range(7)]
-        assert q_quadratic_form(blocks) > 0.0
-
-
 def test_relative_residual_floor():
     assert relative_residual(np.zeros(3), np.zeros(3)) == 0.0
     assert relative_residual(np.array([1.0]), np.array([1.0 + 1e-12])) < 2e-12
+
+
+def test_relative_residual_scales_each_row_by_its_own_maximum():
+    lhs = np.array([[1.0, 2.0], [1e-8, 0.0], [0.0, 0.0]])
+    rhs = np.array([[1.0, 2.5], [2e-8, 0.0], [0.0, 0.0]])
+    got = relative_residual(lhs, rhs)
+    assert got.shape == (3,)
+    for row, (a, b) in enumerate(zip(lhs, rhs)):
+        assert got[row] == relative_residual(a, b)
+    assert list(got) == [0.2, 0.5, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# the batch axis: a stack of samples gives the single-sample results row by
+# row. Every product with I_s is a signed permutation and every matmul,
+# dot and sum runs once per row with the same call as for a single sample,
+# so the equalities below are exact, not within a tolerance.
+
+_FIELDS = ("T0", "U", "dh", "dhxi", "h")
+
+
+def _stack(tds):
+    return TorsionData(n=tds[0].n, **{key: np.stack([getattr(td, key)
+                                                      for td in tds])
+                                       for key in _FIELDS})
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_seed_sequence_stacks_the_single_seed_draws(n):
+    frame = HorizontalFrame(n)
+    seeds = [5, 6, 7, 100, 3]
+    batch = random_torsion(n, seeds, frame)
+    assert batch.T0.shape == (5, 4 * n, 4 * n) and batch.h.shape == (5,)
+    batch.validate(frame)
+    for k, seed in enumerate(seeds):
+        single = random_torsion(n, seed, frame)
+        for key in _FIELDS:
+            assert np.array_equal(getattr(batch, key)[k],
+                                  getattr(single, key)), (seed, key)
+        assert isinstance(single.h, float)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_batched_forms_and_residuals_equal_the_per_sample_results(n):
+    frame = HorizontalFrame(n)
+    seeds = range(40, 80)
+    batch = random_torsion(n, seeds, frame)
+    aux = aux_forms_from_torsion(batch, frame)
+    f_alt = f_alternative_from_ds(aux, frame)
+    DD, EE3 = dd_ee_tensors(batch, frame)
+    report = dd_ee_identity_check(batch, frame)
+    assert all(v.shape == (len(seeds),) for v in report.residuals.values())
+    for k, seed in enumerate(seeds):
+        td = random_torsion(n, seed, frame)
+        single = aux_forms_from_torsion(td, frame)
+        for name in ("D1", "D2", "D3", "D", "E", "F1", "F2", "F3", "f"):
+            assert np.array_equal(getattr(aux, name)[k],
+                                  getattr(single, name)), (seed, name)
+        for got, ref in zip(f_alt, f_alternative_from_ds(single, frame)):
+            assert np.array_equal(got[k], ref)
+        dd, ee = dd_ee_tensors(td, frame)
+        assert np.array_equal(DD[k], dd) and np.array_equal(EE3[k], ee)
+        for key, value in dd_ee_identity_check(td, frame).residuals.items():
+            assert report.residuals[key][k] == value, (seed, key)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_zero_and_tiny_rows_keep_their_own_residuals(n):
+    # a zero-torsion row has both sides exactly zero, so its residuals are
+    # exactly 0.0 whatever the other rows hold; a row scaled by 2^-20 scales
+    # both sides of each identity by a power of two, so its relative
+    # residuals equal those of the unscaled row. Either fails if the
+    # numerator or the scale is taken over the whole batch.
+    frame = HorizontalFrame(n)
+    nh = 4 * n
+    draws = [random_torsion(n, seed, frame) for seed in (19, 12, 15)]
+    zero = TorsionData(n=n, T0=np.zeros((nh, nh)), U=np.zeros((nh, nh)),
+                       dh=draws[1].dh, dhxi=draws[1].dhxi, h=draws[1].h)
+    tiny = TorsionData(n=n, T0=draws[2].T0 * 2.0 ** -20,
+                       U=draws[2].U * 2.0 ** -20, dh=draws[2].dh,
+                       dhxi=draws[2].dhxi, h=draws[2].h)
+    own = dd_ee_identity_check(draws[2], frame).residuals
+    assert max(own.values()) > 0.0
+    report = dd_ee_identity_check(_stack([draws[0], zero, tiny]), frame)
+    for key, values in report.residuals.items():
+        assert values[1] == 0.0, key
+        assert values[2] == own[key], key
