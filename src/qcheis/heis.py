@@ -386,7 +386,7 @@ def frame_second_order(field: ScalarField, points, frame: HorizontalFrame):
     C = frame.coefficients(points)
     grad_w = jf.grad[:, frame.nh:frame.nh + 3]
     fg = horizontal_gradient(C[:, :, frame.nh:], jf.grad)
-    fh = C @ jf.hess_full() @ np.swapaxes(C, 1, 2)
+    fh = C @ jf.hess @ np.swapaxes(C, 1, 2)
     fh += np.einsum("bas,ns->nab", frame._vgrads, grad_w)
     return jf.value, fg, fh, 2.0 * grad_w
 

@@ -2,21 +2,22 @@
 
 A Jet2 carries the truncated Taylor data (value, gradient, Hessian) of a
 scalar function at a batch of points, and the arithmetic below (add, sub,
-mul, div, pow_real, log) propagates that data by the chain and Leibniz
-rules. All first and second order differential operators in the toolkit
-(horizontal gradient, sub-Laplacian, frame Hessian) are evaluated from
-ambient jets, so exactness here is what makes the identity checks sharp.
-A field whose derivatives are known in closed form (the extremal h and the
-bump window in yamabe) writes its Jet2 directly instead of composing one
-from these operations.
+mul, pow_real) propagates that data by the chain and Leibniz rules. All
+first and second order differential operators in the toolkit (horizontal
+gradient, sub-Laplacian, frame Hessian) are evaluated from ambient jets, so
+exactness here is what makes the identity checks sharp. A field whose
+derivatives are known in closed form (the extremal h and the bump window in
+yamabe) writes its Jet2 directly instead of composing one from these
+operations.
 
-Storage is batched: value (N,), gradient (N, d), Hessian packed as the upper
-triangle (N, d(d+1)/2). Packing keeps symmetry true by construction through
-every operation; full matrices are materialized only on demand. The dtype is
-whatever the caller supplies, float64 for the numeric paths and object
-(fractions.Fraction) for the exact ones; no operation below ever leaves the
-scalar type it was given, except where a genuinely real exponent forces
-floats.
+Storage is batched: value (N,), gradient (N, d), Hessian (N, d, d). Every
+Hessian is exactly symmetric, H[:, i, j] == H[:, j, i] bit for bit: each
+producer forms an outer product as x[:, :, None] * x[:, None, :] before it
+scales it, adds only symmetric pieces, and adds a matrix that may not be
+symmetric to its own transpose. The frame calculus relies on this. The dtype is whatever the caller
+supplies, float64 for the numeric paths and object (fractions.Fraction)
+for the exact ones; no operation below ever leaves the scalar type it was
+given, except where a genuinely real exponent forces floats.
 
 An independent finite-difference oracle (Richardson-extrapolated central
 differences) lives at the bottom; tests use it to cross-check every jet
@@ -29,43 +30,18 @@ import numpy as np
 
 
 class DomainError(ValueError):
-    """A jet operation hit a degenerate point (division by zero value,
-    non-positive base for pow_real/log). Signals a bad evaluation point,
-    e.g. h <= 0; never clamped."""
-
-
-def _triu(dim):
-    return np.triu_indices(dim)
-
-
-def pack_sym(full):
-    """Pack (..., d, d) symmetric matrices to upper-triangle (..., d(d+1)/2)."""
-    d = full.shape[-1]
-    iu0, iu1 = _triu(d)
-    return full[..., iu0, iu1]
-
-
-def unpack_sym(packed, dim):
-    """Inverse of pack_sym."""
-    iu0, iu1 = _triu(dim)
-    shape = packed.shape[:-1] + (dim, dim)
-    full = np.zeros(shape, dtype=packed.dtype)
-    full[..., iu0, iu1] = packed
-    full[..., iu1, iu0] = packed
-    return full
-
-
-def _sym_outer_packed(g1, g2, iu0, iu1):
-    """Packed form of g1 (x) g2 + g2 (x) g1 for batched gradients (N, d)."""
-    return g1[:, iu0] * g2[:, iu1] + g1[:, iu1] * g2[:, iu0]
+    """A jet operation hit a degenerate point (a non-positive base for
+    pow_real). Signals a bad evaluation point, e.g. h <= 0; never
+    clamped."""
 
 
 class Jet2:
-    """Batched order-2 jets: value (N,), grad (N, d), hess packed or None.
+    """Batched order-2 jets: value (N,), grad (N, d), hess (N, d, d) or None.
 
     hess is None for order-1 jets (quadrature paths that only need
     gradients); any arithmetic between an order-1 and an order-2 jet
-    truncates to order 1.
+    truncates to order 1. An order-2 hess is exactly symmetric, and every
+    operation below keeps it so.
     """
 
     __slots__ = ("value", "grad", "hess")
@@ -78,21 +54,8 @@ class Jet2:
     # -- structure ----------------------------------------------------------
 
     @property
-    def n(self):
-        return self.value.shape[0]
-
-    @property
-    def dim(self):
-        return self.grad.shape[1]
-
-    @property
     def order(self):
         return 1 if self.hess is None else 2
-
-    def hess_full(self):
-        if self.hess is None:
-            raise ValueError("order-1 jet has no Hessian")
-        return unpack_sym(self.hess, self.dim)
 
     def _pair_hess(self, other):
         if self.hess is None or other.hess is None:
@@ -133,37 +96,18 @@ class Jet2:
             grad = self.grad * other.value[:, None] + other.grad * self.value[:, None]
             if ha is None:
                 return Jet2(value, grad, None)
-            iu0, iu1 = _triu(self.dim)
-            hess = (ha * other.value[:, None] + hb * self.value[:, None]
-                    + _sym_outer_packed(self.grad, other.grad, iu0, iu1))
+            # a_i b_j + b_i a_j is symmetric bit for bit, as each sum
+            # adds the same two products
+            ga, gb = self.grad, other.grad
+            hess = (ha * other.value[:, None, None] + hb * self.value[:, None, None]
+                    + (ga[:, :, None] * gb[:, None, :] + gb[:, :, None] * ga[:, None, :]))
             return Jet2(value, grad, hess)
         return Jet2(self.value * other, self.grad * other,
                     None if self.hess is None else self.hess * other)
 
     __rmul__ = __mul__
 
-    def reciprocal(self):
-        if np.any(self.value == 0):
-            raise DomainError("division by a jet with zero value")
-        v = 1 / self.value
-        v2 = v * v
-        grad = -self.grad * v2[:, None]
-        if self.hess is None:
-            return Jet2(v, grad, None)
-        iu0, iu1 = _triu(self.dim)
-        hess = (-self.hess * v2[:, None]
-                + (v2 * v)[:, None] * _sym_outer_packed(self.grad, self.grad, iu0, iu1))
-        return Jet2(v, grad, hess)
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet2):
-            return self * other.reciprocal()
-        return self * (1 / other)
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    # -- real powers and log ---------------------------------------------------
+    # -- real powers -----------------------------------------------------------
 
     def pow_real(self, alpha):
         """self ** alpha for real alpha; requires strictly positive values."""
@@ -175,21 +119,12 @@ class Jet2:
         if self.hess is None:
             return Jet2(v, grad, None)
         d2 = alpha * (alpha - 1) * self.value ** (alpha - 2)
-        iu0, iu1 = _triu(self.dim)
-        gg = self.grad[:, iu0] * self.grad[:, iu1]
-        return Jet2(v, grad, d1[:, None] * self.hess + d2[:, None] * gg)
-
-    def log(self):
-        if np.any(self.value <= 0):
-            raise DomainError("log needs a strictly positive argument")
-        v = np.log(self.value)
-        inv = 1 / self.value
-        grad = inv[:, None] * self.grad
-        if self.hess is None:
-            return Jet2(v, grad, None)
-        iu0, iu1 = _triu(self.dim)
-        gg = self.grad[:, iu0] * self.grad[:, iu1]
-        return Jet2(v, grad, inv[:, None] * self.hess - (inv * inv)[:, None] * gg)
+        # in place: this is the largest array on the order-2 scan path,
+        # and d1 H + d2 g g^T out of place would hold two more of its size
+        hess = self.grad[:, :, None] * self.grad[:, None, :]
+        hess *= d2[:, None, None]
+        hess += d1[:, None, None] * self.hess
+        return Jet2(v, grad, hess)
 
 
 def coordinate_jets(points, order=2):
@@ -197,11 +132,10 @@ def coordinate_jets(points, order=2):
     points = np.asarray(points)
     n, d = points.shape
     out = []
-    npack = d * (d + 1) // 2
     for i in range(d):
         grad = np.zeros((n, d), dtype=points.dtype)
         grad[:, i] = 1
-        hess = None if order == 1 else np.zeros((n, npack), dtype=points.dtype)
+        hess = None if order == 1 else np.zeros((n, d, d), dtype=points.dtype)
         out.append(Jet2(points[:, i].copy(), grad, hess))
     return out
 
@@ -276,8 +210,7 @@ class PolynomialField(ScalarField):
                     hess[:, i, j] = hess[:, i, j] + hterm
                     if j != i:
                         hess[:, j, i] = hess[:, j, i] + hterm
-        packed = None if hess is None else pack_sym(hess)
-        return Jet2(value, grad, packed)
+        return Jet2(value, grad, hess)
 
     @staticmethod
     def _power(points, expo):
@@ -339,12 +272,13 @@ class AffineMapField(ScalarField):
         grad = self.scale * np.einsum("ni,ij->nj", ju.grad, self.matrix)
         if ju.hess is None:
             return Jet2(value, grad, None)
-        full = self.scale * np.einsum(
-            "ia,nij,jb->nab", self.matrix, ju.hess_full(), self.matrix)
-        # A^T H A is symmetric up to roundoff-free reordering; resymmetrize
-        # explicitly so packing stays exact.
-        full = (full + np.swapaxes(full, 1, 2)) / 2
-        return Jet2(value, grad, pack_sym(full))
+        hess = self.scale * np.einsum(
+            "ia,nij,jb->nab", self.matrix, ju.hess, self.matrix)
+        # the einsum may sum the (a, b) and (b, a) entries of A^T H A in
+        # different orders; averaging with the transpose keeps the Hessian
+        # exactly symmetric
+        hess = (hess + np.swapaxes(hess, 1, 2)) / 2
+        return Jet2(value, grad, hess)
 
 
 class CombinationField(ScalarField):
@@ -449,4 +383,4 @@ def fd_oracle(field, points, step=1e-4) -> Jet2:
             hess[:, i, j] = mij
             hess[:, j, i] = mij
 
-    return Jet2(value, grad, pack_sym(hess))
+    return Jet2(value, grad, hess)

@@ -49,8 +49,7 @@ import numpy as np
 from .heis import (GroupPoint, HorizontalFrame, dilation_affine,
                    frame_second_order, horizontal_gradient,
                    left_translation_affine)
-from .jets import (AffineMapField, DomainError, Jet2, JetField, ScalarField,
-                   pack_sym)
+from .jets import AffineMapField, DomainError, Jet2, JetField, ScalarField
 from .tensors import project_3_m1, trace_free
 
 
@@ -101,8 +100,8 @@ def h_explicit(params: ExtremalParams) -> ScalarField:
         grad h  = 2 c0 T^T tw  +  4 c0 r s          (s on the q-columns),
         hess h  = 2 c0 T^T T   +  8 c0 s s^T + 4 c0 r Id   (q-block).
 
-    The T^T T term is one constant packed row. Every product is row-wise,
-    so a row's jet does not depend on the rest of its batch.
+    The T^T T term is one constant (d, d) matrix. Every product is
+    row-wise, so a row's jet does not depend on the rest of its batch.
     """
     n = params.n
     d = 4 * n + 3
@@ -117,11 +116,14 @@ def h_explicit(params: ExtremalParams) -> ScalarField:
     c0 = float(params.c0)
     sigma = float(params.sigma)
 
-    # the packed Hessian holds row i of the upper triangle in the slots from
-    # diag[i] = (i, i) on; the q-block of row i < nh is the first nh - i
-    diag = [i * d - i * (i - 1) // 2 for i in range(nh)]
-    twist_hess = pack_sym(2.0 * c0 * (T.T @ T))
+    # the Hessian must be exactly symmetric: outer products are formed
+    # before they are scaled, and 2 T^T T is written as T^T T plus its
+    # transpose, as BLAS need not sum the (i, j) and (j, i) entries alike;
+    # on a symmetric product this is exactly 2 T^T T
+    TtT = T.T @ T
+    twist_hess = c0 * (TtT + TtT.T)
     twist_grad = 2.0 * c0 * T
+    q_diag = np.arange(nh)
 
     def builder(points, order):
         points = np.ascontiguousarray(points, dtype=float)
@@ -134,13 +136,12 @@ def h_explicit(params: ExtremalParams) -> ScalarField:
         grad[:, :nh] += (4.0 * c0 * r)[:, None] * s
         if order == 1:
             return Jet2(value, grad, None)
-        hess = np.empty((points.shape[0], twist_hess.shape[0]))
+        hess = np.empty((points.shape[0], d, d))
         hess[:] = twist_hess
-        s8 = 8.0 * c0 * s
-        r4 = 4.0 * c0 * r
-        for i, lo in enumerate(diag):
-            hess[:, lo:lo + nh - i] += s8[:, i:i + 1] * s[:, i:]
-            hess[:, lo] += r4
+        ss = s[:, :, None] * s[:, None, :]
+        ss *= 8.0 * c0
+        hess[:, :nh, :nh] += ss
+        hess[:, q_diag, q_diag] += (4.0 * c0 * r)[:, None]
         return Jet2(value, grad, hess)
 
     return JetField(d, builder)
@@ -151,8 +152,8 @@ def phi_from_h(h_field: ScalarField, qdim) -> ScalarField:
     expo = -(qdim - 2) / 4.0
 
     def builder(points, order):
-        jh = h_field.jets(points, order=order)
-        return (jh * 2.0).pow_real(expo)
+        # no name for h's jet: it is freed before pow_real allocates
+        return (h_field.jets(points, order=order) * 2.0).pow_real(expo)
 
     return JetField(h_field.dim, builder)
 
@@ -287,8 +288,6 @@ class BumpField(ScalarField):
         self.const = float(const)
         self.dim = self.center.shape[0]
         self._inv_r2 = 1.0 / self.radii ** 2
-        iu0, iu1 = np.triu_indices(self.dim)
-        self._packed = (iu0, iu1, np.flatnonzero(iu0 == iu1))
 
     def _rho2(self, dx):
         return np.einsum("ni,i->n", dx * dx, self._inv_r2)
@@ -317,10 +316,14 @@ class BumpField(ScalarField):
         grad = w[:, None] * self.lin + lin_value[:, None] * grad_w
         if order == 1:
             return Jet2(value, grad, None)
-        iu0, iu1, diag = self._packed
-        hess = ((6.0 * u * lin_value)[:, None] * g[:, iu0] * g[:, iu1]
-                + grad_w[:, iu0] * self.lin[iu1] + self.lin[iu0] * grad_w[:, iu1])
-        hess[:, diag] -= (6.0 * u2 * lin_value)[:, None] * self._inv_r2
+        # each piece is symmetric before it is added, so the sum is too
+        cross = grad_w[:, :, None] * self.lin
+        hess = cross + np.swapaxes(cross, 1, 2)
+        gg = g[:, :, None] * g[:, None, :]
+        gg *= (6.0 * u * lin_value)[:, None, None]
+        hess += gg
+        diag = np.arange(self.dim)
+        hess[:, diag, diag] -= (6.0 * u2 * lin_value)[:, None] * self._inv_r2
         return Jet2(value, grad, hess)
 
 

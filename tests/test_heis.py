@@ -265,7 +265,7 @@ def test_structured_frame_operators_match_dense_formulas(n):
         jf = field.jets(pts, order=2)
         fg_ref = np.einsum("nbj,nj->nb", C, jf.grad)
         fh_ref = np.einsum("nai,bij,nj->nab", C, G, jf.grad) \
-            + np.einsum("nai,nij,nbj->nab", C, jf.hess_full(), C)
+            + np.einsum("nai,nij,nbj->nab", C, jf.hess, C)
         value, fg, fh, xi = frame_second_order(field, pts, frame)
         fg1, xi1 = frame_first_order(field, pts, frame)
         assert np.array_equal(value, jf.value)

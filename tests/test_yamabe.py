@@ -7,6 +7,7 @@ quadrature. Euler-Lagrange forces num/den = S (Q-2)/(4(Q+2)) = 64 for
 c0 = sigma = 1, which pins both integrals beyond their absolute values.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy.integrate import IntegrationWarning, dblquad
 from qcheis.heis import (GroupPoint, HorizontalFrame, group_multiply,
                          left_translation_affine)
 from qcheis.jets import (CombinationField, DomainError, Jet2, JetField,
-                         coordinate_jets, fd_oracle, pack_sym)
+                         coordinate_jets, fd_oracle, random_positive_polynomial)
 from qcheis.quat import HVector, ImQuaternion, Quaternion
 from qcheis.yamabe import (BumpField, ExtremalParams, FunctionalEstimate,
                            YamabeConstants, _mapped_nodes, _sobol_chunks,
@@ -67,7 +68,7 @@ def _linear_jet(points, coeffs, const, order):
     N, d = points.shape
     value = np.einsum("nd,d->n", np.ascontiguousarray(points), coeffs) + const
     grad = np.broadcast_to(coeffs, (N, d)).copy()
-    hess = None if order == 1 else np.zeros((N, d * (d + 1) // 2))
+    hess = None if order == 1 else np.zeros((N, d, d))
     return Jet2(value, grad, hess)
 
 
@@ -80,10 +81,10 @@ def _shifted_square_jet(points, nh, offset, order):
     grad[:, :nh] = 2.0 * shifted
     if order == 1:
         return Jet2(value, grad, None)
-    full = np.zeros((N, d, d))
+    hess = np.zeros((N, d, d))
     idx = np.arange(nh)
-    full[:, idx, idx] = 2.0
-    return Jet2(value, grad, pack_sym(full))
+    hess[:, idx, idx] = 2.0
+    return Jet2(value, grad, hess)
 
 
 def _composed_h(params):
@@ -118,7 +119,7 @@ def _composed_bump_jets(bump, points, order):
     u = 1.0 - rho2
     w = u * u * u
     mask = u.value > 0
-    hess = None if w.hess is None else np.where(mask[:, None], w.hess, 0.0)
+    hess = None if w.hess is None else np.where(mask[:, None, None], w.hess, 0.0)
     window = Jet2(np.where(mask, w.value, 0.0),
                   np.where(mask[:, None], w.grad, 0.0), hess)
     return window * _linear_jet(points, bump.lin, bump.const, order)
@@ -183,6 +184,59 @@ def test_closed_form_jets_use_no_jet_products(monkeypatch):
         assert h_explicit(params).jets(pts, order=2).order == 2
         assert phi_explicit(params).jets(pts, order=2).order == 2
         assert np.count_nonzero(bump.jets(pts, order=2).hess)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_every_jet_producer_returns_an_exactly_symmetric_hessian(n):
+    # frame_second_order reads the full (N, d, d) Hessian and
+    # symmetrized_hessian takes its symmetry for granted, so each producer
+    # must make H equal to its transpose bit for bit
+    d = 4 * n + 3
+    rng = np.random.default_rng(60 + n)
+    params = ExtremalParams(n=n, c0=0.7, sigma=1.3, base=_point(n, rng))
+    phi = phi_explicit(params)
+    bump = bump_field(n, seed=n)
+    producers = {
+        "h_explicit": h_explicit(params),
+        "phi_explicit": phi,
+        "bump": bump,
+        "polynomial": random_positive_polynomial(d, rng),
+        "translated": translated_field(phi, _point(n, rng)),
+        "dilated": dilated_field(phi, 1.7, n, weight_power=(4 * n + 4) / 2),
+        "combination": CombinationField([phi, bump], [1.0, 0.3]),
+    }
+    pts = bump.center + rng.uniform(-0.6, 0.6, size=(200, d))
+    hessians = {name: f.jets(pts, order=2).hess for name, f in producers.items()}
+    hessians["fd_oracle"] = fd_oracle(phi, pts[:10]).hess
+    off_diagonal = ~np.eye(d, dtype=bool)
+    for name, H in hessians.items():
+        assert H.shape == (len(H), d, d) and H.dtype == np.float64, name
+        assert np.any(H[:, off_diagonal]), name
+        assert np.array_equal(H, np.swapaxes(H, 1, 2)), name
+
+
+def test_phi_order2_jet_holds_few_hessian_sized_arrays():
+    # pow_real and phi_from_h keep at most three Hessian-sized arrays alive
+    # at once: 2h's, g g^T (which becomes the result) and d1 H. An
+    # out-of-place d1 H + d2 g g^T, or h's jet kept alive across pow_real,
+    # adds one more; the rest (points, gradients) is under half a unit
+    n, N = 1, 4096
+    d = 4 * n + 3
+    rng = np.random.default_rng(12)
+    phi = phi_explicit(ExtremalParams(n=n, c0=0.8, sigma=1.2,
+                                      base=_point(n, rng)))
+    pts = rng.uniform(-2, 2, size=(N, d))
+    phi.jets(pts[:8], order=2)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        jet = phi.jets(pts, order=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert jet.hess.shape == (N, d, d)
+    assert peak - before <= 3.75 * N * d * d * 8
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -289,7 +343,7 @@ def test_bump_field_support_and_smoothness():
     jb = bump.jets(near, order=2)
     fd = fd_oracle(bump, near)
     assert np.max(np.abs(jb.grad - fd.grad)) < 1e-6
-    assert np.max(np.abs(jb.hess_full() - fd.hess_full())) < 1e-4
+    assert np.max(np.abs(jb.hess - fd.hess)) < 1e-4
 
 
 def test_bump_order2_jets_match_fd_oracle_n2():
@@ -301,7 +355,7 @@ def test_bump_order2_jets_match_fd_oracle_n2():
     fd = fd_oracle(bump, near)
     assert np.max(np.abs(jb.value - fd.value)) == 0.0
     assert np.max(np.abs(jb.grad - fd.grad)) < 1e-6
-    assert np.max(np.abs(jb.hess_full() - fd.hess_full())) < 1e-4
+    assert np.max(np.abs(jb.hess - fd.hess)) < 1e-4
 
 
 @pytest.mark.parametrize("n", [1, 2])
