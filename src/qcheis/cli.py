@@ -10,8 +10,12 @@ extremality). Every command emits a report with the same shape:
      tolerance, pass}], pass, wall_ms}
 
 as JSON (default) or CSV; scan commands dump per-point residuals in CSV
-mode instead. Exit status: 0 all checks pass, 1 a check failed, 2 bad
-usage or configuration; a non-finite --c0, --sigma, --q0 or --w0, a
+mode instead. The scans (residual, scal, torsion) evaluate their points in
+blocks of a fixed number of rows, so the memory they take beyond the
+points and the per-point results does not grow with --points.
+
+Exit status: 0 all checks pass, 1 a check failed, 2 bad usage or
+configuration; a non-finite --c0, --sigma, --q0 or --w0, a
 --box that is not a finite positive number and a --tol-exact or --tol-quad
 that is not a finite number >= 0 are usage errors. A report that would
 hold a non-finite number is not written: exit 2 with a message. With a
@@ -60,6 +64,9 @@ _TOL_ZERO = 0.0
 # torsion samples per batch in `identities`
 _TORSION_BATCH = 128
 
+# scan points per block in `residual`, `scal` and `torsion`
+_SCAN_CHUNK = 4096
+
 
 def _check(name, values, tolerance):
     """One report row from a scalar or an array of residuals."""
@@ -102,6 +109,15 @@ def _resolve_base(args, rng):
 def _scan_points(args, rng):
     d = 4 * args.n + 3
     return rng.uniform(-args.box, args.box, size=(args.points, d))
+
+
+def _in_blocks(per_row, pts):
+    """The tuple of per-point arrays per_row(rows) returns, evaluated on
+    _SCAN_CHUNK rows of pts at a time and concatenated; the order-2 arrays
+    of one block are freed before the next, so memory is flat in --points."""
+    blocks = [per_row(pts[lo:lo + _SCAN_CHUNK])
+              for lo in range(0, len(pts), _SCAN_CHUNK)]
+    return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
 def _finite(text):
@@ -185,9 +201,14 @@ def cmd_residual(args, rng):
     frame = HorizontalFrame(args.n)
     pts = _scan_points(args, rng)
     phi = phi_explicit(params)
-    r, t1, t2 = yamabe_residual(phi, consts.s_theta, pts, frame,
-                                return_terms=True)
-    rel = np.abs(r) / np.maximum(np.maximum(np.abs(t1), np.abs(t2)), _FLOOR)
+
+    def relative_residual(rows):
+        r, t1, t2 = yamabe_residual(phi, consts.s_theta, rows, frame,
+                                    return_terms=True)
+        return (np.abs(r)
+                / np.maximum(np.maximum(np.abs(t1), np.abs(t2)), _FLOOR),)
+
+    rel, = _in_blocks(relative_residual, pts)
     checks = [_check("yamabe_pde_relative_residual", rel, _tol(args, _TOL_JET))]
     return checks, {"s_theta": consts.s_theta}, ("relative_residual", pts, rel)
 
@@ -198,7 +219,9 @@ def cmd_scal(args, rng):
     consts = YamabeConstants.from_params(params)
     frame = HorizontalFrame(args.n)
     pts = _scan_points(args, rng)
-    scal = conformal_scal(h_explicit(params), pts, frame, base_scal=0.0)
+    h = h_explicit(params)
+    scal, = _in_blocks(
+        lambda rows: (conformal_scal(h, rows, frame, base_scal=0.0),), pts)
     rel = np.abs(scal - consts.s_theta) / consts.s_theta
     std_over_mean = float(np.std(scal) / np.mean(scal))
     tol = _tol(args, _TOL_JET)
@@ -214,9 +237,14 @@ def cmd_torsion(args, rng):
     params = ExtremalParams(n=args.n, c0=args.c0, sigma=args.sigma, base=base)
     frame = HorizontalFrame(args.n)
     pts = _scan_points(args, rng)
-    t0bar, ubar = conformal_torsion(h_explicit(params), pts, frame)
-    t0n = np.sqrt(np.einsum("nab,nab->n", t0bar, t0bar))
-    un = np.sqrt(np.einsum("nab,nab->n", ubar, ubar))
+    h = h_explicit(params)
+
+    def norms(rows):
+        t0bar, ubar = conformal_torsion(h, rows, frame)
+        return (np.sqrt(np.einsum("nab,nab->n", t0bar, t0bar)),
+                np.sqrt(np.einsum("nab,nab->n", ubar, ubar)))
+
+    t0n, un = _in_blocks(norms, pts)
     tol = _tol(args, _TOL_JET)
     checks = [
         _check("t0bar_norm", t0n, tol),

@@ -34,9 +34,10 @@ chunk, each bump only at the nodes inside its support, and the integrands
 are reduced exactly as for a single field, so the result equals the
 separate estimate of each perturbed field bit for bit.
 
-The Sobol generator comes from scipy.stats, which takes about a second to
-import; it loads on the first Sobol draw, not with this module, so the
-pointwise checks never pay for it.
+The scrambled Sobol nodes are generated here in numpy, from the Joe-Kuo
+direction numbers with a linear-matrix scramble and a digital shift; they
+equal scipy.stats.qmc.Sobol's points for the same seed bit for bit, which
+the tests check against scipy.
 """
 
 from __future__ import annotations
@@ -364,16 +365,90 @@ class FunctionalEstimate:
         return (self.center, self.transform)
 
 
+# Joe-Kuo direction numbers (new-joe-kuo-6.21201) for the first 11
+# dimensions: each dimension's primitive polynomial as an integer (bit k is
+# the coefficient of x^k) and its initial odd direction integers, one per
+# degree. Dimension 0 is the van der Corput sequence, every direction
+# integer 1.
+_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41, 47, 55)
+_SOBOL_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3),
+                (1, 3, 5, 13), (1, 1, 5, 5, 17), (1, 1, 5, 5, 5),
+                (1, 1, 7, 11, 19), (1, 1, 5, 1, 1))
+_SOBOL_BITS = 30
+
+
+def _sobol_directions(d):
+    """The (d, 30) unscrambled direction numbers, column j scaled to bit
+    29 - j, by the Bratley-Fox recurrence."""
+    bits = _SOBOL_BITS
+    rows = [[1] * bits]
+    for p, vinit in zip(_SOBOL_POLY[1:d], _SOBOL_VINIT[1:d]):
+        deg = p.bit_length() - 1
+        v = list(vinit)
+        for j in range(deg, bits):
+            new = v[j - deg]
+            for k in range(1, deg + 1):
+                if (p >> (deg - k)) & 1:
+                    new ^= v[j - k] << k
+            v.append(new)
+        rows.append(v)
+    return np.array([[x << (bits - 1 - j) for j, x in enumerate(v)]
+                     for v in rows], dtype=np.uint32)
+
+
+def _sobol_scrambled(d, seed):
+    """Direction numbers under a random linear-matrix scramble, and the
+    digital shift, both drawn from default_rng(seed) in the order
+    scipy.stats.qmc.Sobol draws them."""
+    bits = _SOBOL_BITS
+    rng = np.random.default_rng(seed)
+    weights = np.uint32(1) << np.arange(bits, dtype=np.uint32)
+    shift = rng.integers(0, 2, size=(d, bits), dtype=np.uint32) @ weights
+    ltm = np.tril(rng.integers(0, 2, size=(d, bits, bits), dtype=np.uint32))
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    # bit i of a direction number counted from the top (i = 0 is 2^29);
+    # the scramble is the GF(2) product of each lower-triangular matrix with
+    # those bit vectors
+    msb = weights[::-1]
+    v_bits = (_sobol_directions(d)[:, :, None] & msb) != 0
+    mixed = np.einsum("dpi,dji->djp", ltm, v_bits.astype(np.uint32)) & 1
+    return mixed @ msb, shift
+
+
 def _sobol_chunks(d, m, seed, chunk):
     """One scramble's 2^m Sobol points in the unit cube, drawn `chunk`
-    rows at a time. Each draw continues the sequence, so the chunks
-    concatenate to exactly the points of one 2^m draw."""
-    from scipy.stats import qmc     # slow to import; see the module notes
+    rows at a time; the chunks concatenate to exactly the points of one
+    2^m draw.
 
-    sob = qmc.Sobol(d=d, scramble=True, seed=seed)
+    The sequence is Sobol's with the Joe-Kuo direction numbers (Joe & Kuo,
+    SIAM J. Sci. Comput. 30, 2008), scrambled by a random lower-triangular
+    linear matrix and a digital shift (Matousek 1998), in Gray-code order:
+    point k is shift ^ XOR of the direction numbers at the set bits of
+    k ^ (k >> 1), scaled by 2^-30. Those are the points of
+    scipy.stats.qmc.Sobol(d, scramble=True, seed=seed), bit for bit.
+    Each chunk is two gathers from XOR tables over the low and the high
+    half of the index bits, one XOR and one multiply.
+    """
+    if d > len(_SOBOL_POLY) or m > _SOBOL_BITS:
+        raise ValueError(f"Sobol nodes support d <= {len(_SOBOL_POLY)} and "
+                         f"at most 2^{_SOBOL_BITS} points")
+    sv, shift = _sobol_scrambled(d, seed)
+    low = (m + 1) // 2
+
+    def xor_table(cols, start):
+        table = start[None, :]
+        for col in cols:
+            table = np.concatenate([table, table ^ col])
+        return table
+
+    t_low = xor_table(sv.T[:low], np.zeros(d, dtype=np.uint32))
+    t_high = xor_table(sv.T[low:m], shift)
     total = 2 ** m
     for lo in range(0, total, chunk):
-        yield sob.random(min(chunk, total - lo))
+        k = np.arange(lo, min(lo + chunk, total))
+        gray = k ^ (k >> 1)
+        yield (t_low[gray & (2 ** low - 1)] ^ t_high[gray >> low]) \
+            * 2.0 ** -_SOBOL_BITS
 
 
 def _polar_nodes(u, n, scale_q, scale_w):

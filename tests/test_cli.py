@@ -9,13 +9,19 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qcheis
-from qcheis.cli import _render_csv, build_parser, main
+from qcheis import cli
+from qcheis.cli import _render_csv, build_parser, cmd_torsion, main
+from qcheis.heis import GroupPoint, HorizontalFrame
+from qcheis.quat import HVector, ImQuaternion, Quaternion
+from qcheis.yamabe import (ExtremalParams, YamabeConstants, phi_explicit,
+                           yamabe_residual)
 
 SCHEMA_KEYS = {"command", "config", "checks", "pass", "wall_ms"}
 CHECK_KEYS = {"name", "max_residual", "mean_residual", "tolerance", "pass"}
@@ -153,6 +159,26 @@ def test_import_leaves_scipy_stats_unloaded():
     assert out.strip() == "False"
 
 
+def test_no_subcommand_loads_scipy():
+    # the Sobol nodes are generated in-tree, so even functional runs without
+    # scipy; a reintroduced scipy import in any command fails here
+    src = str(Path(qcheis.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [["audit", "--points", "5"], ["residual", "--points", "10"],
+            ["scal", "--points", "10"], ["torsion", "--points", "10"],
+            ["identities", "--points", "10"], ["qmatrix"],
+            ["functional", "--points", "1024"]]
+    code = ("import os, sys\n"
+            "from qcheis.cli import main\n"
+            f"for argv in {runs!r}:\n"
+            "    assert main(argv + ['--out', os.devnull]) in (0, 1), argv\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_exit_two_on_malformed_base_point():
     assert main(["residual", "--q0", "1,2,3"]) == 2  # needs 4n = 4 entries
     assert main(["residual", "--w0", "1,2"]) == 2
@@ -237,6 +263,56 @@ def test_csv_point_dump_for_scan_commands(tmp_path):
     assert rows[0][-1] == "relative_residual"
     assert len(rows) == 26
     assert float(rows[1][-1]) < 1e-9
+
+
+def test_scan_blocks_equal_one_batch_evaluation(tmp_path):
+    # residual evaluates its points in blocks of _SCAN_CHUNK rows; the
+    # residuals it dumps equal one evaluation over all points, bit for bit
+    points = 2 * cli._SCAN_CHUNK + 123
+    q0, w0 = [0.3, -0.2, 0.1, 0.5], [0.4, 0.0, -0.7]
+    out = tmp_path / "dump.csv"
+    assert main(["residual", "--points", str(points), "--seed", "2",
+                 "--q0", ",".join(map(str, q0)), "--w0", ",".join(map(str, w0)),
+                 "--format", "csv", "--out", str(out)]) == 0
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    assert len(rows) == points
+    pts = np.array([[float(v) for v in row[1:-1]] for row in rows])
+    dumped = np.array([float(row[-1]) for row in rows])
+    base = GroupPoint(HVector([Quaternion.from_seq(q0)]),
+                      ImQuaternion.from_seq(w0))
+    params = ExtremalParams(n=1, c0=1.0, sigma=1.0, base=base)
+    r, t1, t2 = yamabe_residual(
+        phi_explicit(params), YamabeConstants.from_params(params).s_theta,
+        pts, HorizontalFrame(1), return_terms=True)
+    rel = np.abs(r) / np.maximum(np.maximum(np.abs(t1), np.abs(t2)), 1e-30)
+    assert np.array_equal(dumped, rel)
+
+
+def test_torsion_scan_memory_is_flat_in_points():
+    # the traced peak grows by the points and the two per-point norms kept
+    # for the report (d + 2 columns a row; d + 4 allowed), not by the order-2
+    # arrays, which exist for one block at a time
+    n = 1
+    d = 4 * n + 3
+    chunk = cli._SCAN_CHUNK
+
+    def traced_peak(points):
+        args = build_parser().parse_args(
+            ["torsion", "--n", str(n), "--points", str(points)])
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            cmd_torsion(args, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - before
+
+    traced_peak(10)
+    growth = traced_peak(4 * chunk) - traced_peak(chunk)
+    assert growth <= 3 * chunk * (d + 4) * 8
 
 
 def test_csv_point_dump_is_byte_identical_to_csv_writer():

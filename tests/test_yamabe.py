@@ -490,6 +490,31 @@ def test_streamed_nodes_equal_one_draw(m, chunk):
     assert np.array_equal(np.concatenate(ws), w_one)
 
 
+@pytest.mark.parametrize("d", [7, 11])
+@pytest.mark.parametrize("m", [0, 10, 14, 18])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sobol_chunks_equal_scipy_scrambled_sobol(d, m, seed):
+    # the in-tree generator against scipy's, at the four seeds one functional
+    # scramble pass and its pilots use, in chunks below, equal to and above
+    # 2^m (1000 rows straddles every power-of-two boundary)
+    from scipy.stats import qmc
+    for s in (seed, seed + 1, seed + 17, seed + 18):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # m = 0: not a power of 2 > 1
+            whole = qmc.Sobol(d=d, scramble=True, seed=s).random(2 ** m)
+        for chunk in (1000, 2 ** max(m - 2, 0), 2 ** m, 2 ** (m + 1)):
+            got = np.concatenate(list(_sobol_chunks(d, m, s, chunk)))
+            assert got.dtype == np.float64
+            assert np.array_equal(got, whole), (s, chunk)
+
+
+def test_sobol_chunks_refuse_unsupported_sizes():
+    with pytest.raises(ValueError):
+        next(_sobol_chunks(12, 4, 0, 16))
+    with pytest.raises(ValueError):
+        next(_sobol_chunks(7, 31, 0, 16))
+
+
 @pytest.mark.parametrize("n,m", [(1, 12), (2, 10)])
 def test_perturbed_ratios_equal_per_bump_ratios(n, m):
     # one streamed pass gives exactly what the per-bump path gives, down to
