@@ -13,11 +13,10 @@ from .quat import (Quaternion, ImQuaternion, HVector, qmul,
 from .jets import (Jet2, DomainError, ScalarField, PolynomialField, JetField,
                    AffineMapField, CombinationField, coordinate_jets,
                    random_positive_polynomial, fd_oracle)
-from .heis import (GroupPoint, group_multiply, group_inverse, dilate,
+from .heis import (GroupPoint, group_multiply, dilate,
                    left_translation_affine, dilation_affine, ContactForm,
-                   HorizontalFrame, build_frame, frame_audit,
-                   frame_first_order, frame_second_order, sublaplacian,
-                   horiz_divergence)
+                   HorizontalFrame, frame_audit, frame_first_order,
+                   frame_second_order)
 from .tensors import (project_3_m1, trace_free, TorsionData, random_torsion,
                       AuxForms, aux_forms_from_torsion, f_alternative_from_ds,
                       ebold_from_u, dd_ee_tensors, dd_ee_identity_check,
@@ -38,10 +37,9 @@ __all__ = [
     "im_product", "Jet2", "DomainError", "ScalarField", "PolynomialField",
     "JetField", "AffineMapField", "CombinationField", "coordinate_jets",
     "random_positive_polynomial", "fd_oracle", "GroupPoint", "group_multiply",
-    "group_inverse", "dilate", "left_translation_affine", "dilation_affine",
-    "ContactForm", "HorizontalFrame", "build_frame", "frame_audit",
-    "frame_first_order", "frame_second_order", "sublaplacian",
-    "horiz_divergence", "project_3_m1", "trace_free", "TorsionData",
+    "dilate", "left_translation_affine", "dilation_affine", "ContactForm",
+    "HorizontalFrame", "frame_audit", "frame_first_order",
+    "frame_second_order", "project_3_m1", "trace_free", "TorsionData",
     "random_torsion", "AuxForms", "aux_forms_from_torsion",
     "f_alternative_from_ds", "ebold_from_u", "dd_ee_tensors",
     "dd_ee_identity_check", "d_from_h_jet", "e_from_h_jet",

@@ -15,12 +15,12 @@ blocks of a fixed number of rows, so the memory they take beyond the
 points and the per-point results does not grow with --points.
 
 Exit status: 0 all checks pass, 1 a check failed, 2 bad usage or
-configuration; a non-finite --c0, --sigma, --q0 or --w0, a
---box that is not a finite positive number and a --tol-exact or --tol-quad
-that is not a finite number >= 0 are usage errors. A report that would
-hold a non-finite number is not written: exit 2 with a message. With a
-fixed seed the JSON output is byte identical between runs except for
-wall_ms.
+configuration; a non-finite --c0, --sigma, --q0 or --w0, a --box that
+is not a finite positive number, a --seed that is not an integer >= 0 and
+a --tol-exact or --tol-quad that is not a finite number >= 0 are usage
+errors. A report that would hold a non-finite number, or that cannot be
+written to --out, is not written: exit 2 with a message. With a fixed
+seed the JSON output is byte identical between runs except for wall_ms.
 
 Checks that produce a single statistic (exact audits, the spectral
 certificate) report it as both max_residual and mean_residual.
@@ -83,7 +83,7 @@ def _check(name, values, tolerance):
 
 
 def _resolve_base(args, rng):
-    """The family base point (q0, w0) from flags, or seeded at random."""
+    """The family base point from --q0 and --w0, or seeded at random."""
     n = args.n
     if args.q0 is not None:
         q0 = args.q0
@@ -103,7 +103,7 @@ def _resolve_base(args, rng):
     # stash the resolved values so the report echoes the base actually used
     args.q0_resolved = q0
     args.w0_resolved = w0
-    return base, q0, w0
+    return base
 
 
 def _scan_points(args, rng):
@@ -129,6 +129,18 @@ def _finite(text):
             from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _seed(text):
+    """argparse type: an integer >= 0, as numpy's generators need."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") \
+            from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return value
 
 
@@ -195,33 +207,33 @@ def cmd_audit(args, rng):
 
 
 def cmd_residual(args, rng):
-    base, _, _ = _resolve_base(args, rng)
+    base = _resolve_base(args, rng)
     params = ExtremalParams(n=args.n, c0=args.c0, sigma=args.sigma, base=base)
     consts = YamabeConstants.from_params(params)
     frame = HorizontalFrame(args.n)
     pts = _scan_points(args, rng)
     phi = phi_explicit(params)
 
-    def relative_residual(rows):
+    def relative_pde_residual(rows):
         r, t1, t2 = yamabe_residual(phi, consts.s_theta, rows, frame,
                                     return_terms=True)
         return (np.abs(r)
                 / np.maximum(np.maximum(np.abs(t1), np.abs(t2)), _FLOOR),)
 
-    rel, = _in_blocks(relative_residual, pts)
+    rel, = _in_blocks(relative_pde_residual, pts)
     checks = [_check("yamabe_pde_relative_residual", rel, _tol(args, _TOL_JET))]
     return checks, {"s_theta": consts.s_theta}, ("relative_residual", pts, rel)
 
 
 def cmd_scal(args, rng):
-    base, _, _ = _resolve_base(args, rng)
+    base = _resolve_base(args, rng)
     params = ExtremalParams(n=args.n, c0=args.c0, sigma=args.sigma, base=base)
     consts = YamabeConstants.from_params(params)
     frame = HorizontalFrame(args.n)
     pts = _scan_points(args, rng)
     h = h_explicit(params)
     scal, = _in_blocks(
-        lambda rows: (conformal_scal(h, rows, frame, base_scal=0.0),), pts)
+        lambda rows: (conformal_scal(h, rows, frame),), pts)
     rel = np.abs(scal - consts.s_theta) / consts.s_theta
     std_over_mean = float(np.std(scal) / np.mean(scal))
     tol = _tol(args, _TOL_JET)
@@ -233,7 +245,7 @@ def cmd_scal(args, rng):
 
 
 def cmd_torsion(args, rng):
-    base, _, _ = _resolve_base(args, rng)
+    base = _resolve_base(args, rng)
     params = ExtremalParams(n=args.n, c0=args.c0, sigma=args.sigma, base=base)
     frame = HorizontalFrame(args.n)
     pts = _scan_points(args, rng)
@@ -339,8 +351,7 @@ def cmd_qmatrix(args, rng):
 
 def cmd_functional(args, rng):
     n = args.n
-    d = 4 * n + 3
-    base, _, _ = _resolve_base(args, rng)
+    base = _resolve_base(args, rng)
     params = ExtremalParams(n=n, c0=args.c0, sigma=args.sigma,
                             base=GroupPoint.identity(n))
     consts = YamabeConstants.from_params(params)
@@ -351,7 +362,12 @@ def cmd_functional(args, rng):
     def ratio(u):
         return folland_stein_ratio(u, n, samples_log2=m, seed=args.seed)
 
-    est = ratio(phi)
+    # the bumps share the base estimate's pass and nodes, so the quadrature
+    # noise common to R(Phi) and R(Phi + eps b) cancels in the margins
+    bumps = [bump_field(n, seed=args.seed + 500 + k, box=args.box)
+             for k in range(20)]
+    est, perturbed = perturbed_ratios(phi, bumps, 0.05, n, samples_log2=m,
+                                      seed=args.seed)
     checks = []
 
     shifted = translated_field(phi, base)
@@ -367,12 +383,6 @@ def cmd_functional(args, rng):
             f"dilation_invariance_lam_{lam}",
             abs(est_d.ratio - est.ratio) / abs(est.ratio), tol))
 
-    # the bumps are compared on the base estimate's own nodes so the
-    # quadrature noise cancels in the margin differences
-    bumps = [bump_field(n, seed=args.seed + 500 + k, box=args.box)
-             for k in range(20)]
-    perturbed = perturbed_ratios(phi, bumps, 0.05, n, est.map,
-                                 samples_log2=m, seed=args.seed)
     margins = [(est_p.ratio - est.ratio) / est.ratio for est_p in perturbed]
     worst = max(0.0, -min(margins))
     checks.append(_check("extremality_margin_nonnegative", worst, _TOL_ZERO))
@@ -409,7 +419,7 @@ def build_parser():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--n", type=int, default=1, choices=(1, 2),
                         help="quaternionic dimension (default 1)")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_seed, default=0)
         sp.add_argument("--points", type=int, default=default_points,
                         help="scan size; QMC sample count for functional")
         sp.add_argument("--box", type=_positive, default=2.0,
@@ -496,8 +506,12 @@ def main(argv=None):
         text = _render_csv(report, point_dump)
 
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"qcheis: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if report["pass"] else 1

@@ -113,10 +113,6 @@ def group_multiply(a: GroupPoint, b: GroupPoint) -> GroupPoint:
     return GroupPoint(a.q + b.q, b.w + a.w + twist)
 
 
-def group_inverse(p: GroupPoint) -> GroupPoint:
-    return GroupPoint(-p.q, -p.w)
-
-
 def dilate(lam, p: GroupPoint) -> GroupPoint:
     """Parabolic dilation (q, w) -> (lam q, lam^2 w), lam > 0."""
     if lam <= 0:
@@ -214,6 +210,8 @@ class HorizontalFrame:
     """
 
     def __init__(self, n):
+        if n < 1:
+            raise ValueError("n must be at least 1")
         self.n = n
         self.dim = 4 * n + 3
         self.nh = 4 * n
@@ -256,12 +254,6 @@ class HorizontalFrame:
     def omega(self, s):
         """Matrix of the fundamental 2-form, omega_s[a, b] = g(I_s e_a, e_b)."""
         return self.Is[s].T
-
-
-def build_frame(n) -> HorizontalFrame:
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return HorizontalFrame(n)
 
 
 # ---------------------------------------------------------------------------
@@ -389,23 +381,3 @@ def frame_second_order(field: ScalarField, points, frame: HorizontalFrame):
     fh = C @ jf.hess @ np.swapaxes(C, 1, 2)
     fh += np.einsum("bas,ns->nab", frame._vgrads, grad_w)
     return jf.value, fg, fh, 2.0 * grad_w
-
-
-def sublaplacian(field: ScalarField, points, frame: HorizontalFrame):
-    """The sub-Laplacian sum_a e_a(e_a f): (N,)."""
-    return np.einsum("naa->n", frame_second_order(field, points, frame)[2])
-
-
-def horiz_divergence(components, points, frame: HorizontalFrame):
-    """Frame divergence sum_a e_a(V(e_a)) of a horizontal 1-form V.
-
-    components is a sequence of 4n ScalarFields giving V(e_a).
-    """
-    points = np.asarray(points, dtype=float)
-    if len(components) != frame.nh:
-        raise ValueError("need one component field per frame vector")
-    V = frame.vertical_coefficients(points)
-    div = np.zeros(points.shape[0])
-    for a, comp in enumerate(components):
-        div += horizontal_gradient(V, comp.jets(points, order=1).grad)[:, a]
-    return div

@@ -28,11 +28,11 @@ it; the scans in the test-suite and CLI exercise exactly those statements.
 
 The nodes are streamed: each scramble's Sobol points are drawn, mapped and
 integrated in chunks, so no full node set is ever held. Extremality is
-tested with compactly supported bumps b, and R(Phi + eps b) for many bumps
-comes from one pass over the nodes: Phi's jets are evaluated once per
-chunk, each bump only at the nodes inside its support, and the integrands
-are reduced exactly as for a single field, so the result equals the
-separate estimate of each perturbed field bit for bit.
+tested with compactly supported bumps b, and R(Phi) together with
+R(Phi + eps b) for many bumps comes from one pass over the nodes: Phi's
+jets are evaluated once per chunk, each bump only at the nodes inside its
+support, and the integrands are reduced exactly as for a single field, so
+each result equals the separate estimate of its field bit for bit.
 
 The scrambled Sobol nodes are generated here in numpy, from the Joe-Kuo
 direction numbers with a linear-matrix scramble and a digital shift; they
@@ -188,14 +188,13 @@ def yamabe_residual(phi: ScalarField, s_const, points, frame: HorizontalFrame,
     return r
 
 
-def conformal_scal(h_field: ScalarField, points, frame: HorizontalFrame,
-                   base_scal=0.0):
+def conformal_scal(h_field: ScalarField, points, frame: HorizontalFrame):
     """Scalar curvature after the conformal change by 1/(2h):
 
         2h Scal - 8(n+2)^2 h^{-1} |grad h|^2 + 8(n+2) Lap(h),
 
     evaluated with the flat-group operators; the flat structure itself has
-    Scal = 0, which is what base_scal defaults to.
+    Scal = 0, so the first term drops.
     """
     points = np.asarray(points, dtype=float)
     n = frame.n
@@ -204,8 +203,7 @@ def conformal_scal(h_field: ScalarField, points, frame: HorizontalFrame,
         raise DomainError("h must be positive at the evaluation points")
     gh2 = np.einsum("na,na->n", fg, fg)
     lap = np.einsum("naa->n", fh)
-    return 2.0 * h * base_scal - 8.0 * (n + 2) ** 2 * gh2 / h \
-        + 8.0 * (n + 2) * lap
+    return 8.0 * (n + 2) * lap - 8.0 * (n + 2) ** 2 * gh2 / h
 
 
 def symmetrized_hessian(fh, xi, frame: HorizontalFrame):
@@ -451,7 +449,7 @@ def _sobol_chunks(d, m, seed, chunk):
             * 2.0 ** -_SOBOL_BITS
 
 
-def _polar_nodes(u, n, scale_q, scale_w):
+def _polar_nodes(u, n):
     """Unit-cube points u (N, 4n+3) mapped through group-adapted polar
     coordinates.
 
@@ -477,22 +475,22 @@ def _polar_nodes(u, n, scale_q, scale_w):
         p1 = 2.0 * np.pi * u[:, 4 * a]
         p2 = 2.0 * np.pi * u[:, 4 * a + 1]
         t = u[:, 4 * a + 2]
-        r = scale_q * np.tan(0.5 * np.pi * u[:, 4 * a + 3])
+        r = np.tan(0.5 * np.pi * u[:, 4 * a + 3])
         st, ct = np.sqrt(t), np.sqrt(1.0 - t)
         x[:, 4 * a + 0] = r * st * np.cos(p1)
         x[:, 4 * a + 1] = r * st * np.sin(p1)
         x[:, 4 * a + 2] = r * ct * np.cos(p2)
         x[:, 4 * a + 3] = r * ct * np.sin(p2)
-        jac_r = scale_q * 0.5 * np.pi * (1.0 + (r / scale_q) ** 2)
+        jac_r = 0.5 * np.pi * (1.0 + r ** 2)
         w *= r ** 3 * jac_r * 2.0 * np.pi ** 2
     phi = 2.0 * np.pi * u[:, 4 * n]
     z = 2.0 * u[:, 4 * n + 1] - 1.0
-    rho = scale_w * np.tan(0.5 * np.pi * u[:, 4 * n + 2])
+    rho = np.tan(0.5 * np.pi * u[:, 4 * n + 2])
     s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     x[:, 4 * n + 0] = rho * s * np.cos(phi)
     x[:, 4 * n + 1] = rho * s * np.sin(phi)
     x[:, 4 * n + 2] = rho * z
-    jac_rho = scale_w * 0.5 * np.pi * (1.0 + (rho / scale_w) ** 2)
+    jac_rho = 0.5 * np.pi * (1.0 + rho ** 2)
     w *= rho ** 2 * jac_rho * 4.0 * np.pi
     return x, w
 
@@ -507,20 +505,23 @@ _KAPPA = 2.0 * math.sqrt(2.0)
 # rows of nodes generated and integrated at once
 _CHUNK = 2 ** 14
 
+# log2 of the node count of each of the two pilot passes
+_PILOT_LOG2 = 14
+
 
 def _mapped_nodes(n, m, seed, center, B, chunk):
     """One scramble's nodes and weights under the affine map center + B z,
     `chunk` rows at a time; no more than one chunk is held at once."""
     for u in _sobol_chunks(4 * n + 3, m, seed, chunk):
-        z, w = _polar_nodes(u, n, 1.0, 1.0)
+        z, w = _polar_nodes(u, n)
         yield center + np.einsum("nj,ij->ni", z, B), w
 
 
-def _pilot_moments(u, two_star, n, m, seed, center, B, chunk):
+def _pilot_moments(u, two_star, n, m, seed, center, B):
     """Weighted mean and covariance of the density |u|^{2*} under the
     current node map; the constant det(B) cancels in the moments."""
     xs, vals = [], []
-    for x, w in _mapped_nodes(n, m, seed, center, B, chunk):
+    for x, w in _mapped_nodes(n, m, seed, center, B, _CHUNK):
         xs.append(x)
         vals.append(np.abs(u.jets(x, order=1).value) ** two_star * w)
     x = np.concatenate(xs)
@@ -534,19 +535,21 @@ def _pilot_moments(u, two_star, n, m, seed, center, B, chunk):
     return c, (cov + cov.T) / 2.0
 
 
-def _adapted_map(u, two_star, n, seed, pilot_log2, chunk):
+def _adapted_map(u, n, seed, pilot_log2):
     """Two pilot stages: locate the mass, then refine mean and shape."""
     d = 4 * n + 3
+    q = 4 * n + 6
+    two_star = 2.0 * q / (q - 2)
     B0 = np.diag([1.0] * (4 * n) + [2.0] * 3)
     c, cov = _pilot_moments(u, two_star, n, pilot_log2, seed + 17,
-                            np.zeros(d), B0, chunk)
+                            np.zeros(d), B0)
     c, cov = _pilot_moments(u, two_star, n, pilot_log2, seed + 18,
-                            c, _KAPPA * np.linalg.cholesky(cov), chunk)
+                            c, _KAPPA * np.linalg.cholesky(cov))
     return c, _KAPPA * np.linalg.cholesky(cov)
 
 
 def _qmc_integrals(u: ScalarField, frame: HorizontalFrame, two_star,
-                   m, seed, center, B, chunk, bumps, eps):
+                   m, seed, center, B, bumps, eps):
     """One scramble's estimates of (int |grad_H u|^2, int |u|^{2*}) for u
     and for each u + eps * b with b in bumps, in one pass over the nodes.
 
@@ -564,7 +567,7 @@ def _qmc_integrals(u: ScalarField, frame: HorizontalFrame, two_star,
     den_parts = [[] for _ in range(len(bumps) + 1)]
     counts = [0] * len(bumps)
     total = 0
-    for pts, wts in _mapped_nodes(frame.n, m, seed, center, B, chunk):
+    for pts, wts in _mapped_nodes(frame.n, m, seed, center, B, _CHUNK):
         total += pts.shape[0]
         V = frame.vertical_coefficients(pts)
         ju = u.jets(pts, order=1)
@@ -591,14 +594,14 @@ def _qmc_integrals(u: ScalarField, frame: HorizontalFrame, two_star,
     return nums, dens, counts
 
 
-def _estimates(u, n, bumps, eps, samples_log2, seed, center, B, chunk):
+def _estimates(u, n, bumps, eps, samples_log2, seed, center, B):
     """FunctionalEstimates of u and of each u + eps * b, from two
     scrambles (seed and seed + 1) that share each pass over the nodes."""
     frame = HorizontalFrame(n)
     q = 4 * n + 6
     two_star = 2.0 * q / (q - 2)
     passes = [_qmc_integrals(u, frame, two_star, samples_log2, s, center, B,
-                             chunk, bumps, eps)
+                             bumps, eps)
               for s in (seed, seed + 1)]
     out = []
     for k in range(len(bumps) + 1):
@@ -620,14 +623,9 @@ def _estimates(u, n, bumps, eps, samples_log2, seed, center, B, chunk):
     return out
 
 
-def _as_map(node_map):
-    center, B = node_map
-    return np.asarray(center, dtype=float), np.asarray(B, dtype=float)
-
-
 def folland_stein_ratio(u: ScalarField, n, samples_log2=18, seed=0,
-                        pilot_log2=14, node_map=None,
-                        chunk=_CHUNK) -> FunctionalEstimate:
+                        pilot_log2=_PILOT_LOG2,
+                        node_map=None) -> FunctionalEstimate:
     """R(u) = (int |grad_H u|^2) / (int |u|^{2*})^{2/2*} with an error bar.
 
     The nodes are polar quasi-Monte Carlo points pushed through an affine
@@ -636,7 +634,7 @@ def folland_stein_ratio(u: ScalarField, n, samples_log2=18, seed=0,
     accordingly (importance adaptation; no structure of u is assumed). Two
     independent Sobol scrambles (seed and seed+1) each estimate both
     integrals; the reported ratio averages the two and the error is their
-    absolute difference. Nodes are generated and integrated `chunk` rows at
+    absolute difference. Nodes are generated and integrated _CHUNK rows at
     a time.
 
     Deterministic for fixed arguments. Passing node_map=(center, matrix)
@@ -645,28 +643,30 @@ def folland_stein_ratio(u: ScalarField, n, samples_log2=18, seed=0,
     ratio difference far more accurate than the individual error bars.
     """
     if node_map is None:
-        q = 4 * n + 6
-        center, B = _adapted_map(u, 2.0 * q / (q - 2), n, seed, pilot_log2,
-                                 chunk)
+        center, B = _adapted_map(u, n, seed, pilot_log2)
     else:
-        center, B = _as_map(node_map)
-    return _estimates(u, n, (), 0.0, samples_log2, seed, center, B, chunk)[0]
+        center, B = (np.asarray(a, dtype=float) for a in node_map)
+    return _estimates(u, n, (), 0.0, samples_log2, seed, center, B)[0]
 
 
-def perturbed_ratios(u: ScalarField, bumps, eps, n, node_map,
-                     samples_log2=18, seed=0):
-    """The estimates of R(u + eps * b) for every b in bumps, in one pass
-    over each scramble's nodes.
+def perturbed_ratios(u: ScalarField, bumps, eps, n, samples_log2=18, seed=0):
+    """(base, perturbed): the estimate of R(u) and those of R(u + eps * b)
+    for every b in bumps, from one pass over each scramble's nodes.
 
-    Each result equals folland_stein_ratio(CombinationField([u, b],
-    [1.0, eps]), n, samples_log2, seed, node_map=node_map) exactly, and
-    carries support_nodes: the number of nodes, over both scrambles, where
-    b is nonzero. A bump with no node in its support gets R(u) on these
-    nodes, so its estimate says nothing about the perturbation. The bumps
-    need support(points), a mask covering every point where they are
-    nonzero, and jets whose value at a point does not depend on the rest
-    of the batch; BumpField has both.
+    The node map is fitted to u by the pilot folland_stein_ratio uses, so
+    base equals folland_stein_ratio(u, n, samples_log2, seed) exactly, and
+    each perturbed estimate equals folland_stein_ratio(CombinationField(
+    [u, b], [1.0, eps]), n, samples_log2, seed, node_map=base.map) exactly.
+    Sharing the nodes cancels the quadrature noise common to R(u) and
+    R(u + eps * b) in their difference. Each perturbed estimate carries
+    support_nodes: the number of nodes, over both scrambles, where b is
+    nonzero. A bump with no node in its support gets R(u) on these nodes,
+    so its estimate says nothing about the perturbation. The bumps need
+    support(points), a mask covering every point where they are nonzero,
+    and jets whose value at a point does not depend on the rest of the
+    batch; BumpField has both.
     """
-    center, B = _as_map(node_map)
-    return _estimates(u, n, list(bumps), eps, samples_log2, seed, center, B,
-                      _CHUNK)[1:]
+    center, B = _adapted_map(u, n, seed, _PILOT_LOG2)
+    base, *perturbed = _estimates(u, n, list(bumps), eps, samples_log2, seed,
+                                  center, B)
+    return base, perturbed

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from qcheis.cli import main
-from qcheis.heis import (GroupPoint, HorizontalFrame, build_frame,
-                         frame_audit)
+from qcheis.heis import GroupPoint, HorizontalFrame, frame_audit
 from qcheis.jets import CombinationField, random_positive_polynomial
 from qcheis.qmatrix import (build_q, char_poly, leading_minors, poly_eval,
                             poly_mod_quadratic)
@@ -39,7 +38,7 @@ def _random_base(n, rng, span=1.0):
 def test_criterion_01_frame_audit_exact_in_rational_arithmetic():
     start = time.perf_counter()
     for n in (1, 2):
-        report = frame_audit(build_frame(n), n_points=100, seed=0)
+        report = frame_audit(HorizontalFrame(n), n_points=100, seed=0)
         assert report.all_zero, (n, report.violations)
         assert report.max_violation == 0
     elapsed = time.perf_counter() - start
@@ -86,7 +85,7 @@ def test_criterion_03_scalar_curvature_constancy():
                                 base=_random_base(n, rng))
         consts = YamabeConstants.from_params(params)
         pts = rng.uniform(-2.0, 2.0, size=(10_000, d))
-        scal = conformal_scal(h_explicit(params), pts, frame, base_scal=0.0)
+        scal = conformal_scal(h_explicit(params), pts, frame)
         mean = float(np.mean(scal))
         std = float(np.std(scal))
         assert abs(mean - consts.s_theta) <= 1e-9 * consts.s_theta

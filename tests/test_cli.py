@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import qcheis
-from qcheis import cli
+from qcheis import cli, yamabe
 from qcheis.cli import _render_csv, build_parser, cmd_torsion, main
 from qcheis.heis import GroupPoint, HorizontalFrame
 from qcheis.quat import HVector, ImQuaternion, Quaternion
@@ -147,6 +147,26 @@ def test_functional_reports_bump_node_counts(tmp_path):
         assert (c == 0) == (margin == 0.0)
 
 
+def test_functional_draws_each_main_scramble_four_times(tmp_path,
+                                                        monkeypatch):
+    # three invariance ratios and one shared pass for the base estimate and
+    # its bumps: every pass draws both main scrambles and every ratio both
+    # pilots once, and nothing draws them again
+    draws = {}
+    inner = yamabe._sobol_chunks
+
+    def counted(d, m, seed, chunk):
+        draws[m, seed] = draws.get((m, seed), 0) + 1
+        return inner(d, m, seed, chunk)
+
+    monkeypatch.setattr(yamabe, "_sobol_chunks", counted)
+    code, report = _run_json(
+        tmp_path, ["functional", "--points", "4096", "--seed", "3"])
+    assert code in (0, 1)
+    assert report["samples_log2"] == 12
+    assert draws == {(12, 3): 4, (12, 4): 4, (14, 20): 4, (14, 21): 4}
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about a second to import and only the Sobol nodes of
     # the functional need it; every other command must not pay for it
@@ -177,6 +197,25 @@ def test_no_subcommand_loads_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_exit_two_on_negative_seed(command, capsys):
+    # numpy's generators refuse a negative seed; it used to escape as a
+    # traceback with exit 1, which reads as a failed check
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --seed" in captured.err
+    assert captured.out == ""
+
+
+def test_exit_two_when_the_report_cannot_be_written(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["qmatrix", "--out", str(out)]) == 2
+    assert "cannot write the report" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_two_on_malformed_base_point():

@@ -6,11 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcheis.heis import (ContactForm, GroupPoint, HorizontalFrame,
-                         build_frame, dilate, dilation_affine, frame_audit,
-                         frame_first_order, frame_second_order, group_inverse,
-                         group_multiply, horiz_divergence, left_translation_affine,
-                         sublaplacian)
+from qcheis.heis import (ContactForm, GroupPoint, HorizontalFrame, dilate,
+                         dilation_affine, frame_audit, frame_first_order,
+                         frame_second_order, group_multiply,
+                         left_translation_affine)
 from qcheis.jets import (PolynomialField, fd_oracle,
                          random_positive_polynomial)
 from qcheis.yamabe import ExtremalParams, h_explicit
@@ -36,8 +35,9 @@ def test_group_axioms_exact(n):
         assert group_multiply(e, a) == a
         assert group_multiply(group_multiply(a, b), c) \
             == group_multiply(a, group_multiply(b, c))
-        assert group_multiply(a, group_inverse(a)) == e
-        assert group_multiply(group_inverse(a), a) == e
+        inverse = GroupPoint(-a.q, -a.w)
+        assert group_multiply(a, inverse) == e
+        assert group_multiply(inverse, a) == e
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -81,16 +81,21 @@ def test_dilation_affine_matches_dilate(n):
     assert image == dilate(lam, p).flat()
 
 
+def test_frame_refuses_n_below_one():
+    with pytest.raises(ValueError):
+        HorizontalFrame(0)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_frame_audit_is_exactly_zero(n):
-    frame = build_frame(n)
+    frame = HorizontalFrame(n)
     report = frame_audit(frame, n_points=30, seed=1)
     assert report.all_zero
     assert report.max_violation == 0
 
 
 def test_frame_audit_flags_broken_reeb():
-    frame = build_frame(1)
+    frame = HorizontalFrame(1)
     bad_reeb = [[Fraction(0)] * 7 for _ in range(3)]
     for s in range(3):
         bad_reeb[s][4 + s] = Fraction(3)  # should be 2
@@ -100,7 +105,7 @@ def test_frame_audit_flags_broken_reeb():
 
 
 def test_frame_audit_flags_broken_complex_structure():
-    frame = build_frame(1)
+    frame = HorizontalFrame(1)
     Is = frame.Is.tolist()
     Is[0] = [[-v for v in row] for row in Is[0]]  # flip the sign of I_1
     report = frame_audit(frame, n_points=10, seed=3, Is=Is)
@@ -110,11 +115,11 @@ def test_frame_audit_flags_broken_complex_structure():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_frame_audit_flags_tampered_frame_coefficients(n):
-    frame = copy.deepcopy(build_frame(n))
+    frame = copy.deepcopy(HorizontalFrame(n))
     frame._vmap[1, 0] += 1      # d v_1 / d x of the field e_t, in every slot
     report = frame_audit(frame, n_points=10, seed=4)
     assert report.violations["theta_on_frame"] > 0
-    assert frame_audit(build_frame(n), n_points=10, seed=4).all_zero
+    assert frame_audit(HorizontalFrame(n), n_points=10, seed=4).all_zero
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -206,33 +211,8 @@ def test_sublaplacian_on_explicit_polynomial():
     })
     frame = HorizontalFrame(1)
     pts = np.random.default_rng(0).uniform(-2, 2, size=(40, 7))
-    lap = sublaplacian(f, pts, frame)
+    lap = np.trace(frame_second_order(f, pts, frame)[2], axis1=1, axis2=2)
     assert np.max(np.abs(lap - 8.0)) < 1e-12
-
-
-def test_horiz_divergence_of_constant_forms_vanishes():
-    # constant-coefficient horizontal one-forms are divergence free because
-    # the frame coefficient gradients trace to zero
-    frame = HorizontalFrame(1)
-    comps = [PolynomialField(7, {(0,) * 7: float(k + 1)}) for k in range(4)]
-    pts = np.random.default_rng(1).uniform(-2, 2, size=(30, 7))
-    div = horiz_divergence(comps, pts, frame)
-    assert np.max(np.abs(div)) < 1e-14
-
-
-def test_horiz_divergence_recovers_sublaplacian_for_linear_gradient():
-    # with f = x_1^2 + ... the components e_b f are polynomials we can write
-    # down, and div(grad) must equal the sub-Laplacian
-    frame = HorizontalFrame(1)
-    pts = np.random.default_rng(2).uniform(-1, 1, size=(20, 7))
-    f = PolynomialField(7, {(2, 0, 0, 0, 0, 0, 0): 1.0})
-    # e_b f for f = x^2 depends only on the Euclidean gradient (2x, 0, ...)
-    # through the coefficient rows, whose first column is delta_{b,0}
-    comps = [PolynomialField(7, {(1, 0, 0, 0, 0, 0, 0): 2.0 if b == 0 else 0.0})
-             for b in range(4)]
-    div = horiz_divergence(comps, pts, frame)
-    lap = sublaplacian(f, pts, frame)
-    assert np.max(np.abs(div - lap)) < 1e-12
 
 
 def _dense_coeff_grads(frame):

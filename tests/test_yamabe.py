@@ -517,16 +517,23 @@ def test_sobol_chunks_refuse_unsupported_sizes():
 
 @pytest.mark.parametrize("n,m", [(1, 12), (2, 10)])
 def test_perturbed_ratios_equal_per_bump_ratios(n, m):
-    # one streamed pass gives exactly what the per-bump path gives, down to
-    # bumps with a single node in their support; a bump far from every node
-    # keeps the base ratio bit for bit, so its margin is exactly 0.0
+    # one streamed pass gives exactly what the separate estimates give: the
+    # base equals folland_stein_ratio's in every field, and each bump the
+    # per-bump path on the base's nodes, down to bumps with a single node in
+    # their support; a bump far from every node keeps the base ratio bit for
+    # bit, so its margin is exactly 0.0
     d = 4 * n + 3
     phi = phi_explicit(ExtremalParams.centered(n))
-    est = folland_stein_ratio(phi, n, samples_log2=m, seed=0, pilot_log2=12)
     far = BumpField(np.full(d, 1e4), np.ones(d), np.zeros(d), 1.0)
     bumps = [bump_field(n, seed=500 + k) for k in range(20)] + [far]
-    got = perturbed_ratios(phi, bumps, 0.05, n, est.map, samples_log2=m,
-                           seed=0)
+    est, got = perturbed_ratios(phi, bumps, 0.05, n, samples_log2=m, seed=0)
+    alone = folland_stein_ratio(phi, n, samples_log2=m, seed=0)
+    assert (est.ratio, est.error, est.numerator, est.denominator,
+            est.per_scramble, est.support_nodes) == \
+        (alone.ratio, alone.error, alone.numerator, alone.denominator,
+         alone.per_scramble, alone.support_nodes)
+    assert np.array_equal(est.center, alone.center)
+    assert np.array_equal(est.transform, alone.transform)
     assert len(got) == len(bumps)
     for bump, est_p in zip(bumps, got):
         ref = folland_stein_ratio(CombinationField([phi, bump], [1.0, 0.05]),
