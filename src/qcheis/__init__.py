@@ -1,22 +1,21 @@
 """Verification toolkit for quaternionic contact geometry on the
 quaternionic Heisenberg group.
 
-Exact quaternion and group arithmetic, batched second-order jets, the
-left-invariant horizontal frame with its rational audit, conformal-change
-tensors, the explicit Yamabe extremal family, the algebraic identity
-suites, the exact 7x7 divergence-form matrix and a quasi-Monte Carlo
-Folland-Stein functional. The qcheis CLI wraps all of it; see README.
+Exact group arithmetic on flat coordinate vectors, batched second-order
+jets, the left-invariant horizontal frame with its rational audit,
+conformal-change tensors, the explicit Yamabe extremal family, the
+algebraic identity suites, the exact 7x7 divergence-form matrix and a
+quasi-Monte Carlo Folland-Stein functional. The qcheis CLI wraps all of
+it; see README.
 """
 
-from .quat import (Quaternion, ImQuaternion, HVector, qmul,
-                   hermitian_product, im_product)
+from .quat import Quaternion, qmul
 from .jets import (Jet2, DomainError, ScalarField, PolynomialField, JetField,
                    AffineMapField, CombinationField, coordinate_jets,
                    random_positive_polynomial, fd_oracle)
-from .heis import (GroupPoint, group_multiply, dilate,
-                   left_translation_affine, dilation_affine, ContactForm,
-                   HorizontalFrame, frame_audit, frame_first_order,
-                   frame_second_order)
+from .heis import (GroupPoint, left_translation_affine, dilation_affine,
+                   ContactForm, HorizontalFrame, frame_audit,
+                   frame_first_order, frame_second_order)
 from .tensors import (project_3_m1, trace_free, TorsionData, random_torsion,
                       AuxForms, aux_forms_from_torsion, f_alternative_from_ds,
                       ebold_from_u, dd_ee_tensors, dd_ee_identity_check,
@@ -33,11 +32,10 @@ from .qmatrix import build_q, q_float, char_poly, certify, QMatrix
 __version__ = "0.1.0"
 
 __all__ = [
-    "Quaternion", "ImQuaternion", "HVector", "qmul", "hermitian_product",
-    "im_product", "Jet2", "DomainError", "ScalarField", "PolynomialField",
-    "JetField", "AffineMapField", "CombinationField", "coordinate_jets",
-    "random_positive_polynomial", "fd_oracle", "GroupPoint", "group_multiply",
-    "dilate", "left_translation_affine", "dilation_affine", "ContactForm",
+    "Quaternion", "qmul", "Jet2", "DomainError", "ScalarField",
+    "PolynomialField", "JetField", "AffineMapField", "CombinationField",
+    "coordinate_jets", "random_positive_polynomial", "fd_oracle",
+    "GroupPoint", "left_translation_affine", "dilation_affine", "ContactForm",
     "HorizontalFrame", "frame_audit", "frame_first_order",
     "frame_second_order", "project_3_m1", "trace_free", "TorsionData",
     "random_torsion", "AuxForms", "aux_forms_from_torsion",

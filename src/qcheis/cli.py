@@ -11,13 +11,15 @@ extremality). Every command emits a report with the same shape:
 
 as JSON (default) or CSV; scan commands dump per-point residuals in CSV
 mode instead. The scans (residual, scal, torsion) evaluate their points in
-blocks of a fixed number of rows, so the memory they take beyond the
+blocks of a fixed number of rows, and the CSV dump is written block by
+block once the scan has finished, so the memory they take beyond the
 points and the per-point results does not grow with --points.
 
 Exit status: 0 all checks pass, 1 a check failed, 2 bad usage or
 configuration; a non-finite --c0, --sigma, --q0 or --w0, a --box that
-is not a finite positive number, a --seed that is not an integer >= 0 and
-a --tol-exact or --tol-quad that is not a finite number >= 0 are usage
+is not a finite positive number, a --seed that is not an integer >= 0,
+a --tol-exact or --tol-quad that is not a finite number >= 0 and a
+functional --points that is not a power of two >= 1024 are usage
 errors. A report that would hold a non-finite number, or that cannot be
 written to --out, is not written: exit 2 with a message. With a fixed
 seed the JSON output is byte identical between runs except for wall_ms.
@@ -29,8 +31,6 @@ certificate) report it as both max_residual and mean_residual.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -43,7 +43,6 @@ from .heis import ContactForm, GroupPoint, HorizontalFrame, frame_audit
 from .jets import DomainError, random_positive_polynomial
 from .qmatrix import (_QUAD_A, _QUAD_B, QMatrix, build_q, certify, poly_eval,
                       poly_mod_quadratic, spectral_certificate)
-from .quat import HVector, ImQuaternion, Quaternion
 from .tensors import (aux_forms_from_torsion, f_alternative_from_ds,
                       dd_ee_identity_check, random_torsion, relative_residual,
                       universal_identity_suite)
@@ -97,9 +96,7 @@ def _resolve_base(args, rng):
             raise ValueError("--w0 needs 3 comma-separated reals")
     else:
         w0 = rng.uniform(-args.box / 2, args.box / 2, size=3).tolist()
-    base = GroupPoint(
-        HVector([Quaternion.from_seq(q0[4 * a:4 * a + 4]) for a in range(n)]),
-        ImQuaternion.from_seq(w0))
+    base = GroupPoint.from_flat(q0 + w0, n)
     # stash the resolved values so the report echoes the base actually used
     args.q0_resolved = q0
     args.w0_resolved = w0
@@ -351,12 +348,17 @@ def cmd_qmatrix(args, rng):
 
 def cmd_functional(args, rng):
     n = args.n
+    # the QMC pass draws 2^m nodes per scramble, so --points must name that
+    # count exactly rather than be rounded to it
+    m = args.points.bit_length() - 1
+    if m < 10 or args.points != 2 ** m:
+        raise ValueError("functional needs --points a power of two >= 1024, "
+                         f"got {args.points}")
     base = _resolve_base(args, rng)
     params = ExtremalParams(n=n, c0=args.c0, sigma=args.sigma,
                             base=GroupPoint.identity(n))
     consts = YamabeConstants.from_params(params)
     phi = phi_explicit(params)
-    m = max(10, int(np.ceil(np.log2(max(2, args.points)))))
     tol = _tol(args, _TOL_QUAD)
 
     def ratio(u):
@@ -421,7 +423,8 @@ def build_parser():
                         help="quaternionic dimension (default 1)")
         sp.add_argument("--seed", type=_seed, default=0)
         sp.add_argument("--points", type=int, default=default_points,
-                        help="scan size; QMC sample count for functional")
+                        help="scan size; for functional the QMC nodes per "
+                             "scramble, a power of two >= 1024")
         sp.add_argument("--box", type=_positive, default=2.0,
                         help="half-width of the sampling box")
         sp.add_argument("--c0", type=_finite, default=1.0)
@@ -447,25 +450,26 @@ def build_parser():
 
 
 def _render_csv(report, point_dump):
-    if point_dump is not None:
-        # no field (an int, a float repr or a plain label) ever needs
-        # quoting, so the rows are joined directly; the text is byte
-        # identical to what csv.writer writes for the same rows
-        label, pts, vals = point_dump
-        header = ",".join(["index"] + [f"p{i}" for i in range(pts.shape[1])]
-                          + [label])
-        rows = [f"{i},{','.join(map(repr, row))},{v!r}"
-                for i, (row, v) in enumerate(zip(pts.tolist(), vals.tolist()))]
-        return "\r\n".join([header] + rows) + "\r\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["name", "max_residual", "mean_residual",
-                     "tolerance", "pass"])
-    for c in report["checks"]:
-        writer.writerow([c["name"], repr(c["max_residual"]),
-                         repr(c["mean_residual"]), repr(c["tolerance"]),
-                         c["pass"]])
-    return buf.getvalue()
+    """The CSV report as pieces of text: the point dump's header, then one
+    piece per _SCAN_CHUNK rows, so memory is flat in --points; or the checks
+    table in one piece. No field (an int, a float repr, a bool or a plain
+    label) ever needs quoting, so the rows are joined directly; the text is
+    byte identical to what csv.writer writes for the same rows."""
+    if point_dump is None:
+        rows = [["name", "max_residual", "mean_residual", "tolerance", "pass"]]
+        rows += [[c["name"], repr(c["max_residual"]), repr(c["mean_residual"]),
+                  repr(c["tolerance"]), str(c["pass"])]
+                 for c in report["checks"]]
+        yield "".join(",".join(row) + "\r\n" for row in rows)
+        return
+    label, pts, vals = point_dump
+    yield ",".join(["index"] + [f"p{i}" for i in range(pts.shape[1])]
+                   + [label]) + "\r\n"
+    for lo in range(0, len(pts), _SCAN_CHUNK):
+        block = zip(pts[lo:lo + _SCAN_CHUNK].tolist(),
+                    vals[lo:lo + _SCAN_CHUNK].tolist())
+        yield "".join(f"{i},{','.join(map(repr, row))},{v!r}\r\n"
+                      for i, (row, v) in enumerate(block, lo))
 
 
 def main(argv=None):
@@ -496,24 +500,24 @@ def main(argv=None):
 
     if args.format == "json":
         try:
-            text = json.dumps(report, indent=2, sort_keys=True,
-                              allow_nan=False) + "\n"
+            pieces = [json.dumps(report, indent=2, sort_keys=True,
+                                 allow_nan=False) + "\n"]
         except ValueError as exc:
             print(f"qcheis: non-finite value in the report ({exc})",
                   file=sys.stderr)
             return 2
     else:
-        text = _render_csv(report, point_dump)
+        pieces = _render_csv(report, point_dump)
 
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             print(f"qcheis: cannot write the report: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return 0 if report["pass"] else 1
 
 

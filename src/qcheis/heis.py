@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quat import HVector, ImQuaternion, Quaternion, im_product, qmul
+from .quat import Quaternion, qmul
 from .jets import ScalarField
 
 
@@ -51,7 +51,7 @@ from .jets import ScalarField
 
 def _hamilton_table():
     """E[m, c, k] with unit_m unit_c = sum_k E[m, c, k] unit_k."""
-    units = [Quaternion.unit(m) for m in range(4)]
+    units = [Quaternion(*row) for row in np.eye(4, dtype=int).tolist()]
     return np.array([[qmul(a, b).components() for b in units] for a in units])
 
 
@@ -71,54 +71,37 @@ def _scalars(x):
 # group points and group operations
 
 
-class GroupPoint:
-    """A point (q, w) of the group; scalar-generic like Quaternion."""
+class GroupPoint(tuple):
+    """A point (q, w) of the group as its 4n+3 coordinates
+    (t^1, x^1, y^1, z^1, ..., t^n, x^n, y^n, z^n, w_1, w_2, w_3), exact
+    (int, Fraction) or float scalars. The group law and the dilations act on
+    it through left_translation_affine and dilation_affine."""
 
-    __slots__ = ("q", "w")
+    __slots__ = ()
 
-    def __init__(self, q: HVector, w: ImQuaternion):
-        self.q = q
-        self.w = w
+    def __new__(cls, coords):
+        point = super().__new__(cls, coords)
+        if len(point) < 7 or len(point) % 4 != 3:
+            raise ValueError("a group point has 4n+3 coordinates, n >= 1")
+        return point
 
     @classmethod
     def identity(cls, n):
-        return cls(HVector([Quaternion() for _ in range(n)]), ImQuaternion())
+        return cls([0] * (4 * n + 3))
 
     @classmethod
     def from_flat(cls, flat, n):
-        flat = list(flat)
-        if len(flat) != 4 * n + 3:
-            raise ValueError("expected 4n+3 coordinates")
-        return cls(HVector.from_flat(flat[:4 * n]), ImQuaternion.from_seq(flat[4 * n:]))
+        point = cls(flat)
+        if len(point) != 4 * n + 3:
+            raise ValueError(f"expected {4 * n + 3} coordinates")
+        return point
 
     @property
     def n(self):
-        return self.q.n
+        return (len(self) - 3) // 4
 
     def flat(self):
-        return self.q.flat() + self.w.components()
-
-    def __eq__(self, other):
-        return isinstance(other, GroupPoint) and self.q == other.q and self.w == other.w
-
-    def __repr__(self):
-        return f"GroupPoint({self.q!r}, {self.w!r})"
-
-
-def group_multiply(a: GroupPoint, b: GroupPoint) -> GroupPoint:
-    """(q0,w0) . (q,w) = (q0+q, w + w0 + 2 Im(q0 conj(q)))."""
-    if a.n != b.n:
-        raise ValueError("group points of different dimension")
-    twist = 2 * im_product(a.q, b.q)
-    return GroupPoint(a.q + b.q, b.w + a.w + twist)
-
-
-def dilate(lam, p: GroupPoint) -> GroupPoint:
-    """Parabolic dilation (q, w) -> (lam q, lam^2 w), lam > 0."""
-    if lam <= 0:
-        raise ValueError("dilation parameter must be positive")
-    return GroupPoint(HVector([lam * qa for qa in p.q.components]),
-                      (lam * lam) * p.w)
+        return list(self)
 
 
 def left_translation_affine(p0: GroupPoint):

@@ -1,19 +1,16 @@
-"""Quaternion and H^n scalar algebra.
+"""Hamilton's rules, written once.
 
-Everything downstream (group law, frame coefficients, extremal conformal
-factors) reduces to Hamilton products and conjugations, so this module keeps
-them in one place and keeps them generic over the scalar type: components may
-be floats or fractions.Fraction, and all operations stay inside the scalar
-type they were given. The exact-rational paths of the frame audit and of the
-polynomial oracles rely on that.
+The integer structure table of heis, from which the frame, the contact
+form, the complex structures and the group law's twist are derived, is read
+off qmul over the basis units. The product is generic over the scalar type:
+components may be ints, floats or fractions.Fraction, and it stays inside
+the type it was given.
 
 Basis order is fixed as (1, i, j, k) <-> component names (t, x, y, z),
 matching the coordinate naming q = (t^a, x^a, y^a, z^a) used for the group.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 class Quaternion:
@@ -27,43 +24,6 @@ class Quaternion:
         self.y = y
         self.z = z
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_seq(cls, seq):
-        t, x, y, z = seq
-        return cls(t, x, y, z)
-
-    @classmethod
-    def unit(cls, m):
-        """The basis unit with index m in (0,1,2,3) <-> (1,i,j,k)."""
-        c = [0, 0, 0, 0]
-        c[m] = 1
-        return cls(*c)
-
-    # -- algebra -----------------------------------------------------------
-
-    def __add__(self, other):
-        return Quaternion(self.t + other.t, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other):
-        return Quaternion(self.t - other.t, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
-
-    def __neg__(self):
-        return Quaternion(-self.t, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return qmul(self, other)
-        return Quaternion(self.t * other, self.x * other,
-                          self.y * other, self.z * other)
-
-    def __rmul__(self, scalar):
-        return Quaternion(scalar * self.t, scalar * self.x,
-                          scalar * self.y, scalar * self.z)
-
     def __eq__(self, other):
         return (isinstance(other, Quaternion)
                 and self.t == other.t and self.x == other.x
@@ -71,19 +31,6 @@ class Quaternion:
 
     def __repr__(self):
         return f"Quaternion({self.t}, {self.x}, {self.y}, {self.z})"
-
-    def conj(self):
-        return Quaternion(self.t, -self.x, -self.y, -self.z)
-
-    def norm2(self):
-        return self.t * self.t + self.x * self.x + self.y * self.y + self.z * self.z
-
-    def re(self):
-        return self.t
-
-    def im(self):
-        """Imaginary part (q - conj(q))/2 as an ImQuaternion."""
-        return ImQuaternion(self.x, self.y, self.z)
 
     def components(self):
         return [self.t, self.x, self.y, self.z]
@@ -97,126 +44,3 @@ def qmul(p: Quaternion, q: Quaternion) -> Quaternion:
         p.t * q.y - p.x * q.z + p.y * q.t + p.z * q.x,
         p.t * q.z + p.x * q.y - p.y * q.x + p.z * q.t,
     )
-
-
-class ImQuaternion:
-    """A purely imaginary quaternion x i + y j + z k; houses omega points."""
-
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x=0, y=0, z=0):
-        self.x = x
-        self.y = y
-        self.z = z
-
-    @classmethod
-    def from_seq(cls, seq):
-        x, y, z = seq
-        return cls(x, y, z)
-
-    def __add__(self, other):
-        return ImQuaternion(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other):
-        return ImQuaternion(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self):
-        return ImQuaternion(-self.x, -self.y, -self.z)
-
-    def __mul__(self, scalar):
-        return ImQuaternion(self.x * scalar, self.y * scalar, self.z * scalar)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, ImQuaternion)
-                and self.x == other.x and self.y == other.y and self.z == other.z)
-
-    def __repr__(self):
-        return f"ImQuaternion({self.x}, {self.y}, {self.z})"
-
-    def norm2(self):
-        return self.x * self.x + self.y * self.y + self.z * self.z
-
-    def as_quaternion(self):
-        return Quaternion(0, self.x, self.y, self.z)
-
-    def components(self):
-        return [self.x, self.y, self.z]
-
-
-class HVector:
-    """A point or tangent of H^n: a list of n quaternions."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components):
-        self.components = list(components)
-
-    @classmethod
-    def zero(cls, n, scalar=0):
-        return cls([Quaternion(scalar, scalar, scalar, scalar) for _ in range(n)])
-
-    @classmethod
-    def from_flat(cls, flat):
-        """Build from 4n scalars ordered (t^1,x^1,y^1,z^1, t^2, ...)."""
-        if len(flat) % 4:
-            raise ValueError("flat coordinate list must have length 4n")
-        return cls([Quaternion(*flat[4 * a:4 * a + 4]) for a in range(len(flat) // 4)])
-
-    @property
-    def n(self):
-        return len(self.components)
-
-    def __add__(self, other):
-        self._check(other)
-        return HVector([p + q for p, q in zip(self.components, other.components)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return HVector([p - q for p, q in zip(self.components, other.components)])
-
-    def __neg__(self):
-        return HVector([-p for p in self.components])
-
-    def __eq__(self, other):
-        return isinstance(other, HVector) and self.components == other.components
-
-    def __repr__(self):
-        return f"HVector({self.components!r})"
-
-    def _check(self, other):
-        if not isinstance(other, HVector) or other.n != self.n:
-            raise ValueError("HVector length mismatch")
-
-    def norm2(self):
-        s = 0
-        for p in self.components:
-            s = s + p.norm2()
-        return s
-
-    def flat(self):
-        out = []
-        for p in self.components:
-            out.extend(p.components())
-        return out
-
-
-def hermitian_product(p: HVector, q: HVector) -> Quaternion:
-    """sum_a p_a * conj(q_a); its real part is the Euclidean inner product."""
-    p._check(q)
-    acc = Quaternion(0, 0, 0, 0)
-    for pa, qa in zip(p.components, q.components):
-        acc = acc + qmul(pa, qa.conj())
-    return acc
-
-
-def im_product(p: HVector, q: HVector) -> ImQuaternion:
-    """Im(sum_a p_a * conj(q_a)), the twist term of the group law."""
-    return hermitian_product(p, q).im()
-
-
-def rational_quaternion(rng, den=16, span=8) -> Quaternion:
-    """A random quaternion with Fraction components k/den, |k| <= span."""
-    return Quaternion(*[Fraction(int(rng.integers(-span, span + 1)), den)
-                        for _ in range(4)])

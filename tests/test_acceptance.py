@@ -18,7 +18,6 @@ from qcheis.heis import GroupPoint, HorizontalFrame, frame_audit
 from qcheis.jets import CombinationField, random_positive_polynomial
 from qcheis.qmatrix import (build_q, char_poly, leading_minors, poly_eval,
                             poly_mod_quadratic)
-from qcheis.quat import HVector, ImQuaternion, Quaternion
 from qcheis.tensors import (TorsionData, aux_forms_from_torsion,
                             f_alternative_from_ds, dd_ee_identity_check,
                             project_3_m1, random_torsion, trace_free,
@@ -30,9 +29,7 @@ from qcheis.yamabe import (ExtremalParams, YamabeConstants, bump_field,
 
 
 def _random_base(n, rng, span=1.0):
-    return GroupPoint(
-        HVector([Quaternion(*rng.uniform(-span, span, 4)) for _ in range(n)]),
-        ImQuaternion(*rng.uniform(-span, span, 3)))
+    return GroupPoint.from_flat(rng.uniform(-span, span, 4 * n + 3).tolist(), n)
 
 
 def test_criterion_01_frame_audit_exact_in_rational_arithmetic():
@@ -261,7 +258,7 @@ def test_criterion_10_reports_byte_identical_modulo_wall_time(tmp_path):
         ["torsion", "--points", "500", "--seed", "3"],
         ["identities", "--points", "100", "--seed", "3"],
         ["qmatrix", "--seed", "3"],
-        ["functional", "--points", "64", "--seed", "3"],
+        ["functional", "--points", "1024", "--seed", "3"],
     ]
     for argv in cases:
         blobs = []

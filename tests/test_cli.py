@@ -19,7 +19,6 @@ import qcheis
 from qcheis import cli, yamabe
 from qcheis.cli import _render_csv, build_parser, cmd_torsion, main
 from qcheis.heis import GroupPoint, HorizontalFrame
-from qcheis.quat import HVector, ImQuaternion, Quaternion
 from qcheis.yamabe import (ExtremalParams, YamabeConstants, phi_explicit,
                            yamabe_residual)
 
@@ -92,7 +91,7 @@ def test_tolerance_override_can_force_failure(tmp_path):
 
 def test_quad_tolerance_override_is_echoed(tmp_path):
     code, report = _run_json(
-        tmp_path, ["functional", "--points", "64", "--tol-quad", "0.5"])
+        tmp_path, ["functional", "--points", "1024", "--tol-quad", "0.5"])
     assert code in (0, 1)
     for c in report["checks"]:
         if "invariance" in c["name"]:
@@ -314,11 +313,10 @@ def test_scan_blocks_equal_one_batch_evaluation(tmp_path):
                  "--q0", ",".join(map(str, q0)), "--w0", ",".join(map(str, w0)),
                  "--format", "csv", "--out", str(out)]) == 0
     rows = list(csv.reader(out.read_text().splitlines()))[1:]
-    assert len(rows) == points
+    assert [int(row[0]) for row in rows] == list(range(points))
     pts = np.array([[float(v) for v in row[1:-1]] for row in rows])
     dumped = np.array([float(row[-1]) for row in rows])
-    base = GroupPoint(HVector([Quaternion.from_seq(q0)]),
-                      ImQuaternion.from_seq(w0))
+    base = GroupPoint.from_flat(q0 + w0, 1)
     params = ExtremalParams(n=1, c0=1.0, sigma=1.0, base=base)
     r, t1, t2 = yamabe_residual(
         phi_explicit(params), YamabeConstants.from_params(params).s_theta,
@@ -370,9 +368,55 @@ def test_csv_point_dump_is_byte_identical_to_csv_writer():
     for i in range(pts.shape[0]):
         writer.writerow([i] + [repr(float(v)) for v in pts[i]]
                         + [repr(float(vals[i]))])
-    got = _render_csv(None, ("t0bar_norm", pts, vals))
+    got = "".join(_render_csv(None, ("t0bar_norm", pts, vals)))
     assert got == buf.getvalue()
-    assert _render_csv(None, ("x", pts[:0], vals[:0])) == "index,p0,p1,p2,p3,x\r\n"
+    assert "".join(_render_csv(None, ("x", pts[:0], vals[:0]))) \
+        == "index,p0,p1,p2,p3,x\r\n"
+
+
+def test_csv_checks_table_is_byte_identical_to_csv_writer():
+    report = {"checks": [
+        {"name": "a_check", "max_residual": 1e-300, "mean_residual": -0.0,
+         "tolerance": 0.0, "pass": True},
+        {"name": "n2_other", "max_residual": 2.5, "mean_residual": 0.1,
+         "tolerance": 1e-9, "pass": False}]}
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["name", "max_residual", "mean_residual", "tolerance",
+                     "pass"])
+    for c in report["checks"]:
+        writer.writerow([c["name"], repr(c["max_residual"]),
+                         repr(c["mean_residual"]), repr(c["tolerance"]),
+                         c["pass"]])
+    assert "".join(_render_csv(report, None)) == buf.getvalue()
+
+
+def test_csv_render_memory_is_flat_in_points():
+    # the point dump is rendered one block of _SCAN_CHUNK rows at a time,
+    # so the text held at once does not grow with the number of rows; a
+    # dump rendered as one string, with its row list, grows by about 540
+    # bytes a row (6.7 MB here), against about 14 kB for the blocks
+    chunk = cli._SCAN_CHUNK
+    rng = np.random.default_rng(1)
+    big_pts = rng.uniform(-2, 2, size=(4 * chunk, 7))
+    big_vals = rng.uniform(size=4 * chunk)
+
+    def traced_peak(rows):
+        dump = ("relative_residual", big_pts[:rows], big_vals[:rows])
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            with open(os.devnull, "w") as sink:
+                sink.writelines(_render_csv(None, dump))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - before
+
+    traced_peak(10)
+    growth = traced_peak(4 * chunk) - traced_peak(chunk)
+    assert growth <= chunk * 16
 
 
 def test_csv_checks_table_for_exact_commands(tmp_path):
@@ -393,9 +437,10 @@ def test_stdout_default_output(capsys):
 
 
 def test_functional_smoke_at_tiny_sampling(tmp_path):
-    # not an accuracy statement, just the plumbing: at 2^6 nodes the checks
-    # may fail their tolerances but the schema and exit contract must hold
-    code, report = _run_json(tmp_path, ["functional", "--points", "64"])
+    # not an accuracy statement, just the plumbing: at 2^10 nodes, the
+    # fewest functional accepts, the checks may fail their tolerances but
+    # the schema and exit contract must hold
+    code, report = _run_json(tmp_path, ["functional", "--points", "1024"])
     assert code in (0, 1)
     assert {"ratio", "ratio_error", "bump_margins",
             "samples_log2"} <= set(report)
@@ -403,6 +448,18 @@ def test_functional_smoke_at_tiny_sampling(tmp_path):
     names = [c["name"] for c in report["checks"]]
     assert "translation_invariance" in names
     assert "extremality_margin_nonnegative" in names
+    assert report["samples_log2"] == 10
+
+
+@pytest.mark.parametrize("points", ["64", "3000", "1023", "1536"])
+def test_functional_points_must_be_a_power_of_two_of_at_least_1024(
+        points, tmp_path, capsys):
+    # --points 64 and 3000 used to be rounded silently to 2^10 and 2^12
+    # nodes, while the report echoed the value given
+    out = tmp_path / "report.json"
+    assert main(["functional", "--points", points, "--out", str(out)]) == 2
+    assert "power of two >= 1024" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parser_lists_all_commands():

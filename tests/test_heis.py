@@ -6,21 +6,106 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcheis.heis import (ContactForm, GroupPoint, HorizontalFrame, dilate,
+from qcheis import heis
+from qcheis.heis import (ContactForm, GroupPoint, HorizontalFrame,
                          dilation_affine, frame_audit, frame_first_order,
-                         frame_second_order, group_multiply,
-                         left_translation_affine)
+                         frame_second_order, left_translation_affine)
 from qcheis.jets import (PolynomialField, fd_oracle,
                          random_positive_polynomial)
+from qcheis.quat import Quaternion, qmul
 from qcheis.yamabe import ExtremalParams, h_explicit
-from qcheis.quat import (HVector, ImQuaternion, Quaternion, qmul,
-                         rational_quaternion)
+
+
+# ---------------------------------------------------------------------------
+# an independent oracle: Hamilton's rules written out on 4-tuples over the
+# basis (1, i, j, k), and the group law and dilation on flat tuples built
+# from them; nothing here reads qcheis.quat
+
+
+# unit_a unit_b = sign unit_c for imaginary units a, b in (1, 2, 3) = (i, j, k)
+_RULES = {(1, 2): (1, 3), (2, 3): (1, 1), (3, 1): (1, 2),
+          (2, 1): (-1, 3), (3, 2): (-1, 1), (1, 3): (-1, 2),
+          (1, 1): (-1, 0), (2, 2): (-1, 0), (3, 3): (-1, 0)}
+
+
+def hamilton(p, q):
+    out = [0, 0, 0, 0]
+    for a in range(4):
+        for b in range(4):
+            sign, c = (1, a + b) if 0 in (a, b) else _RULES[a, b]
+            out[c] += sign * p[a] * q[b]
+    return tuple(out)
+
+
+def _conj(p):
+    return (p[0], -p[1], -p[2], -p[3])
+
+
+def oracle_multiply(a, b):
+    """(q0, w0) . (q, w) = (q0 + q, w + w0 + 2 Im(q0 conj(q)))."""
+    nh = len(a) - 3
+    twist = [0, 0, 0]
+    for s in range(0, nh, 4):
+        im = hamilton(a[s:s + 4], _conj(b[s:s + 4]))[1:]
+        twist = [t + 2 * v for t, v in zip(twist, im)]
+    return (tuple(x + y for x, y in zip(a[:nh], b[:nh]))
+            + tuple(y + x + t for x, y, t in zip(a[nh:], b[nh:], twist)))
+
+
+def oracle_dilate(lam, p):
+    """(q, w) -> (lam q, lam^2 w)."""
+    nh = len(p) - 3
+    return tuple(lam * v for v in p[:nh]) + tuple(lam * lam * v for v in p[nh:])
 
 
 def _rational_point(n, rng):
-    q = HVector([rational_quaternion(rng) for _ in range(n)])
-    w = ImQuaternion(*(rational_quaternion(rng).im().components()))
-    return GroupPoint(q, w)
+    """A seeded group point with Fraction coordinates k/12, |k| <= 8; the
+    thirds are not binary fractions, so a float path would not be exact."""
+    return GroupPoint.from_flat([Fraction(int(k), 12) for k in
+                                 rng.integers(-8, 9, size=4 * n + 3)], n)
+
+
+def _apply(affine, p):
+    A, b = affine
+    return tuple(sum(A[i][j] * p[j] for j in range(len(p))) + b[i]
+                 for i in range(len(p)))
+
+
+def _product(a, b):
+    """a . b as heis computes it: the affine map of L_a applied to b."""
+    return GroupPoint(_apply(left_translation_affine(a), b))
+
+
+def _dilate(lam, p):
+    """delta_lam(p) as heis computes it."""
+    return GroupPoint(_apply(dilation_affine(lam, (len(p) - 3) // 4), p))
+
+
+def test_hamilton_table_matches_oracle():
+    units = np.eye(4, dtype=int).tolist()
+    assert heis._HAMILTON.tolist() == [[list(hamilton(a, b)) for b in units]
+                                       for a in units]
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        p, q = (rng.integers(-32, 33, size=4).tolist() for _ in range(2))
+        assert tuple(qmul(Quaternion(*p), Quaternion(*q)).components()) \
+            == hamilton(p, q)
+
+
+def test_group_point_is_a_flat_coordinate_tuple():
+    p = GroupPoint.from_flat([1, 2, 3, 4, -1, 0, 0, 2, 5, 6, 7], 2)
+    assert p.n == 2
+    assert p.flat() == [1, 2, 3, 4, -1, 0, 0, 2, 5, 6, 7]
+    assert p == GroupPoint.from_flat(np.array(p.flat()).tolist(), 2)
+    assert p != GroupPoint.from_flat([0] * 11, 2)
+    assert GroupPoint.identity(1) == GroupPoint.from_flat([0] * 7, 1)
+    assert GroupPoint.identity(2).n == 2
+
+
+def test_group_point_from_flat_rejects_wrong_length():
+    for n, coords in ((1, 6), (1, 8), (1, 11), (2, 7), (2, 12), (0, 3)):
+        with pytest.raises(ValueError):
+            GroupPoint.from_flat([0.5] * coords, n)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -31,13 +116,13 @@ def test_group_axioms_exact(n):
         a = _rational_point(n, rng)
         b = _rational_point(n, rng)
         c = _rational_point(n, rng)
-        assert group_multiply(a, e) == a
-        assert group_multiply(e, a) == a
-        assert group_multiply(group_multiply(a, b), c) \
-            == group_multiply(a, group_multiply(b, c))
-        inverse = GroupPoint(-a.q, -a.w)
-        assert group_multiply(a, inverse) == e
-        assert group_multiply(inverse, a) == e
+        for mul in (_product, oracle_multiply):
+            assert mul(a, e) == a
+            assert mul(e, a) == a
+            assert mul(mul(a, b), c) == mul(a, mul(b, c))
+            inverse = GroupPoint(-v for v in a)
+            assert mul(a, inverse) == e
+            assert mul(inverse, a) == e
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -47,13 +132,13 @@ def test_dilations_are_automorphisms(n):
     for _ in range(5):
         a = _rational_point(n, rng)
         b = _rational_point(n, rng)
-        assert dilate(lam, dilate(mu, a)) == dilate(lam * mu, a)
-        assert group_multiply(dilate(lam, a), dilate(lam, b)) \
-            == dilate(lam, group_multiply(a, b))
+        for mul, dil in ((_product, _dilate),
+                         (oracle_multiply, oracle_dilate)):
+            assert dil(lam, dil(mu, a)) == dil(lam * mu, a)
+            assert mul(dil(lam, a), dil(lam, b)) == dil(lam, mul(a, b))
     # the center scales quadratically
     p = _rational_point(n, rng)
-    d = dilate(lam, p)
-    assert d.w == p.w * (lam * lam)
+    assert _dilate(lam, p)[4 * n:] == tuple(lam * lam * v for v in p[4 * n:])
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -61,24 +146,24 @@ def test_left_translation_affine_matches_group_law(n):
     rng = np.random.default_rng(30 + n)
     p0 = _rational_point(n, rng)
     A, b = left_translation_affine(p0)
+    assert A.dtype == object and b.dtype == object
     for _ in range(5):
         p = _rational_point(n, rng)
-        flat = p.flat()
-        image = [sum(A[i][j] * flat[j] for j in range(len(flat))) + b[i]
-                 for i in range(len(flat))]
-        assert image == group_multiply(p0, p).flat()
+        assert _apply((A, b), p) == oracle_multiply(p0, p)
+    # a float p0 gives the float map of the same translation
+    Af, bf = left_translation_affine(GroupPoint.from_flat(
+        [float(v) for v in p0], n))
+    assert Af.dtype == float and np.array_equal(Af, A.astype(float))
+    assert np.array_equal(bf, b.astype(float))
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_dilation_affine_matches_dilate(n):
     rng = np.random.default_rng(40 + n)
     lam = Fraction(5, 4)
-    A, b = dilation_affine(lam, n)
-    p = _rational_point(n, rng)
-    flat = p.flat()
-    image = [sum(A[i][j] * flat[j] for j in range(len(flat))) + b[i]
-             for i in range(len(flat))]
-    assert image == dilate(lam, p).flat()
+    for _ in range(5):
+        p = _rational_point(n, rng)
+        assert _dilate(lam, p) == oracle_dilate(lam, p)
 
 
 def test_frame_refuses_n_below_one():
@@ -144,14 +229,16 @@ def test_contact_coefficients_batch_matches_exact_rows(n):
     theta = contact.coefficients(exact)
     V = frame.vertical_coefficients(exact)
     half = Fraction(1, 2)
+    units = np.eye(4, dtype=int).tolist()
     for i, p in enumerate(points):
-        for a, qa in enumerate(p.q.components):
-            for m in range(4):
-                mu = Quaternion.unit(m)
-                dq = (qmul(mu, qa.conj()) - qmul(qa, mu.conj())) * half
-                assert theta[i, :, 4 * a + m].tolist() == dq.im().components()
-                v = -2 * qmul(mu, qa.conj())
-                assert V[i, 4 * a + m].tolist() == v.im().components()
+        for a in range(n):
+            qa = p[4 * a:4 * a + 4]
+            for m, mu in enumerate(units):
+                dq = [(x - y) * half for x, y in zip(hamilton(mu, _conj(qa)),
+                                                     hamilton(qa, _conj(mu)))]
+                assert theta[i, :, 4 * a + m].tolist() == dq[1:]
+                v = [-2 * x for x in hamilton(mu, _conj(qa))]
+                assert V[i, 4 * a + m].tolist() == v[1:]
         assert theta[i, :, 4 * n:].tolist() == \
             [[half if s == k else 0 for k in range(3)] for s in range(3)]
 

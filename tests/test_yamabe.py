@@ -14,17 +14,17 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, dblquad
 
-from qcheis.heis import (GroupPoint, HorizontalFrame, group_multiply,
-                         left_translation_affine)
+from qcheis.heis import GroupPoint, HorizontalFrame, left_translation_affine
 from qcheis.jets import (CombinationField, DomainError, Jet2, JetField,
                          coordinate_jets, fd_oracle, random_positive_polynomial)
-from qcheis.quat import HVector, ImQuaternion, Quaternion
 from qcheis.yamabe import (BumpField, ExtremalParams, FunctionalEstimate,
                            YamabeConstants, _mapped_nodes, _sobol_chunks,
                            bump_field, conformal_scal, conformal_torsion,
                            dilated_field, folland_stein_ratio, h_explicit,
                            perturbed_ratios, phi_explicit, phi_from_h,
                            translated_field, yamabe_residual)
+
+from test_heis import oracle_multiply
 
 # frozen from the radial oracle below; R = num / den^{4/5}
 ORACLE_NUM = 0.507339015802
@@ -33,9 +33,7 @@ ORACLE_RATIO = 24.3222434743
 
 
 def _point(n, rng, span=1.0):
-    return GroupPoint(
-        HVector([Quaternion(*rng.uniform(-span, span, 4)) for _ in range(n)]),
-        ImQuaternion(*rng.uniform(-span, span, 3)))
+    return GroupPoint.from_flat(rng.uniform(-span, span, 4 * n + 3).tolist(), n)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -46,14 +44,11 @@ def test_h_explicit_matches_closed_formula(n):
     field = h_explicit(params)
     pts = rng.uniform(-2, 2, size=(40, 4 * n + 3))
     got = field.values(pts)
-    q0 = np.array([float(v) for v in base.q.flat()])
-    w0 = np.array([float(v) for v in base.w.components()])
+    q0 = np.array(base[:4 * n])
     for x, v in zip(pts, got):
-        p = GroupPoint.from_flat(list(x), n)
         shifted_q = x[:4 * n] + q0
         radial = params.sigma + float(shifted_q @ shifted_q)
-        twist = group_multiply(base, p).w
-        tw = np.array([float(c) for c in twist.components()])
+        tw = np.array(oracle_multiply(base, x.tolist())[4 * n:])
         expect = params.c0 * (radial ** 2 + float(tw @ tw))
         assert abs(v - expect) <= 1e-12 * max(1.0, abs(expect))
 
@@ -247,7 +242,8 @@ def test_family_closed_under_left_translation(n):
     params = ExtremalParams(n=n, c0=1.0, sigma=1.0, base=b)
     moved = translated_field(h_explicit(params), p0)
     composed = h_explicit(ExtremalParams(n=n, c0=1.0, sigma=1.0,
-                                         base=group_multiply(b, p0)))
+                                         base=GroupPoint.from_flat(
+                                             oracle_multiply(b, p0), n)))
     pts = rng.uniform(-2, 2, size=(60, 4 * n + 3))
     left, right = moved.values(pts), composed.values(pts)
     assert np.max(np.abs(left - right) / np.maximum(1.0, np.abs(right))) < 1e-13
