@@ -10,10 +10,13 @@ extremality). Every command emits a report with the same shape:
      tolerance, pass}], pass, wall_ms}
 
 as JSON (default) or CSV; scan commands dump per-point residuals in CSV
-mode instead. The scans (residual, scal, torsion) evaluate their points in
-blocks of a fixed number of rows, and the CSV dump is written block by
-block once the scan has finished, so the memory they take beyond the
-points and the per-point results does not grow with --points.
+mode instead. The scans (residual, scal, torsion) share one set-up, which
+evaluates their points in blocks of a fixed number of rows; the CSV dump is
+written block by block once the scan has finished, so the memory they take
+beyond the points and the per-point results does not grow with --points.
+A scan check over per-point residuals also names the point of the largest
+one as worst_point. A functional bump whose support held no node fails the
+extremality check with residual 1.0, as its margin of 0.0 says nothing.
 
 Exit status: 0 all checks pass, 1 a check failed, 2 bad usage or
 configuration; a non-finite --c0, --sigma, --q0 or --w0, a --box that
@@ -67,54 +70,59 @@ _TORSION_BATCH = 128
 _SCAN_CHUNK = 4096
 
 
-def _check(name, values, tolerance):
-    """One report row from a scalar or an array of residuals."""
+def _check(name, values, tolerance, points=None):
+    """One report row from a scalar or an array of residuals; given the
+    points the residuals belong to, the row names the worst of them."""
     arr = np.atleast_1d(np.asarray(values, dtype=float))
     mx = float(np.max(arr))
-    mean = float(np.mean(arr))
-    return {
+    row = {
         "name": name,
         "max_residual": mx,
-        "mean_residual": mean,
+        "mean_residual": float(np.mean(arr)),
         "tolerance": tolerance,
         "pass": bool(mx <= tolerance),
     }
+    if points is not None:
+        row["worst_point"] = points[np.argmax(arr)].tolist()
+    return row
 
 
 def _resolve_base(args, rng):
-    """The family base point from --q0 and --w0, or seeded at random."""
-    n = args.n
-    if args.q0 is not None:
-        q0 = args.q0
-        if len(q0) != 4 * n:
-            raise ValueError(f"--q0 needs {4 * n} comma-separated reals")
-    else:
-        q0 = rng.uniform(-args.box / 2, args.box / 2, size=4 * n).tolist()
-    if args.w0 is not None:
-        w0 = args.w0
-        if len(w0) != 3:
-            raise ValueError("--w0 needs 3 comma-separated reals")
-    else:
-        w0 = rng.uniform(-args.box / 2, args.box / 2, size=3).tolist()
-    base = GroupPoint.from_flat(q0 + w0, n)
-    # stash the resolved values so the report echoes the base actually used
-    args.q0_resolved = q0
-    args.w0_resolved = w0
-    return base
+    """The family base point from --q0 and --w0, or seeded at random; drawn
+    values are written back to args, so the report echoes the base used."""
+    for flag, size in (("q0", 4 * args.n), ("w0", 3)):
+        value = getattr(args, flag)
+        if value is None:
+            setattr(args, flag, rng.uniform(-args.box / 2, args.box / 2,
+                                            size=size).tolist())
+        elif len(value) != size:
+            raise ValueError(f"--{flag} needs {size} comma-separated reals")
+    return GroupPoint.from_flat(args.q0 + args.w0, args.n)
 
 
-def _scan_points(args, rng):
-    d = 4 * args.n + 3
-    return rng.uniform(-args.box, args.box, size=(args.points, d))
+def _in_blocks(per_block, items, size):
+    """The dict of arrays per_block returns, evaluated on size items at a
+    time and concatenated key by key; the working arrays of one block are
+    freed before the next, so memory is flat in the number of items."""
+    blocks = [per_block(items[lo:lo + size])
+              for lo in range(0, len(items), size)]
+    return {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
 
 
-def _in_blocks(per_row, pts):
-    """The tuple of per-point arrays per_row(rows) returns, evaluated on
-    _SCAN_CHUNK rows of pts at a time and concatenated; the order-2 arrays
-    of one block are freed before the next, so memory is flat in --points."""
-    blocks = [per_row(pts[lo:lo + _SCAN_CHUNK])
-              for lo in range(0, len(pts), _SCAN_CHUNK)]
-    return [np.concatenate(parts) for parts in zip(*blocks)]
+def _scan(args, rng, make_field, per_row):
+    """The set-up of residual, scal and torsion: the family at the resolved
+    base point, --points points drawn in the box, and the per-point arrays
+    per_row(field, rows, frame, consts) returns for field = make_field(params),
+    in blocks of _SCAN_CHUNK rows. Returns (consts, points, arrays)."""
+    base = _resolve_base(args, rng)
+    params = ExtremalParams(n=args.n, c0=args.c0, sigma=args.sigma, base=base)
+    consts = YamabeConstants.from_params(params)
+    frame = HorizontalFrame(args.n)
+    pts = rng.uniform(-args.box, args.box, size=(args.points, 4 * args.n + 3))
+    field = make_field(params)
+    arrays = _in_blocks(lambda rows: per_row(field, rows, frame, consts),
+                        pts, _SCAN_CHUNK)
+    return consts, pts, arrays
 
 
 def _finite(text):
@@ -170,8 +178,8 @@ def _config_echo(args, extra=None):
         "box": args.box,
         "c0": args.c0,
         "sigma": args.sigma,
-        "q0": getattr(args, "q0_resolved", None) or args.q0,
-        "w0": getattr(args, "w0_resolved", None) or args.w0,
+        "q0": args.q0,
+        "w0": args.w0,
         "tol_exact": args.tol_exact,
         "tol_quad": args.tol_quad,
         "format": args.format,
@@ -204,62 +212,46 @@ def cmd_audit(args, rng):
 
 
 def cmd_residual(args, rng):
-    base = _resolve_base(args, rng)
-    params = ExtremalParams(n=args.n, c0=args.c0, sigma=args.sigma, base=base)
-    consts = YamabeConstants.from_params(params)
-    frame = HorizontalFrame(args.n)
-    pts = _scan_points(args, rng)
-    phi = phi_explicit(params)
-
-    def relative_pde_residual(rows):
+    def per_row(phi, rows, frame, consts):
         r, t1, t2 = yamabe_residual(phi, consts.s_theta, rows, frame,
                                     return_terms=True)
-        return (np.abs(r)
-                / np.maximum(np.maximum(np.abs(t1), np.abs(t2)), _FLOOR),)
+        return {"rel": np.abs(r) / np.maximum(
+            np.maximum(np.abs(t1), np.abs(t2)), _FLOOR)}
 
-    rel, = _in_blocks(relative_pde_residual, pts)
-    checks = [_check("yamabe_pde_relative_residual", rel, _tol(args, _TOL_JET))]
-    return checks, {"s_theta": consts.s_theta}, ("relative_residual", pts, rel)
+    consts, pts, out = _scan(args, rng, phi_explicit, per_row)
+    checks = [_check("yamabe_pde_relative_residual", out["rel"],
+                     _tol(args, _TOL_JET), pts)]
+    return (checks, {"s_theta": consts.s_theta},
+            ("relative_residual", pts, out["rel"]))
 
 
 def cmd_scal(args, rng):
-    base = _resolve_base(args, rng)
-    params = ExtremalParams(n=args.n, c0=args.c0, sigma=args.sigma, base=base)
-    consts = YamabeConstants.from_params(params)
-    frame = HorizontalFrame(args.n)
-    pts = _scan_points(args, rng)
-    h = h_explicit(params)
-    scal, = _in_blocks(
-        lambda rows: (conformal_scal(h, rows, frame),), pts)
-    rel = np.abs(scal - consts.s_theta) / consts.s_theta
-    std_over_mean = float(np.std(scal) / np.mean(scal))
+    def per_row(h, rows, frame, consts):
+        scal = conformal_scal(h, rows, frame)
+        return {"scal": scal,
+                "rel": np.abs(scal - consts.s_theta) / consts.s_theta}
+
+    consts, pts, out = _scan(args, rng, h_explicit, per_row)
+    std_over_mean = float(np.std(out["scal"]) / np.mean(out["scal"]))
     tol = _tol(args, _TOL_JET)
     checks = [
-        _check("scal_matches_s_theta", rel, tol),
+        _check("scal_matches_s_theta", out["rel"], tol, pts),
         _check("scal_std_over_mean", std_over_mean, tol),
     ]
-    return checks, {"s_theta": consts.s_theta}, ("scal_rel_deviation", pts, rel)
+    return (checks, {"s_theta": consts.s_theta},
+            ("scal_rel_deviation", pts, out["rel"]))
 
 
 def cmd_torsion(args, rng):
-    base = _resolve_base(args, rng)
-    params = ExtremalParams(n=args.n, c0=args.c0, sigma=args.sigma, base=base)
-    frame = HorizontalFrame(args.n)
-    pts = _scan_points(args, rng)
-    h = h_explicit(params)
-
-    def norms(rows):
+    def per_row(h, rows, frame, consts):
         t0bar, ubar = conformal_torsion(h, rows, frame)
-        return (np.sqrt(np.einsum("nab,nab->n", t0bar, t0bar)),
-                np.sqrt(np.einsum("nab,nab->n", ubar, ubar)))
+        return {"t0bar_norm": np.sqrt(np.einsum("nab,nab->n", t0bar, t0bar)),
+                "ubar_norm": np.sqrt(np.einsum("nab,nab->n", ubar, ubar))}
 
-    t0n, un = _in_blocks(norms, pts)
-    tol = _tol(args, _TOL_JET)
-    checks = [
-        _check("t0bar_norm", t0n, tol),
-        _check("ubar_norm", un, tol),
-    ]
-    return checks, None, ("t0bar_norm", pts, t0n)
+    _, pts, out = _scan(args, rng, h_explicit, per_row)
+    checks = [_check(name, v, _tol(args, _TOL_JET), pts)
+              for name, v in out.items()]
+    return checks, None, ("t0bar_norm", pts, out["t0bar_norm"])
 
 
 def cmd_identities(args, rng):
@@ -269,15 +261,11 @@ def cmd_identities(args, rng):
     tol_l = _tol(args, _TOL_TENSOR)
     tol_j = _tol(args, _TOL_JET)
 
-    # torsion samples run in batches along a leading axis; bounded batches
-    # keep memory flat in --points, as each sample holds (4n)^3 entries
-    seeds = range(args.seed, args.seed + args.points)
-    rows = {}
-    for lo in range(0, args.points, _TORSION_BATCH):
-        td = random_torsion(n, seeds[lo:lo + _TORSION_BATCH], frame)
+    def torsion_rows(seeds):
+        td = random_torsion(n, seeds, frame)
         aux = aux_forms_from_torsion(td, frame)
         direct_d = -(td.T0 @ td.dh[..., None])[..., 0] / td.h[:, None]
-        batch = {
+        rows = {
             "d_sum_decomposition": relative_residual(aux.D, direct_d),
             # sample-major, as the F_s of each sample sit side by side
             "f_from_d_cyclic": np.stack(
@@ -286,12 +274,15 @@ def cmd_identities(args, rng):
                 axis=1).ravel(),
         }
         for key, v in dd_ee_identity_check(td, frame).residuals.items():
-            batch[f"tensor_identity_{key}"] = v
-        for name, v in batch.items():
-            rows.setdefault(name, []).append(v)
-    checks = [_check(name, np.concatenate(vals),
-                     tol_l if name.startswith("tensor_") else tol_s)
-              for name, vals in rows.items()]
+            rows[f"tensor_identity_{key}"] = v
+        return rows
+
+    # torsion samples run in batches along a leading axis; bounded batches
+    # keep memory flat in --points, as each sample holds (4n)^3 entries
+    rows = _in_blocks(torsion_rows, range(args.seed, args.seed + args.points),
+                      _TORSION_BATCH)
+    checks = [_check(name, v, tol_l if name.startswith("tensor_") else tol_s)
+              for name, v in rows.items()]
 
     d = 4 * n + 3
     n_fields = max(1, min(200, args.points // 5))
@@ -386,14 +377,18 @@ def cmd_functional(args, rng):
             abs(est_d.ratio - est.ratio) / abs(est.ratio), tol))
 
     margins = [(est_p.ratio - est.ratio) / est.ratio for est_p in perturbed]
-    worst = max(0.0, -min(margins))
+    nodes = [est_p.support_nodes for est_p in perturbed]
+    # a bump whose support held no node has margin 0.0 by construction, which
+    # says nothing about extremality, so it counts as a violation of 1.0
+    worst = max(0.0, *(1.0 if k == 0 else -margin
+                       for margin, k in zip(margins, nodes)))
     checks.append(_check("extremality_margin_nonnegative", worst, _TOL_ZERO))
 
     extra = {
         "ratio": est.ratio,
         "ratio_error": est.error,
         "bump_margins": margins,
-        "bump_nodes": [est_p.support_nodes for est_p in perturbed],
+        "bump_nodes": nodes,
         "samples_log2": m,
     }
     return checks, extra, None

@@ -17,13 +17,15 @@ import pytest
 
 import qcheis
 from qcheis import cli, yamabe
-from qcheis.cli import _render_csv, build_parser, cmd_torsion, main
+from qcheis.cli import _render_csv, build_parser, main
 from qcheis.heis import GroupPoint, HorizontalFrame
-from qcheis.yamabe import (ExtremalParams, YamabeConstants, phi_explicit,
+from qcheis.yamabe import (ExtremalParams, YamabeConstants, conformal_scal,
+                           conformal_torsion, h_explicit, phi_explicit,
                            yamabe_residual)
 
 SCHEMA_KEYS = {"command", "config", "checks", "pass", "wall_ms"}
 CHECK_KEYS = {"name", "max_residual", "mean_residual", "tolerance", "pass"}
+SCANS = ("residual", "scal", "torsion")
 
 
 def _run_json(tmp_path, args, name="report.json"):
@@ -146,6 +148,23 @@ def test_functional_reports_bump_node_counts(tmp_path):
         assert (c == 0) == (margin == 0.0)
 
 
+def test_extremality_fails_when_a_bump_saw_no_node(tmp_path):
+    # in a box of half-width 40 the bumps lie far outside the node mass, so
+    # no bump sees a node and every margin is exactly 0.0; that is no
+    # evidence of extremality, and the check must fail, not pass
+    code, report = _run_json(
+        tmp_path, ["functional", "--n", "1", "--points", "1024",
+                   "--box", "40"])
+    assert report["bump_nodes"] == [0] * 20
+    assert report["bump_margins"] == [0.0] * 20
+    assert code == 1
+    check, = [c for c in report["checks"]
+              if c["name"] == "extremality_margin_nonnegative"]
+    assert check["max_residual"] == 1.0
+    assert check["tolerance"] == 0.0
+    assert check["pass"] is False
+
+
 def test_functional_draws_each_main_scramble_four_times(tmp_path,
                                                         monkeypatch):
     # three invariance ratios and one shared pass for the base estimate and
@@ -243,6 +262,17 @@ def test_base_point_flags_are_echoed(tmp_path):
     assert report["config"]["w0"] == [0.0, 0.125, -1.0]
 
 
+def test_seeded_base_point_is_echoed(tmp_path):
+    # a base point drawn from the seed is echoed as drawn: the first 4n + 3
+    # numbers of the seeded generator, in the half-width box / 2
+    code, report = _run_json(tmp_path, ["residual", "--n", "2",
+                                        "--points", "20", "--seed", "4"])
+    assert code == 0
+    rng = np.random.default_rng(4)
+    assert report["config"]["q0"] == rng.uniform(-1, 1, size=8).tolist()
+    assert report["config"]["w0"] == rng.uniform(-1, 1, size=3).tolist()
+
+
 def test_reports_are_deterministic_modulo_wall_time(tmp_path):
     wall = re.compile(r'"wall_ms": \d+')
     for args in (["audit", "--seed", "9"],
@@ -303,45 +333,89 @@ def test_csv_point_dump_for_scan_commands(tmp_path):
     assert float(rows[1][-1]) < 1e-9
 
 
-def test_scan_blocks_equal_one_batch_evaluation(tmp_path):
-    # residual evaluates its points in blocks of _SCAN_CHUNK rows; the
-    # residuals it dumps equal one evaluation over all points, bit for bit
+def _dumped_by_one_batch(command, params, pts):
+    """The column a scan command dumps, from one evaluation over all pts."""
+    frame = HorizontalFrame(params.n)
+    s_theta = YamabeConstants.from_params(params).s_theta
+    if command == "residual":
+        r, t1, t2 = yamabe_residual(phi_explicit(params), s_theta, pts, frame,
+                                    return_terms=True)
+        return np.abs(r) / np.maximum(np.maximum(np.abs(t1), np.abs(t2)),
+                                      1e-30)
+    h = h_explicit(params)
+    if command == "scal":
+        return np.abs(conformal_scal(h, pts, frame) - s_theta) / s_theta
+    t0bar, _ = conformal_torsion(h, pts, frame)
+    return np.sqrt(np.einsum("nab,nab->n", t0bar, t0bar))
+
+
+def _read_dump(path):
+    rows = list(csv.reader(path.read_text().splitlines()))[1:]
+    return (np.array([int(row[0]) for row in rows]),
+            np.array([[float(v) for v in row[1:-1]] for row in rows]),
+            np.array([float(row[-1]) for row in rows]))
+
+
+@pytest.mark.parametrize("command", SCANS)
+def test_scan_blocks_equal_one_batch_evaluation(tmp_path, command):
+    # the scans evaluate their points in blocks of _SCAN_CHUNK rows; the
+    # values they dump equal one evaluation over all points, bit for bit
     points = 2 * cli._SCAN_CHUNK + 123
     q0, w0 = [0.3, -0.2, 0.1, 0.5], [0.4, 0.0, -0.7]
     out = tmp_path / "dump.csv"
-    assert main(["residual", "--points", str(points), "--seed", "2",
+    assert main([command, "--points", str(points), "--seed", "2",
                  "--q0", ",".join(map(str, q0)), "--w0", ",".join(map(str, w0)),
                  "--format", "csv", "--out", str(out)]) == 0
-    rows = list(csv.reader(out.read_text().splitlines()))[1:]
-    assert [int(row[0]) for row in rows] == list(range(points))
-    pts = np.array([[float(v) for v in row[1:-1]] for row in rows])
-    dumped = np.array([float(row[-1]) for row in rows])
-    base = GroupPoint.from_flat(q0 + w0, 1)
-    params = ExtremalParams(n=1, c0=1.0, sigma=1.0, base=base)
-    r, t1, t2 = yamabe_residual(
-        phi_explicit(params), YamabeConstants.from_params(params).s_theta,
-        pts, HorizontalFrame(1), return_terms=True)
-    rel = np.abs(r) / np.maximum(np.maximum(np.abs(t1), np.abs(t2)), 1e-30)
-    assert np.array_equal(dumped, rel)
+    index, pts, dumped = _read_dump(out)
+    assert index.tolist() == list(range(points))
+    params = ExtremalParams(n=1, c0=1.0, sigma=1.0,
+                            base=GroupPoint.from_flat(q0 + w0, 1))
+    assert np.array_equal(dumped, _dumped_by_one_batch(command, params, pts))
 
 
-def test_torsion_scan_memory_is_flat_in_points():
-    # the traced peak grows by the points and the two per-point norms kept
-    # for the report (d + 2 columns a row; d + 4 allowed), not by the order-2
-    # arrays, which exist for one block at a time
+@pytest.mark.parametrize("command", SCANS)
+def test_worst_point_is_the_dump_row_with_the_largest_residual(tmp_path,
+                                                               command):
+    # the dumped column's check names the point of its largest residual;
+    # the run spans two blocks, so the argmax is taken across them
+    args = [command, "--n", "2", "--seed", "6", "--points", "5000"]
+    code, report = _run_json(tmp_path, args)
+    assert code == 0
+    dump = tmp_path / "dump.csv"
+    assert main(args + ["--format", "csv", "--out", str(dump)]) == 0
+    _, pts, dumped = _read_dump(dump)
+    worst = {c["name"]: c.get("worst_point") for c in report["checks"]}
+    name = {"residual": "yamabe_pde_relative_residual",
+            "scal": "scal_matches_s_theta", "torsion": "t0bar_norm"}[command]
+    assert worst.pop(name) == pts[np.argmax(dumped)].tolist()
+    # the other per-point checks name a point of the scan too; the single
+    # statistic scal_std_over_mean names none
+    for other, point in worst.items():
+        if other == "scal_std_over_mean":
+            assert point is None
+        else:
+            assert point in pts.tolist()
+
+
+@pytest.mark.parametrize("command", SCANS)
+def test_scan_memory_is_flat_in_points(command):
+    # the traced peak grows by the points and the per-point arrays kept for
+    # the report (at most d + 2 columns a row; d + 4 allowed), not by the
+    # order-2 arrays, which exist for one block at a time
     n = 1
     d = 4 * n + 3
     chunk = cli._SCAN_CHUNK
+    run = getattr(cli, f"cmd_{command}")
 
     def traced_peak(points):
         args = build_parser().parse_args(
-            ["torsion", "--n", str(n), "--points", str(points)])
+            [command, "--n", str(n), "--points", str(points)])
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            cmd_torsion(args, rng)
+            run(args, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
