@@ -25,8 +25,8 @@ from .yamabe import (ExtremalParams, YamabeConstants, h_explicit, phi_from_h,
                      phi_explicit, yamabe_residual, conformal_scal,
                      conformal_torsion, symmetrized_hessian, translated_field,
                      dilated_field, BumpField, bump_field,
-                     folland_stein_ratio, perturbed_ratios,
-                     FunctionalEstimate)
+                     folland_stein_ratio, functional_estimates,
+                     extremal_ratio, FunctionalEstimate)
 from .qmatrix import build_q, q_float, char_poly, certify, QMatrix
 
 __version__ = "0.1.0"
@@ -45,7 +45,7 @@ __all__ = [
     "ExtremalParams", "YamabeConstants", "h_explicit", "phi_from_h",
     "phi_explicit", "yamabe_residual", "conformal_scal", "conformal_torsion",
     "symmetrized_hessian", "translated_field", "dilated_field", "BumpField",
-    "bump_field", "folland_stein_ratio", "perturbed_ratios",
-    "FunctionalEstimate", "build_q", "q_float",
+    "bump_field", "folland_stein_ratio", "functional_estimates",
+    "extremal_ratio", "FunctionalEstimate", "build_q", "q_float",
     "char_poly", "certify", "QMatrix",
 ]

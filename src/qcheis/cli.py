@@ -17,6 +17,8 @@ beyond the points and the per-point results does not grow with --points.
 A scan check over per-point residuals also names the point of the largest
 one as worst_point. A functional bump whose support held no node fails the
 extremality check with residual 1.0, as its margin of 0.0 says nothing.
+functional also reports the exact ratio of the extremals as ratio_exact and
+each of its four estimates' deviation from it.
 
 Exit status: 0 all checks pass, 1 a check failed, 2 bad usage or
 configuration; a non-finite --c0, --sigma, --q0 or --w0, a --box that
@@ -24,7 +26,8 @@ is not a finite positive number, a --seed that is not an integer >= 0,
 a --tol-exact or --tol-quad that is not a finite number >= 0 and a
 functional --points that is not a power of two >= 1024 are usage
 errors. A report that would hold a non-finite number, or that cannot be
-written to --out, is not written: exit 2 with a message. With a fixed
+written to --out, is not written, and neither is one that needs a size
+the machine cannot hold: exit 2 with a message. With a fixed
 seed the JSON output is byte identical between runs except for wall_ms.
 
 Checks that produce a single statistic (exact audits, the spectral
@@ -51,7 +54,7 @@ from .tensors import (aux_forms_from_torsion, f_alternative_from_ds,
                       universal_identity_suite)
 from .yamabe import (ExtremalParams, YamabeConstants, bump_field,
                      conformal_scal, conformal_torsion, dilated_field,
-                     folland_stein_ratio, h_explicit, perturbed_ratios,
+                     extremal_ratio, functional_estimates, h_explicit,
                      phi_explicit, translated_field, yamabe_residual)
 
 _FLOOR = 1e-30
@@ -68,6 +71,12 @@ _TORSION_BATCH = 128
 
 # scan points per block in `residual`, `scal` and `torsion`
 _SCAN_CHUNK = 4096
+
+# the dilation factors under which `functional` checks invariance, and the
+# names of its estimates in the report
+_DILATIONS = (0.5, 2.0)
+_ESTIMATE_NAMES = ["base", "translated"] + [f"dilated_{lam}"
+                                            for lam in _DILATIONS]
 
 
 def _check(name, values, tolerance, points=None):
@@ -352,29 +361,20 @@ def cmd_functional(args, rng):
     phi = phi_explicit(params)
     tol = _tol(args, _TOL_QUAD)
 
-    def ratio(u):
-        return folland_stein_ratio(u, n, samples_log2=m, seed=args.seed)
-
-    # the bumps share the base estimate's pass and nodes, so the quadrature
-    # noise common to R(Phi) and R(Phi + eps b) cancels in the margins
+    power = (consts.qdim - 2) / 2.0
+    fields = [phi, translated_field(phi, base)] + [
+        dilated_field(phi, lam, n, weight_power=power) for lam in _DILATIONS]
     bumps = [bump_field(n, seed=args.seed + 500 + k, box=args.box)
              for k in range(20)]
-    est, perturbed = perturbed_ratios(phi, bumps, 0.05, n, samples_log2=m,
-                                      seed=args.seed)
-    checks = []
-
-    shifted = translated_field(phi, base)
-    est_t = ratio(shifted)
-    checks.append(_check(
-        "translation_invariance",
-        abs(est_t.ratio - est.ratio) / abs(est.ratio), tol))
-
-    power = (consts.qdim - 2) / 2.0
-    for lam in (0.5, 2.0):
-        est_d = ratio(dilated_field(phi, lam, n, weight_power=power))
-        checks.append(_check(
-            f"dilation_invariance_lam_{lam}",
-            abs(est_d.ratio - est.ratio) / abs(est.ratio), tol))
+    # every estimate shares one draw per scramble, and the bumps share Phi's
+    # nodes, so the quadrature noise common to R(Phi) and R(Phi + eps b)
+    # cancels in the margins
+    (est, *moved), perturbed = functional_estimates(
+        fields, bumps, 0.05, n, samples_log2=m, seed=args.seed)
+    names = ["translation_invariance"] + [f"dilation_invariance_lam_{lam}"
+                                          for lam in _DILATIONS]
+    checks = [_check(name, abs(est_m.ratio - est.ratio) / abs(est.ratio), tol)
+              for name, est_m in zip(names, moved)]
 
     margins = [(est_p.ratio - est.ratio) / est.ratio for est_p in perturbed]
     nodes = [est_p.support_nodes for est_p in perturbed]
@@ -384,9 +384,14 @@ def cmd_functional(args, rng):
                        for margin, k in zip(margins, nodes)))
     checks.append(_check("extremality_margin_nonnegative", worst, _TOL_ZERO))
 
+    exact = extremal_ratio(n)
     extra = {
         "ratio": est.ratio,
         "ratio_error": est.error,
+        "ratio_exact": exact,
+        "estimates": [{"name": name, "ratio": e.ratio, "error": e.error,
+                       "deviation": e.ratio - exact}
+                      for name, e in zip(_ESTIMATE_NAMES, [est, *moved])],
         "bump_margins": margins,
         "bump_nodes": nodes,
         "samples_log2": m,
@@ -480,6 +485,10 @@ def main(argv=None):
         checks, extra, point_dump = args.func(args, rng)
     except (DomainError, ValueError) as exc:
         print(f"qcheis: configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"qcheis: a size the machine cannot hold: {exc}",
+              file=sys.stderr)
         return 2
     wall_ms = int(round((time.perf_counter() - started) * 1000))
 

@@ -26,13 +26,14 @@ difference-based error bar. The ratio is invariant under left translations
 and under u -> lam^{(Q-2)/2} u o delta_lam, and the extremal Phi minimizes
 it; the scans in the test-suite and CLI exercise exactly those statements.
 
-The nodes are streamed: each scramble's Sobol points are drawn, mapped and
-integrated in chunks, so no full node set is ever held. Extremality is
-tested with compactly supported bumps b, and R(Phi) together with
-R(Phi + eps b) for many bumps comes from one pass over the nodes: Phi's
-jets are evaluated once per chunk, each bump only at the nodes inside its
-support, and the integrands are reduced exactly as for a single field, so
-each result equals the separate estimate of its field bit for bit.
+The nodes are streamed: each scramble's Sobol points are drawn in chunks
+and mapped to polar nodes once, so no full node set is ever held, and each
+field maps them through its own fitted affine map. R(Phi), its translate,
+its two dilates and R(Phi + eps b) for the compactly supported bumps b of
+the extremality test all share one draw per scramble. Each bump is
+evaluated only at the nodes inside its support, and every integrand is
+reduced exactly as for a single field, so each result equals the separate
+estimate of its field bit for bit. The exact R(Phi) is extremal_ratio(n).
 
 The scrambled Sobol nodes are generated here in numpy, from the Joe-Kuo
 direction numbers with a linear-matrix scramble and a digital shift; they
@@ -72,6 +73,13 @@ class ExtremalParams:
         return cls(n=n, c0=c0, sigma=sigma, base=GroupPoint.identity(n))
 
 
+def _exponents(n):
+    """The homogeneous dimension Q = 4n + 6 and the critical Sobolev
+    exponent 2* = 2Q/(Q-2)."""
+    q = 4 * n + 6
+    return q, 2.0 * q / (q - 2)
+
+
 @dataclass(frozen=True)
 class YamabeConstants:
     qdim: int
@@ -80,8 +88,8 @@ class YamabeConstants:
 
     @classmethod
     def from_params(cls, params: ExtremalParams):
-        q = 4 * params.n + 6
-        return cls(qdim=q, two_star=2.0 * q / (q - 2),
+        q, two_star = _exponents(params.n)
+        return cls(qdim=q, two_star=two_star,
                    s_theta=128.0 * params.n * (params.n + 2)
                    * params.c0 * params.sigma)
 
@@ -301,8 +309,8 @@ class BumpField(ScalarField):
     def jets(self, points, order=2):
         # every operation is row-wise, and the einsum sums run along
         # C-ordered rows, so a row gets the same jet in a batch of any size
-        # and layout (perturbed_ratios evaluates bumps on subsets of a chunk
-        # and relies on this)
+        # and layout (functional_estimates evaluates bumps on subsets of a
+        # chunk and relies on this)
         points = np.ascontiguousarray(points, dtype=float)
         dx = points - self.center
         u = np.maximum(1.0 - self._rho2(dx), 0.0)
@@ -352,8 +360,8 @@ class FunctionalEstimate:
     numerator: float
     denominator: float
     per_scramble: tuple
-    center: np.ndarray = None
-    transform: np.ndarray = None
+    center: np.ndarray
+    transform: np.ndarray
     support_nodes: int = None
 
     @property
@@ -361,6 +369,32 @@ class FunctionalEstimate:
         """The affine node map (center, matrix) this estimate used; pass it
         back in to evaluate another field on identical nodes."""
         return (self.center, self.transform)
+
+
+def extremal_ratio(n):
+    """The exact Folland-Stein ratio R(Phi) of the extremals.
+
+    Multiplying the PDE by Phi and integrating by parts gives N = kappa D,
+    with kappa = (Q-2) S / (4(Q+2)) and D = int Phi^{2*} = int (2h)^{-Q/2},
+    so R(Phi) = kappa D^{2/Q}. At c0 = sigma = 1 and the identity base
+    point, polar coordinates in q and in w give
+
+        D = 2^{-Q/2} |S^{4n-1}| |S^2| (1/2) B(3/2, (Q-3)/2) (1/2) B(2n, 2n+3),
+
+    and R(Phi) depends on none of c0, sigma and the base point. It is the
+    optimal constant of the L^2 Folland-Stein inequality on the group
+    (Folland and Stein, 1974; Ivanov, Minchev and Vassilev, JEMS 2010).
+    """
+    q, _ = _exponents(n)
+    kappa = (q - 2) * 128 * n * (n + 2) / (4 * (q + 2))
+
+    def half_beta(a, b):
+        return math.gamma(a) * math.gamma(b) / math.gamma(a + b) / 2.0
+
+    den = (2.0 ** (-q / 2) * 2.0 * math.pi ** (2 * n) / math.gamma(2 * n)
+           * 4.0 * math.pi * half_beta(1.5, (q - 3) / 2)
+           * half_beta(2 * n, 2 * n + 3))
+    return kappa * den ** (2.0 / q)
 
 
 # Joe-Kuo direction numbers (new-joe-kuo-6.21201) for the first 11
@@ -509,21 +543,14 @@ _CHUNK = 2 ** 14
 _PILOT_LOG2 = 14
 
 
-def _mapped_nodes(n, m, seed, center, B, chunk):
-    """One scramble's nodes and weights under the affine map center + B z,
-    `chunk` rows at a time; no more than one chunk is held at once."""
-    for u in _sobol_chunks(4 * n + 3, m, seed, chunk):
-        z, w = _polar_nodes(u, n)
-        yield center + np.einsum("nj,ij->ni", z, B), w
-
-
 def _pilot_moments(u, two_star, n, m, seed, center, B):
-    """Weighted mean and covariance of the density |u|^{2*} under the
-    current node map; the constant det(B) cancels in the moments."""
+    """Weighted mean and covariance of the density |u|^{2*} under the node
+    map center + B z; the constant det(B) cancels in the moments."""
     xs, vals = [], []
-    for x, w in _mapped_nodes(n, m, seed, center, B, _CHUNK):
-        xs.append(x)
-        vals.append(np.abs(u.jets(x, order=1).value) ** two_star * w)
+    for unit in _sobol_chunks(4 * n + 3, m, seed, _CHUNK):
+        z, w = _polar_nodes(unit, n)
+        xs.append(center + np.einsum("nj,ij->ni", z, B))
+        vals.append(np.abs(u.jets(xs[-1], order=1).value) ** two_star * w)
     x = np.concatenate(xs)
     vals_all = np.concatenate(vals)
     tot = float(np.sum(vals_all))
@@ -537,90 +564,91 @@ def _pilot_moments(u, two_star, n, m, seed, center, B):
 
 def _adapted_map(u, n, seed, pilot_log2):
     """Two pilot stages: locate the mass, then refine mean and shape."""
-    d = 4 * n + 3
-    q = 4 * n + 6
-    two_star = 2.0 * q / (q - 2)
+    _, two_star = _exponents(n)
     B0 = np.diag([1.0] * (4 * n) + [2.0] * 3)
     c, cov = _pilot_moments(u, two_star, n, pilot_log2, seed + 17,
-                            np.zeros(d), B0)
+                            np.zeros(4 * n + 3), B0)
     c, cov = _pilot_moments(u, two_star, n, pilot_log2, seed + 18,
                             c, _KAPPA * np.linalg.cholesky(cov))
     return c, _KAPPA * np.linalg.cholesky(cov)
 
 
-def _qmc_integrals(u: ScalarField, frame: HorizontalFrame, two_star,
-                   m, seed, center, B, bumps, eps):
-    """One scramble's estimates of (int |grad_H u|^2, int |u|^{2*}) for u
-    and for each u + eps * b with b in bumps, in one pass over the nodes.
+def _chunk_sums(target, z, wts, frame, two_star, eps):
+    """One chunk's (num, den, nodes) on the target's nodes center + B z:
+    the sums of |grad_H u|^2 w and |u|^{2*} w for u and then for each
+    u + eps * b with b in bumps, and the nodes where b is nonzero (0 for u).
 
-    Returns (nums, dens, counts): nums and dens have one entry for u and
-    then one per bump; counts[k] is the number of nodes where bump k is
-    nonzero. u's jets are evaluated once per chunk and each bump only at
-    the nodes its support() admits; everywhere else u + eps * b = u.
-    Each field's chunk integrands are whole arrays (u's values, with the
-    support nodes overwritten) reduced the same way for every field, so a
-    bump's integrals equal those of u + eps * b evaluated at every node,
-    and a bump that holds no node reproduces u's integrals exactly.
+    u's jets are evaluated once and each bump only at the nodes its
+    support() admits; elsewhere u + eps * b = u. Every field's integrands
+    are whole arrays (u's, with the support nodes overwritten) summed alike,
+    so a bump's sums equal those of u + eps * b evaluated at every node,
+    and a bump that holds no node reproduces u's sums exactly.
     """
-    detB = abs(float(np.linalg.det(B)))
-    num_parts = [[] for _ in range(len(bumps) + 1)]
-    den_parts = [[] for _ in range(len(bumps) + 1)]
-    counts = [0] * len(bumps)
-    total = 0
-    for pts, wts in _mapped_nodes(frame.n, m, seed, center, B, _CHUNK):
-        total += pts.shape[0]
-        V = frame.vertical_coefficients(pts)
-        ju = u.jets(pts, order=1)
-        fg = horizontal_gradient(V, ju.grad)
-        num = np.einsum("nb,nb->n", fg, fg) * wts
-        den = np.abs(ju.value) ** two_star * wts
-        num_parts[0].append(float(np.sum(num)))
-        den_parts[0].append(float(np.sum(den)))
-        for k, bump in enumerate(bumps):
-            idx = np.flatnonzero(bump.support(pts))
-            num_k, den_k = num.copy(), den.copy()
-            if idx.size:
-                jb = bump.jets(pts[idx], order=1)
-                counts[k] += int(np.count_nonzero(jb.value))
-                value = ju.value[idx] + jb.value * eps
-                fg_k = horizontal_gradient(V[idx], ju.grad[idx] + jb.grad * eps)
-                num_k[idx] = np.einsum("nb,nb->n", fg_k, fg_k) * wts[idx]
-                den_k[idx] = np.abs(value) ** two_star * wts[idx]
-            num_parts[k + 1].append(float(np.sum(num_k)))
-            den_parts[k + 1].append(float(np.sum(den_k)))
-    N = float(total)
-    nums = [detB * math.fsum(p) / N for p in num_parts]
-    dens = [detB * math.fsum(p) / N for p in den_parts]
-    return nums, dens, counts
+    u, center, B, bumps = target
+    pts = center + np.einsum("nj,ij->ni", z, B)
+    V = frame.vertical_coefficients(pts)
+    ju = u.jets(pts, order=1)
+    fg = horizontal_gradient(V, ju.grad)
+    num = np.einsum("nb,nb->n", fg, fg) * wts
+    den = np.abs(ju.value) ** two_star * wts
+    sums = [(float(np.sum(num)), float(np.sum(den)), 0)]
+    for bump in bumps:
+        idx = np.flatnonzero(bump.support(pts))
+        num_k, den_k, nodes = num.copy(), den.copy(), 0
+        if idx.size:
+            jb = bump.jets(pts[idx], order=1)
+            nodes = int(np.count_nonzero(jb.value))
+            value = ju.value[idx] + jb.value * eps
+            fg_k = horizontal_gradient(V[idx], ju.grad[idx] + jb.grad * eps)
+            num_k[idx] = np.einsum("nb,nb->n", fg_k, fg_k) * wts[idx]
+            den_k[idx] = np.abs(value) ** two_star * wts[idx]
+        sums.append((float(np.sum(num_k)), float(np.sum(den_k)), nodes))
+    return sums
 
 
-def _estimates(u, n, bumps, eps, samples_log2, seed, center, B):
-    """FunctionalEstimates of u and of each u + eps * b, from two
-    scrambles (seed and seed + 1) that share each pass over the nodes."""
+def _qmc_integrals(targets, n, two_star, m, seed, eps):
+    """One scramble's chunk sums for every target (u, center, B, bumps),
+    from one pass over its 2^m nodes: each chunk of Sobol points is drawn
+    and mapped to polar nodes z once, and every target maps z its own way.
+    Per target, _chunk_sums' results as an array indexed (field, one of
+    num, den and nodes, chunk)."""
     frame = HorizontalFrame(n)
-    q = 4 * n + 6
-    two_star = 2.0 * q / (q - 2)
-    passes = [_qmc_integrals(u, frame, two_star, samples_log2, s, center, B,
-                             bumps, eps)
+    sums = [[] for _ in targets]
+    for unit in _sobol_chunks(4 * n + 3, m, seed, _CHUNK):
+        z, wts = _polar_nodes(unit, n)
+        for target, s in zip(targets, sums):
+            s.append(_chunk_sums(target, z, wts, frame, two_star, eps))
+    return [np.array(s).transpose(1, 2, 0) for s in sums]
+
+
+def _estimate(scrambles, two_star, center, B, m, of_bump):
+    """One field's FunctionalEstimate from its chunk sums in each of the
+    two scrambles of 2^m nodes."""
+    detB = abs(float(np.linalg.det(B)))
+    nums, dens = ([detB * math.fsum(sums[i]) / 2 ** m for sums in scrambles]
+                  for i in (0, 1))
+    if min(dens) <= 0:
+        raise DomainError("vanishing denominator in the functional")
+    ratios = [num / den ** (2.0 / two_star) for num, den in zip(nums, dens)]
+    return FunctionalEstimate(
+        ratio=0.5 * (ratios[0] + ratios[1]), error=abs(ratios[0] - ratios[1]),
+        numerator=0.5 * (nums[0] + nums[1]),
+        denominator=0.5 * (dens[0] + dens[1]), per_scramble=tuple(ratios),
+        center=center, transform=B,
+        support_nodes=int(sum(s[2].sum() for s in scrambles)) if of_bump
+        else None)
+
+
+def _estimates(targets, n, eps, samples_log2, seed):
+    """FunctionalEstimates for every target (u, center, B, bumps): one list
+    [u's, then one per u + eps * b] per target, from two scrambles (seed
+    and seed + 1), each drawn once for all targets."""
+    _, two_star = _exponents(n)
+    passes = [_qmc_integrals(targets, n, two_star, samples_log2, s, eps)
               for s in (seed, seed + 1)]
-    out = []
-    for k in range(len(bumps) + 1):
-        nums = [p[0][k] for p in passes]
-        dens = [p[1][k] for p in passes]
-        if min(dens) <= 0:
-            raise DomainError("vanishing denominator in the functional")
-        ratios = [num / den ** (2.0 / two_star) for num, den in zip(nums, dens)]
-        out.append(FunctionalEstimate(
-            ratio=0.5 * (ratios[0] + ratios[1]),
-            error=abs(ratios[0] - ratios[1]),
-            numerator=0.5 * (nums[0] + nums[1]),
-            denominator=0.5 * (dens[0] + dens[1]),
-            per_scramble=tuple(ratios),
-            center=center,
-            transform=B,
-            support_nodes=None if k == 0 else sum(p[2][k - 1] for p in passes),
-        ))
-    return out
+    return [[_estimate(field, two_star, center, B, samples_log2, k > 0)
+             for k, field in enumerate(zip(*pair))]
+            for (_, center, B, _), *pair in zip(targets, *passes)]
 
 
 def folland_stein_ratio(u: ScalarField, n, samples_log2=18, seed=0,
@@ -633,40 +661,37 @@ def folland_stein_ratio(u: ScalarField, n, samples_log2=18, seed=0,
     of the density |u|^{2*} and the main nodes are recentered and reshaped
     accordingly (importance adaptation; no structure of u is assumed). Two
     independent Sobol scrambles (seed and seed+1) each estimate both
-    integrals; the reported ratio averages the two and the error is their
-    absolute difference. Nodes are generated and integrated _CHUNK rows at
-    a time.
-
-    Deterministic for fixed arguments. Passing node_map=(center, matrix)
-    (for instance another estimate's .map) skips the pilot and reuses that
-    geometry, which puts two fields on identical nodes and makes their
-    ratio difference far more accurate than the individual error bars.
+    integrals; the ratio averages the two and the error is their absolute
+    difference. Deterministic for fixed arguments. Passing node_map=(center,
+    matrix), for instance another estimate's .map, skips the pilot and puts
+    two fields on identical nodes, which makes their ratio difference far
+    more accurate than the individual error bars.
     """
     if node_map is None:
         center, B = _adapted_map(u, n, seed, pilot_log2)
     else:
         center, B = (np.asarray(a, dtype=float) for a in node_map)
-    return _estimates(u, n, (), 0.0, samples_log2, seed, center, B)[0]
+    return _estimates([(u, center, B, ())], n, 0.0, samples_log2, seed)[0][0]
 
 
-def perturbed_ratios(u: ScalarField, bumps, eps, n, samples_log2=18, seed=0):
-    """(base, perturbed): the estimate of R(u) and those of R(u + eps * b)
-    for every b in bumps, from one pass over each scramble's nodes.
+def functional_estimates(fields, bumps, eps, n, samples_log2=18, seed=0):
+    """(estimates, perturbed): folland_stein_ratio(u, n, samples_log2, seed)
+    for every u in fields, and R(fields[0] + eps * b) for every b in bumps
+    on fields[0]'s nodes, all from one draw of each scramble.
 
-    The node map is fitted to u by the pilot folland_stein_ratio uses, so
-    base equals folland_stein_ratio(u, n, samples_log2, seed) exactly, and
-    each perturbed estimate equals folland_stein_ratio(CombinationField(
-    [u, b], [1.0, eps]), n, samples_log2, seed, node_map=base.map) exactly.
-    Sharing the nodes cancels the quadrature noise common to R(u) and
-    R(u + eps * b) in their difference. Each perturbed estimate carries
-    support_nodes: the number of nodes, over both scrambles, where b is
-    nonzero. A bump with no node in its support gets R(u) on these nodes,
-    so its estimate says nothing about the perturbation. The bumps need
-    support(points), a mask covering every point where they are nonzero,
-    and jets whose value at a point does not depend on the rest of the
-    batch; BumpField has both.
+    Each field's pilot fits its own node map, one field after another, so
+    each estimate equals the field's folland_stein_ratio exactly, and each
+    perturbed one equals folland_stein_ratio(CombinationField([fields[0],
+    b], [1.0, eps]), ..., node_map=estimates[0].map): the shared nodes
+    cancel the quadrature noise common to R(u) and R(u + eps * b) in their
+    difference. Its support_nodes counts the nodes, over both scrambles,
+    where b is nonzero; with none, it is R(u) and says nothing. The bumps
+    need support(points), a mask covering every point where they are
+    nonzero, and row-wise jets; BumpField has both.
     """
-    center, B = _adapted_map(u, n, seed, _PILOT_LOG2)
-    base, *perturbed = _estimates(u, n, list(bumps), eps, samples_log2, seed,
-                                  center, B)
-    return base, perturbed
+    targets = [(u, *_adapted_map(u, n, seed, _PILOT_LOG2),
+                tuple(bumps) if k == 0 else ())
+               for k, u in enumerate(fields)]
+    (base, *perturbed), *others = _estimates(targets, n, eps, samples_log2,
+                                             seed)
+    return [base] + [ests[0] for ests in others], perturbed

@@ -2,9 +2,12 @@
 output formats, and flag plumbing. Everything runs in-process through
 main(argv) so failures carry real tracebacks."""
 
+import argparse
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qcheis
 from qcheis import cli, yamabe
@@ -165,11 +170,10 @@ def test_extremality_fails_when_a_bump_saw_no_node(tmp_path):
     assert check["pass"] is False
 
 
-def test_functional_draws_each_main_scramble_four_times(tmp_path,
-                                                        monkeypatch):
-    # three invariance ratios and one shared pass for the base estimate and
-    # its bumps: every pass draws both main scrambles and every ratio both
-    # pilots once, and nothing draws them again
+def test_functional_draws_each_main_scramble_once(tmp_path, monkeypatch):
+    # the base estimate with its bumps, the translate and both dilates share
+    # one draw of each main scramble; each of the four fields fits its own
+    # pilot, so each pilot scramble is drawn once per field
     draws = {}
     inner = yamabe._sobol_chunks
 
@@ -182,12 +186,12 @@ def test_functional_draws_each_main_scramble_four_times(tmp_path,
         tmp_path, ["functional", "--points", "4096", "--seed", "3"])
     assert code in (0, 1)
     assert report["samples_log2"] == 12
-    assert draws == {(12, 3): 4, (12, 4): 4, (14, 20): 4, (14, 21): 4}
+    assert draws == {(12, 3): 1, (12, 4): 1, (14, 20): 4, (14, 21): 4}
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import and only the Sobol nodes of
-    # the functional need it; every other command must not pay for it
+    # scipy.stats takes about a second to import, and no subcommand needs it:
+    # the functional's scrambled Sobol nodes are generated in-tree
     src = str(Path(qcheis.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
@@ -516,13 +520,28 @@ def test_functional_smoke_at_tiny_sampling(tmp_path):
     # the schema and exit contract must hold
     code, report = _run_json(tmp_path, ["functional", "--points", "1024"])
     assert code in (0, 1)
-    assert {"ratio", "ratio_error", "bump_margins",
-            "samples_log2"} <= set(report)
+    assert {"ratio", "ratio_error", "ratio_exact", "estimates",
+            "bump_margins", "samples_log2"} <= set(report)
     assert len(report["bump_margins"]) == 20
     names = [c["name"] for c in report["checks"]]
     assert "translation_invariance" in names
     assert "extremality_margin_nonnegative" in names
     assert report["samples_log2"] == 10
+    # each estimate against the closed-form ratio, which the invariance
+    # checks compare with the base estimate instead
+    exact = report["ratio_exact"]
+    assert exact == yamabe.extremal_ratio(1)
+    ests = report["estimates"]
+    assert [e["name"] for e in ests] == ["base", "translated", "dilated_0.5",
+                                         "dilated_2.0"]
+    assert (ests[0]["ratio"], ests[0]["error"]) == \
+        (report["ratio"], report["ratio_error"])
+    for e in ests:
+        assert set(e) == {"name", "ratio", "error", "deviation"}
+        assert e["deviation"] == e["ratio"] - exact
+    for check, e in zip(report["checks"][:3], ests[1:]):
+        assert check["max_residual"] == \
+            abs(e["ratio"] - report["ratio"]) / abs(report["ratio"])
 
 
 @pytest.mark.parametrize("points", ["64", "3000", "1023", "1536"])
@@ -534,6 +553,76 @@ def test_functional_points_must_be_a_power_of_two_of_at_least_1024(
     assert main(["functional", "--points", points, "--out", str(out)]) == 2
     assert "power of two >= 1024" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,callee", [
+    ("residual", "_scan"), ("functional", "functional_estimates"),
+])
+def test_exit_two_when_a_size_cannot_be_held(command, callee, monkeypatch,
+                                            capsys):
+    # numpy raises MemoryError for an array the machine cannot allocate,
+    # for instance residual --points 10^12; that is a configuration error,
+    # not a failed check and not a traceback. The callee is replaced, so
+    # no test ever asks for a huge array.
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 52.2 TiB for an array")
+
+    monkeypatch.setattr(cli, callee, refuse)
+    assert main([command, "--points", "1024"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "a size the machine cannot hold" in captured.err
+    assert "Traceback" not in captured.err
+
+
+_ARG_TYPES = {
+    cli._finite: lambda v: isinstance(v, float) and math.isfinite(v),
+    cli._positive: lambda v: isinstance(v, float) and math.isfinite(v)
+    and v > 0,
+    cli._tolerance: lambda v: isinstance(v, float) and math.isfinite(v)
+    and v >= 0,
+    cli._seed: lambda v: isinstance(v, int) and v >= 0,
+    cli._finite_reals: lambda v: isinstance(v, list) and len(v) > 0
+    and all(isinstance(x, float) and math.isfinite(x) for x in v),
+}
+
+_NUMBERISH = st.one_of(
+    st.text(),
+    st.text(alphabet="0123456789+-.,eEinfatyINFATY_ ", max_size=24),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.lists(st.floats().map(repr), min_size=1, max_size=5).map(",".join),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(text=_NUMBERISH)
+@example(text="-1")
+@example(text="-0.0")
+@example(text="0")
+@example(text="nan")
+@example(text="-inf")
+@example(text="1e999")
+@example(text="1,,2")
+def test_argument_types_return_a_valid_value_or_a_usage_error(text):
+    for parse, valid in _ARG_TYPES.items():
+        try:
+            value = parse(text)
+        except argparse.ArgumentTypeError:
+            continue
+        assert valid(value), (parse.__name__, text, value)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(points=st.integers(1, 2 ** 20).filter(
+    lambda p: p < 1024 or p & (p - 1)))
+def test_functional_refuses_any_other_node_count(points):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["functional", "--points", str(points)])
+    assert code == 2
+    assert out.getvalue() == ""
+    assert "power of two >= 1024" in err.getvalue()
 
 
 def test_parser_lists_all_commands():

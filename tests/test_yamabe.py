@@ -7,8 +7,10 @@ quadrature. Euler-Lagrange forces num/den = S (Q-2)/(4(Q+2)) = 64 for
 c0 = sigma = 1, which pins both integrals beyond their absolute values.
 """
 
+import json
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +20,11 @@ from qcheis.heis import GroupPoint, HorizontalFrame, left_translation_affine
 from qcheis.jets import (CombinationField, DomainError, Jet2, JetField,
                          coordinate_jets, fd_oracle, random_positive_polynomial)
 from qcheis.yamabe import (BumpField, ExtremalParams, FunctionalEstimate,
-                           YamabeConstants, _mapped_nodes, _sobol_chunks,
+                           YamabeConstants, _polar_nodes, _sobol_chunks,
                            bump_field, conformal_scal, conformal_torsion,
-                           dilated_field, folland_stein_ratio, h_explicit,
-                           perturbed_ratios, phi_explicit, phi_from_h,
-                           translated_field, yamabe_residual)
+                           dilated_field, extremal_ratio, folland_stein_ratio,
+                           functional_estimates, h_explicit, phi_explicit,
+                           phi_from_h, translated_field, yamabe_residual)
 
 from test_heis import oracle_multiply
 
@@ -377,7 +379,8 @@ def test_bump_support_covers_every_nonzero_point(n):
 
 
 def test_bump_jets_do_not_depend_on_the_batch():
-    # perturbed_ratios evaluates a bump on the support rows of a chunk only,
+    # functional_estimates evaluates a bump on the support rows of a chunk
+    # only,
     # and matches the full-chunk evaluation exactly; that needs every row's
     # jet to be the same alone, inside a batch and in a Fortran-ordered batch
     bump = bump_field(1, seed=8)
@@ -478,11 +481,10 @@ def test_streamed_nodes_equal_one_draw(m, chunk):
     parts = list(_sobol_chunks(d, m, 4, chunk))
     assert len(parts) == max(1, 2 ** m // chunk)
     assert np.array_equal(np.concatenate(parts), whole)
-    center = np.linspace(-0.5, 0.5, d)
-    B = np.triu(np.full((d, d), 0.25)) + np.eye(d)
-    x_one, w_one = next(_mapped_nodes(1, m, 4, center, B, 2 ** m))
-    xs, ws = zip(*_mapped_nodes(1, m, 4, center, B, chunk))
-    assert np.array_equal(np.concatenate(xs), x_one)
+    # the polar map acts row by row, so chunks map as the whole draw does
+    z_one, w_one = _polar_nodes(whole, 1)
+    zs, ws = zip(*(_polar_nodes(u, 1) for u in parts))
+    assert np.array_equal(np.concatenate(zs), z_one)
     assert np.array_equal(np.concatenate(ws), w_one)
 
 
@@ -512,24 +514,31 @@ def test_sobol_chunks_refuse_unsupported_sizes():
 
 
 @pytest.mark.parametrize("n,m", [(1, 12), (2, 10)])
-def test_perturbed_ratios_equal_per_bump_ratios(n, m):
-    # one streamed pass gives exactly what the separate estimates give: the
-    # base equals folland_stein_ratio's in every field, and each bump the
-    # per-bump path on the base's nodes, down to bumps with a single node in
-    # their support; a bump far from every node keeps the base ratio bit for
-    # bit, so its margin is exactly 0.0
+def test_functional_estimates_equal_separate_ratios(n, m):
+    # one shared draw per scramble gives exactly what the separate estimates
+    # give: each field's estimate equals its own folland_stein_ratio in
+    # every field of the result, and each bump the per-bump path on the
+    # base's nodes, down to bumps with a single node in their support; a
+    # bump far from every node keeps the base ratio bit for bit, so its
+    # margin is exactly 0.0
     d = 4 * n + 3
     phi = phi_explicit(ExtremalParams.centered(n))
+    fields = [phi, translated_field(phi, _point(n, np.random.default_rng(2))),
+              dilated_field(phi, 2.0, n, weight_power=2.0 * n + 2.0)]
     far = BumpField(np.full(d, 1e4), np.ones(d), np.zeros(d), 1.0)
     bumps = [bump_field(n, seed=500 + k) for k in range(20)] + [far]
-    est, got = perturbed_ratios(phi, bumps, 0.05, n, samples_log2=m, seed=0)
-    alone = folland_stein_ratio(phi, n, samples_log2=m, seed=0)
-    assert (est.ratio, est.error, est.numerator, est.denominator,
-            est.per_scramble, est.support_nodes) == \
-        (alone.ratio, alone.error, alone.numerator, alone.denominator,
-         alone.per_scramble, alone.support_nodes)
-    assert np.array_equal(est.center, alone.center)
-    assert np.array_equal(est.transform, alone.transform)
+    ests, got = functional_estimates(fields, bumps, 0.05, n, samples_log2=m,
+                                     seed=0)
+    assert len(ests) == len(fields)
+    for u, est in zip(fields, ests):
+        alone = folland_stein_ratio(u, n, samples_log2=m, seed=0)
+        assert (est.ratio, est.error, est.numerator, est.denominator,
+                est.per_scramble, est.support_nodes) == \
+            (alone.ratio, alone.error, alone.numerator, alone.denominator,
+             alone.per_scramble, alone.support_nodes)
+        assert np.array_equal(est.center, alone.center)
+        assert np.array_equal(est.transform, alone.transform)
+    est = ests[0]
     assert len(got) == len(bumps)
     for bump, est_p in zip(bumps, got):
         ref = folland_stein_ratio(CombinationField([phi, bump], [1.0, 0.05]),
@@ -538,11 +547,41 @@ def test_perturbed_ratios_equal_per_bump_ratios(n, m):
                 est_p.numerator, est_p.denominator) == \
             (ref.ratio, ref.per_scramble, ref.error, ref.numerator,
              ref.denominator)
+    # support_nodes counts the nonzero bump values over both scrambles'
+    # nodes, mapped as the base estimate maps them
+    center, B = est.map
+    nodes = [center + np.einsum("nj,ij->ni", _polar_nodes(u, n)[0], B)
+             for s in (0, 1) for u in _sobol_chunks(d, m, s, 2 ** m)]
     counts = [est_p.support_nodes for est_p in got]
+    assert counts == [sum(np.count_nonzero(b.jets(x, order=1).value)
+                          for x in nodes) for b in bumps]
     assert counts[-1] == 0 and got[-1].ratio == est.ratio
     assert (got[-1].ratio - est.ratio) / est.ratio == 0.0
     assert any(c == 1 for c in counts) or n == 2
     assert all(est_p.ratio != est.ratio for est_p, c in zip(got, counts) if c)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_extremal_ratio_matches_the_oracle(n):
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracles.json"
+    oracle = json.loads(path.read_text())["fs_ratio"][f"n{n}"]
+    assert abs(extremal_ratio(n) / oracle - 1.0) < 1e-13
+
+
+def test_extremal_ratio_from_a_sympy_derivation_of_d():
+    # D = int (2h)^{-Q/2} over R^7 for the centred n=1 factor
+    # h = (1 + |q|^2)^2 + |w|^2, in polar coordinates in q and in w, and
+    # R(Phi) = kappa D^{2/Q} with kappa = (Q-2) S / (4(Q+2)) = 64
+    sp = pytest.importorskip("sympy")
+    r, t = sp.symbols("r t", positive=True)
+    q = 10
+    inner = sp.integrate(t ** 2 * (2 * ((1 + r ** 2) ** 2 + t ** 2))
+                         ** sp.Rational(-q, 2), (t, 0, sp.oo))
+    D = sp.integrate(2 * sp.pi ** 2 * r ** 3 * 4 * sp.pi * inner,
+                     (r, 0, sp.oo))
+    assert abs(float(D) / ORACLE_DEN - 1.0) < 1e-10
+    exact = float(64 * D ** sp.Rational(2, q))
+    assert abs(extremal_ratio(1) / exact - 1.0) < 1e-13
 
 
 def test_functional_invariances_at_reduced_sampling():
