@@ -7,9 +7,22 @@ conformal-change tensors, the explicit Yamabe extremal family, the
 algebraic identity suites, the exact 7x7 divergence-form matrix and a
 quasi-Monte Carlo Folland-Stein functional. The qcheis CLI wraps all of
 it; see README.
+
+Importing the package before numpy pins OpenBLAS to one thread, unless
+OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set: every product here is thin,
+so a second BLAS thread saves no wall time but spins on its own core. The
+qcheis CLI always imports the package first. A process that loaded numpy
+earlier keeps its thread pool and its environment.
 """
 
-from .quat import Quaternion, qmul
+import os
+import sys
+
+if "numpy" not in sys.modules and not (
+        {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys()):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from .quat import Quaternion, qmul  # noqa: E402 (after the BLAS pin)
 from .jets import (Jet2, DomainError, ScalarField, PolynomialField, JetField,
                    AffineMapField, CombinationField, coordinate_jets,
                    random_positive_polynomial, fd_oracle)

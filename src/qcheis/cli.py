@@ -7,7 +7,8 @@ residual (Yamabe PDE scan), scal (scalar-curvature constancy), torsion
 extremality). Every command emits a report with the same shape:
 
     {command, config, checks: [{name, max_residual, mean_residual,
-     tolerance, pass}], pass, wall_ms}
+     tolerance, pass}], pass, wall_ms,
+     environment: {python, numpy, blas_threads}}
 
 as JSON (default) or CSV; scan commands dump per-point residuals in CSV
 mode instead. The scans (residual, scal, torsion) share one set-up, which
@@ -39,6 +40,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import sys
 import time
 from fractions import Fraction
@@ -472,6 +475,20 @@ def _render_csv(report, point_dump):
                       for i, (row, v) in enumerate(block, lo))
 
 
+def _nonfinite(report, point_dump):
+    """Where a CSV report holds a non-finite number, or None: the checks'
+    residuals and the dumped points and values, which JSON would refuse."""
+    for c in report["checks"]:
+        if not (math.isfinite(c["max_residual"])
+                and math.isfinite(c["mean_residual"])):
+            return f"check {c['name']}"
+    if point_dump is not None:
+        label, pts, vals = point_dump
+        if not (np.isfinite(pts).all() and np.isfinite(vals).all()):
+            return f"point dump {label}"
+    return None
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -498,6 +515,10 @@ def main(argv=None):
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
         "wall_ms": wall_ms,
+        # blas_threads is null where OpenBLAS chose its own thread count
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__,
+                        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")},
     }
     if extra:
         report.update(extra)
@@ -511,6 +532,11 @@ def main(argv=None):
                   file=sys.stderr)
             return 2
     else:
+        where = _nonfinite(report, point_dump)
+        if where is not None:
+            print(f"qcheis: non-finite value in the report ({where})",
+                  file=sys.stderr)
+            return 2
         pieces = _render_csv(report, point_dump)
 
     if args.out:

@@ -219,7 +219,9 @@ class HorizontalFrame:
         """
         points = _scalars(points)
         q = points[:, :self.nh].reshape(-1, self.n, 4)
-        # einsum, not matmul: a thin (N, 4) product would start BLAS threads.
+        # einsum, not matmul: BLAS may sum a row differently with the size
+        # of its batch, and a scan's blocks must equal one evaluation over
+        # all its points (test_scan_blocks_equal_one_batch_evaluation).
         # The table takes the points' dtype: einsum over mixed dtypes runs a
         # buffered loop about twice as slow
         vmap = self._vmap.astype(points.dtype)

@@ -265,11 +265,13 @@ class AffineMapField(ScalarField):
 
     def jets(self, points, order=2):
         points = np.asarray(points)
-        # einsum, not matmul: a thin (N, d) product would start BLAS threads
-        mapped = np.einsum("nj,ij->ni", points, self.matrix) + self.offset
+        # BLAS products: a row's jet may move at round-off with the size of
+        # its batch, so a field reproduces its jets bit for bit only on the
+        # same batches (the functional evaluates whole node chunks)
+        mapped = points @ self.matrix.T + self.offset
         ju = self.base.jets(mapped, order=order)
         value = self.scale * ju.value
-        grad = self.scale * np.einsum("ni,ij->nj", ju.grad, self.matrix)
+        grad = self.scale * (ju.grad @ self.matrix)
         if ju.hess is None:
             return Jet2(value, grad, None)
         hess = self.scale * np.einsum(

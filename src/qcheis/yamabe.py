@@ -138,7 +138,9 @@ def h_explicit(params: ExtremalParams) -> ScalarField:
         points = np.ascontiguousarray(points, dtype=float)
         s = points[:, :nh] + q0
         r = sigma + np.einsum("ni,ni->n", s, s)
-        # einsum, not matmul: a thin (N, d) product would start BLAS threads
+        # einsum, not matmul: BLAS may sum a row differently with the size
+        # of its batch, and a scan's blocks must equal one evaluation over
+        # all its points (test_scan_blocks_equal_one_batch_evaluation)
         tw = np.einsum("nj,sj->ns", points, T) + w0
         value = c0 * (r * r + np.einsum("ns,ns->n", tw, tw))
         grad = np.einsum("ns,sj->nj", tw, twist_grad)
@@ -310,7 +312,8 @@ class BumpField(ScalarField):
         # every operation is row-wise, and the einsum sums run along
         # C-ordered rows, so a row gets the same jet in a batch of any size
         # and layout (functional_estimates evaluates bumps on subsets of a
-        # chunk and relies on this)
+        # chunk and relies on this); a matmul's sums may depend on the
+        # batch, so none is used (test_bump_jets_do_not_depend_on_the_batch)
         points = np.ascontiguousarray(points, dtype=float)
         dx = points - self.center
         u = np.maximum(1.0 - self._rho2(dx), 0.0)
@@ -549,7 +552,7 @@ def _pilot_moments(u, two_star, n, m, seed, center, B):
     xs, vals = [], []
     for unit in _sobol_chunks(4 * n + 3, m, seed, _CHUNK):
         z, w = _polar_nodes(unit, n)
-        xs.append(center + np.einsum("nj,ij->ni", z, B))
+        xs.append(center + z @ B.T)
         vals.append(np.abs(u.jets(xs[-1], order=1).value) ** two_star * w)
     x = np.concatenate(xs)
     vals_all = np.concatenate(vals)
@@ -558,7 +561,7 @@ def _pilot_moments(u, two_star, n, m, seed, center, B):
         raise DomainError("field has no mass under the pilot nodes")
     c = (vals_all[:, None] * x).sum(axis=0) / tot
     xc = x - c
-    cov = np.einsum("n,ni,nj->ij", vals_all, xc, xc) / tot
+    cov = (vals_all[:, None] * xc).T @ xc / tot
     return c, (cov + cov.T) / 2.0
 
 
@@ -585,7 +588,7 @@ def _chunk_sums(target, z, wts, frame, two_star, eps):
     and a bump that holds no node reproduces u's sums exactly.
     """
     u, center, B, bumps = target
-    pts = center + np.einsum("nj,ij->ni", z, B)
+    pts = center + z @ B.T
     V = frame.vertical_coefficients(pts)
     ju = u.jets(pts, order=1)
     fg = horizontal_gradient(V, ju.grad)

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -221,6 +222,23 @@ def test_no_subcommand_loads_scipy():
     assert out.strip() == "[]"
 
 
+def test_json_report_names_its_environment(tmp_path):
+    # in process, numpy loaded before qcheis, so the report echoes whatever
+    # OPENBLAS_NUM_THREADS this process has; a fresh CLI process pins it
+    _, report = _run_json(tmp_path, ["qmatrix"])
+    assert report["environment"] == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
+    src = str(Path(qcheis.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    out = subprocess.run([sys.executable, "-m", "qcheis.cli", "qmatrix"],
+                         env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert json.loads(out)["environment"]["blas_threads"] == "1"
+
+
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_exit_two_on_negative_seed(command, capsys):
     # numpy's generators refuse a negative seed; it used to escape as a
@@ -237,6 +255,27 @@ def test_exit_two_when_the_report_cannot_be_written(tmp_path, capsys):
     out = tmp_path / "missing" / "report.json"
     assert main(["qmatrix", "--out", str(out)]) == 2
     assert "cannot write the report" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("args", [
+    # a NaN in the dumped residual column, an inf in the dumped deviations,
+    # and a NaN in a check that is not dumped (ubar_norm)
+    ["residual", "--box", "1e200"], ["scal", "--c0", "1e300"],
+    ["torsion", "--c0", "1e200"],
+], ids=lambda args: args[0])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exit_two_on_a_non_finite_report_in_either_format(tmp_path, capsys,
+                                                          args, fmt):
+    # CSV writes nan and inf as text, so it needs the rule JSON enforces
+    argv = args + ["--points", "5", "--format", fmt]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "non-finite value in the report" in captured.err
+    assert captured.out == ""
+    out = tmp_path / "report"
+    assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
 
 
