@@ -499,7 +499,10 @@ def main(argv=None):
     rng = np.random.default_rng(args.seed)
     started = time.perf_counter()
     try:
-        checks, extra, point_dump = args.func(args, rng)
+        # overflow and NaN in a float scan are reported once, by the
+        # non-finite check below, not as numpy warnings on the way
+        with np.errstate(all="ignore"):
+            checks, extra, point_dump = args.func(args, rng)
     except (DomainError, ValueError) as exc:
         print(f"qcheis: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -17,11 +17,16 @@ read off the same coefficients; left multiplication by i, j, k gives the
 complex structures I_s. The coefficient maps are affine in the point and
 keep its scalar type: float points give float coefficients, exact points
 (Fraction or int) exact ones. So the float scans and the exact frame_audit
-run the same code. frame_audit certifies, in exact rational arithmetic,
-the facts that pin every convention: Theta_s annihilates the frame,
-Theta_s(xi_k) = delta_sk for the Reeb normalization xi_s = 2 d/dw_s,
-d(Theta_s)(e_a, e_b) = 2 g(I_s e_a, e_b), and the I_s satisfy the
-quaternion relations.
+run the same code. frame_audit certifies exactly the facts that pin every
+convention: Theta_s annihilates the frame, Theta_s(xi_k) = delta_sk for
+the Reeb normalization xi_s = 2 d/dw_s, d(Theta_s)(e_a, e_b) =
+2 g(I_s e_a, e_b), and the I_s satisfy the quaternion relations. It
+evaluates the maps at integer points K and at the origin and reads the
+coefficients at its rational points K/16 off 16 f(K/16) = f(K) + 15 f(0).
+Every contraction then runs on int64 numerators over one common
+denominator, once a bound from the largest numerators and the dimensions
+shows that no entry reaches 2^62 (ValueError otherwise). No contraction
+touches a Fraction, and each violation is one exact Fraction.
 
 Second-order operators use that the frame is parallel for the flat Biquard
 connection: grad-dh(e_a, e_b) = e_a(e_b h), computed from the ambient jet of
@@ -62,7 +67,9 @@ _IM_CONJ = (_HAMILTON * np.array([1, -1, -1, -1])[None, :, None])[:, :, 1:]
 
 def _scalars(x):
     """x as an array for the coefficient maps: floating input as float64,
-    any other (int, Fraction) as exact Python scalars in an object array."""
+    any other (int, Fraction) as exact Python scalars in an object array.
+    Integer input too: ContactForm.coefficients writes Fraction(1, 2) into
+    an array of this dtype, which an int64 array would store as 0."""
     x = np.asarray(x)
     return x.astype(float, copy=False) if x.dtype.kind == "f" else x.astype(object)
 
@@ -260,17 +267,24 @@ class AuditReport:
         return all(v == 0 for v in self.violations.values())
 
 
-def _numerators(*arrays):
-    """Exact arrays as Python-int numerators over one common denominator:
-    (numerator arrays, denominator)."""
-    den = math.lcm(*(v.denominator for a in arrays for v in a.flat))
-    scale = np.frompyfunc(lambda v: v.numerator * (den // v.denominator), 1, 1)
-    return [scale(a) for a in arrays], den
+def _denominator(*arrays):
+    """The least common denominator of exact (int, Fraction) arrays."""
+    return math.lcm(*{v.denominator for a in arrays for v in a.flat})
 
 
-def _max_abs(*arrays):
-    """The largest |entry| of exact arrays, as a Fraction."""
-    return Fraction(max(abs(v) for a in arrays for v in a.flat))
+def _int64(a, scale):
+    """The integers a * scale of an exact array as int64; scale must clear
+    every denominator of a."""
+    a = np.asarray(a, dtype=object)
+    try:
+        return (a * scale if scale != 1 else a).astype(np.int64)
+    except OverflowError:
+        raise ValueError("an audit numerator does not fit in int64") from None
+
+
+def _peak(*arrays):
+    """The largest |entry| of int64 arrays, as a Python int."""
+    return max(max(int(a.max()), -int(a.min())) for a in arrays)
 
 
 def frame_audit(frame: HorizontalFrame, contact: ContactForm = None,
@@ -281,42 +295,62 @@ def frame_audit(frame: HorizontalFrame, contact: ContactForm = None,
     Theta_s(e_b) = 0; Theta_s(xi_k) = delta_sk; d(Theta_s)(e_a, e_b) =
     2 g(I_s e_a, e_b); and the quaternion relations of the I_s. The frame
     and the contact form are evaluated by their coefficient methods at the
-    exact points. The reeb and Is arguments (lists of lists of int or
-    Fraction) exist so tests can audit deliberately broken frames; by
-    default the frame's own arrays are used. All violations are exact
-    maxima over Fractions, zero means zero.
+    integer points K and at the origin, exactly; as the maps are affine,
+    16 f(K/16) = f(K) + 15 f(0) gives the coefficients at the audited
+    points K/16 from evaluations on Python ints. The reeb and Is arguments
+    (lists of lists of int or Fraction) exist so tests can audit
+    deliberately broken frames; by default the frame's own arrays are used.
+
+    Every table becomes an int64 numerator array over one common
+    denominator, and the contractions and maxima run in int64. Before
+    them, a bound on every entry from the largest numerators and the
+    dimensions must stay below 2^62, else ValueError: nothing can wrap.
+    Each violation is one exact Fraction, zero means zero.
     """
     if n_points < 1:
         raise ValueError("the audit needs at least one point")
-    n, d = frame.n, frame.dim
+    n, d, nh = frame.n, frame.dim, frame.nh
     contact = contact or ContactForm(n)
-    reeb = np.array(frame.reeb if reeb is None else reeb, dtype=object)
-    Is = np.array(frame.Is if Is is None else Is, dtype=object)
+    reeb = np.asarray(frame.reeb if reeb is None else reeb)
+    Is = np.asarray(frame.Is if Is is None else Is)
+    W = np.array([contact.dtheta(s) for s in range(3)])
 
     rng = np.random.default_rng(seed)
-    points = np.array([Fraction(int(k), 16) for k in
-                       rng.integers(-32, 33, size=n_points * d)],
-                      dtype=object).reshape(n_points, d)
-    # the contractions below have up to a million terms at a few hundred
-    # points, so they run on integer numerators, not on Fractions
-    (theta, C, W), den = _numerators(
-        contact.coefficients(points), frame.coefficients(points),
-        np.array([contact.dtheta(s) for s in range(3)]))
+    K = rng.integers(-32, 33, size=n_points * d).reshape(n_points, d)
+    origin = np.zeros((1, d), dtype=int)
+    # 16 f(K/16) of both coefficient maps, exact, as the maps are affine
+    theta16, C16 = (f(K) + 15 * f(origin)
+                    for f in (contact.coefficients, frame.coefficients))
+    den = math.lcm(16 * _denominator(theta16, C16), _denominator(W, reeb, Is))
+    theta, C = (_int64(a, den // 16) for a in (theta16, C16))
+    W, reeb, Is = (_int64(a, den) for a in (W, reeb, Is))
+
+    # a bound on |entry| of every product and difference below: under
+    # 2^62, none can wrap
+    mt, mC, mW, mr, mI = map(_peak, (theta, C, W, reeb, Is))
+    bound = max(d * mt * mC, d * mt * mr + den ** 2,
+                d * d * mC * mW * mC + 2 * den ** 2 * mI,
+                nh * mI * mI + den * mI + den ** 2)
+    if bound >= 2 ** 62:
+        raise ValueError("the audit's numerators could overflow int64")
+
     Ct = np.swapaxes(C, 1, 2)
-    ident = np.eye(frame.nh, dtype=int)
+    ident = den ** 2 * np.eye(nh, dtype=np.int64)
     cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     return AuditReport(n=n, points=n_points, violations={
         # Theta_s(e_b) is theta C^T over den^2
-        "theta_on_frame": _max_abs(theta @ Ct) / den ** 2,
-        "reeb_normalization": _max_abs(
-            theta @ reeb.T - den * np.eye(3, dtype=int)) / den,
-        # d(Theta_s)(e_a, e_b) is C W_s C^T over den^3; g(I_s e_a, e_b) = (I_s)_{ba}
-        "compatibility_2g": _max_abs(
+        "theta_on_frame": Fraction(_peak(theta @ Ct), den ** 2),
+        "reeb_normalization": Fraction(_peak(
+            theta @ reeb.T - den ** 2 * np.eye(3, dtype=np.int64)), den ** 2),
+        # d(Theta_s)(e_a, e_b) is C W_s C^T over den^3, and
+        # g(I_s e_a, e_b) = (I_s)_{ba}
+        "compatibility_2g": Fraction(_peak(
             C[:, None] @ W @ Ct[:, None]
-            - 2 * den ** 3 * np.swapaxes(Is, 1, 2)) / den ** 3,
-        "quaternion_relations": _max_abs(
-            *(Is[i] @ Is[j] - Is[k] for i, j, k in cyclic),
+            - 2 * den ** 2 * np.swapaxes(Is, 1, 2)), den ** 3),
+        "quaternion_relations": Fraction(_peak(
+            *(Is[i] @ Is[j] - den * Is[k] for i, j, k in cyclic),
             *(I @ I + ident for I in Is), *(I.T @ I - ident for I in Is)),
+            den ** 2),
     })
 
 

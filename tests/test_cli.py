@@ -265,14 +265,18 @@ def test_exit_two_when_the_report_cannot_be_written(tmp_path, capsys):
     ["residual", "--box", "1e200"], ["scal", "--c0", "1e300"],
     ["torsion", "--c0", "1e200"],
 ], ids=lambda args: args[0])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_exit_two_on_a_non_finite_report_in_either_format(tmp_path, capsys,
                                                           args, fmt):
-    # CSV writes nan and inf as text, so it needs the rule JSON enforces
+    # CSV writes nan and inf as text, so it needs the rule JSON enforces;
+    # numpy's overflow warnings are silenced, so (with warnings as errors
+    # here) stderr holds the one exit-2 line and nothing else
     argv = args + ["--points", "5", "--format", fmt]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert "non-finite value in the report" in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("qcheis: non-finite value in the report")
     assert captured.out == ""
     out = tmp_path / "report"
     assert main(argv + ["--out", str(out)]) == 2

@@ -1,6 +1,7 @@
 """Group law, contact structure, frame audit, and frame differential ops."""
 
 import copy
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -205,6 +206,110 @@ def test_frame_audit_flags_tampered_frame_coefficients(n):
     report = frame_audit(frame, n_points=10, seed=4)
     assert report.violations["theta_on_frame"] > 0
     assert frame_audit(HorizontalFrame(n), n_points=10, seed=4).all_zero
+
+
+def _reference_audit(frame, n_points, seed, reeb=None, Is=None):
+    """frame_audit's checks in unbounded exact arithmetic: the coefficient
+    maps at the Fraction points k/16, the contractions on Python-int
+    numerators over one common denominator, and each violation a Fraction
+    maximum."""
+    n, d, nh = frame.n, frame.dim, frame.nh
+    contact = ContactForm(n)
+    rng = np.random.default_rng(seed)
+    points = np.array([Fraction(int(k), 16) for k in rng.integers(
+        -32, 33, size=n_points * d)], dtype=object).reshape(n_points, d)
+    arrays = [contact.coefficients(points), frame.coefficients(points),
+              np.array([contact.dtheta(s) for s in range(3)]),
+              np.array(frame.reeb if reeb is None else reeb, dtype=object),
+              np.array(frame.Is if Is is None else Is, dtype=object)]
+    den = math.lcm(*(Fraction(v).denominator for a in arrays for v in a.flat))
+    scale = np.frompyfunc(lambda v: int(v * den), 1, 1)
+    theta, C, W, reeb, Is = (scale(a) for a in arrays)
+    Ct, ident = np.swapaxes(C, 1, 2), den * den * np.eye(nh, dtype=int)
+
+    def peak(power, *arrays):
+        return Fraction(max(abs(v) for a in arrays for v in a.flat),
+                        den ** power)
+    return {
+        "theta_on_frame": peak(2, theta @ Ct),
+        "reeb_normalization": peak(
+            2, theta @ reeb.T - den * den * np.eye(3, dtype=int)),
+        "compatibility_2g": peak(3, C[:, None] @ W @ Ct[:, None]
+                                 - 2 * den * den * np.swapaxes(Is, 1, 2)),
+        "quaternion_relations": peak(
+            2, *(Is[i] @ Is[j] - den * Is[k]
+                 for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1))),
+            *(I @ I + ident for I in Is), *(I.T @ I - ident for I in Is)),
+    }
+
+
+def _assert_audit_matches_reference(frame, n_points, seed, **tamper):
+    got = frame_audit(frame, n_points=n_points, seed=seed, **tamper)
+    want = _reference_audit(frame, n_points, seed, **tamper)
+    assert got.violations == want
+    assert all(type(v) is Fraction for v in got.violations.values())
+
+
+@pytest.mark.parametrize("n_points", [1, 30, 100])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2])
+def test_frame_audit_matches_the_fraction_reference(n, seed, n_points):
+    _assert_audit_matches_reference(HorizontalFrame(n), n_points, seed)
+
+
+def _tampers(n):
+    """Broken reeb and Is arguments: a Reeb field with a non-integral
+    entry, a sign-flipped I_1, an I_2 with a third in it, and a large Reeb
+    entry whose contractions still fit in int64."""
+    frame = HorizontalFrame(n)
+    reeb = frame.reeb.astype(object)
+    reeb[0, 4 * n] = Fraction(5, 2)
+    flipped = frame.Is.astype(object)
+    flipped[0] *= -1
+    thirds = frame.Is.astype(object)
+    thirds[1, 0, 1] = Fraction(1, 3)
+    large = frame.reeb.astype(object)
+    large[2, 4 * n + 2] = 2 ** 40
+    return [{"reeb": reeb}, {"Is": flipped}, {"Is": thirds}, {"reeb": large}]
+
+
+@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("n", [1, 2])
+def test_frame_audit_matches_the_reference_on_broken_frames(n, case):
+    tamper = _tampers(n)[case]
+    _assert_audit_matches_reference(HorizontalFrame(n), 30, 5, **tamper)
+    assert frame_audit(HorizontalFrame(n), n_points=30, seed=5,
+                       **tamper).max_violation > 0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_frame_audit_matches_the_reference_on_a_tampered_vmap(n):
+    frame = copy.deepcopy(HorizontalFrame(n))
+    frame._vmap[1, 0] += 1
+    _assert_audit_matches_reference(frame, 30, 6)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_coefficient_maps_are_affine_at_the_audit_points(n):
+    # frame_audit reads the coefficients at K/16 off 16 f(K/16) = f(K) +
+    # 15 f(0); this holds exactly only because both maps are affine
+    rng = np.random.default_rng(60 + n)
+    K = rng.integers(-32, 33, size=(200, 4 * n + 3))
+    scaled = np.vectorize(lambda k: Fraction(int(k), 16), otypes=[object])(K)
+    origin = np.zeros((1, 4 * n + 3), dtype=int)
+    for f in (ContactForm(n).coefficients, HorizontalFrame(n).coefficients):
+        assert (16 * f(scaled) == f(K) + 15 * f(origin)).all()
+
+
+@pytest.mark.parametrize("entry", [2 ** 70, 2 ** 55], ids=["2^70", "2^55"])
+def test_frame_audit_refuses_numerators_that_could_overflow_int64(entry):
+    # 2^70 does not fit in int64 at all; 2^55 fits, but its contraction
+    # with the contact coefficients would pass 2^62, so the bound refuses it
+    frame = HorizontalFrame(1)
+    reeb = frame.reeb.astype(object)
+    reeb[0, 4] = entry
+    with pytest.raises(ValueError):
+        frame_audit(frame, n_points=10, seed=0, reeb=reeb)
 
 
 @pytest.mark.parametrize("n", [1, 2])
