@@ -50,7 +50,7 @@ import numpy as np
 
 from .heis import ContactForm, GroupPoint, HorizontalFrame, frame_audit
 from .jets import DomainError, random_positive_polynomial
-from .qmatrix import (_QUAD_A, _QUAD_B, QMatrix, build_q, certify, poly_eval,
+from .qmatrix import (CLAIMED_FACTORS, QMatrix, build_q, certify, poly_eval,
                       poly_mod_quadratic, spectral_certificate)
 from .tensors import (aux_forms_from_torsion, f_alternative_from_ds,
                       dd_ee_identity_check, random_torsion, relative_residual,
@@ -59,8 +59,6 @@ from .yamabe import (ExtremalParams, YamabeConstants, bump_field,
                      conformal_scal, conformal_torsion, dilated_field,
                      extremal_ratio, functional_estimates, h_explicit,
                      phi_explicit, translated_field, yamabe_residual)
-
-_FLOOR = 1e-30
 
 # per-class default tolerances; --tol-exact / --tol-quad override whole classes
 _TOL_JET = 1e-9
@@ -225,10 +223,9 @@ def cmd_audit(args, rng):
 
 def cmd_residual(args, rng):
     def per_row(phi, rows, frame, consts):
-        r, t1, t2 = yamabe_residual(phi, consts.s_theta, rows, frame,
+        _, t1, t2 = yamabe_residual(phi, consts.s_theta, rows, frame,
                                     return_terms=True)
-        return {"rel": np.abs(r) / np.maximum(
-            np.maximum(np.abs(t1), np.abs(t2)), _FLOOR)}
+        return {"rel": relative_residual(t1[:, None], -t2[:, None])}
 
     consts, pts, out = _scan(args, rng, phi_explicit, per_row)
     checks = [_check("yamabe_pde_relative_residual", out["rel"],
@@ -323,18 +320,16 @@ def cmd_qmatrix(args, rng):
     # the tampered matrix fails certify's claims, so it is only reported
     cert = spectral_certificate(q) if args.tamper_q else certify(q)
     poly = cert.char_coeffs
+    _, quad_a, quad_b = (factor for factor, _, _ in CLAIMED_FACTORS)
     at_one = abs(poly_eval(poly, Fraction(1)))
-    rem_a = max(abs(c) for c in poly_mod_quadratic(poly, _QUAD_A))
-    rem_b = max(abs(c) for c in poly_mod_quadratic(poly, _QUAD_B))
+    rem_a = max(abs(c) for c in poly_mod_quadratic(poly, quad_a))
+    rem_b = max(abs(c) for c in poly_mod_quadratic(poly, quad_b))
     minors_ok = 0.0 if cert.positive_definite else 1.0
     shifted_ok = 0.0 if cert.shifted_minors_nonnegative else 1.0
 
-    claimed = sorted([1.0,
-                      (9 - 73 ** 0.5) / 2, (9 + 73 ** 0.5) / 2,
-                      (11 - 89 ** 0.5) / 2, (11 - 89 ** 0.5) / 2,
-                      (11 + 89 ** 0.5) / 2, (11 + 89 ** 0.5) / 2])
-    floats = np.sort(np.linalg.eigvalsh(
-        np.array([[float(q[i, j]) for j in range(7)] for i in range(7)])))
+    claimed = sorted(v for _, mult, roots in CLAIMED_FACTORS
+                     for v, _ in roots for _ in range(mult))
+    floats = np.sort(np.linalg.eigvalsh(np.array(q.entries, dtype=float)))
     eig_dev = float(np.max(np.abs(floats - np.array(claimed))))
 
     checks = [

@@ -162,7 +162,8 @@ class PolynomialField(ScalarField):
     monomials maps exponent tuples to coefficients. Because the derivatives
     are written out directly from the exponents, this class doubles as an
     independent oracle for jet-arithmetic pipelines, and it is exact when the
-    coefficients and evaluation points are Fractions.
+    coefficients and evaluation points are Fractions or ints, one of them
+    Fractions.
     """
 
     def __init__(self, dim, monomials):
@@ -177,16 +178,14 @@ class PolynomialField(ScalarField):
         n, d = points.shape
         if d != self.dim:
             raise ValueError("point dimension mismatch")
-        if points.dtype == object:
-            from fractions import Fraction
-            zero = Fraction(0)
-            value = np.full(n, zero, dtype=object)
-            grad = np.full((n, d), zero, dtype=object)
-            hess = None if order == 1 else np.full((n, d, d), zero, dtype=object)
-        else:
-            value = np.zeros(n, dtype=points.dtype)
-            grad = np.zeros((n, d), dtype=points.dtype)
-            hess = None if order == 1 else np.zeros((n, d, d), dtype=points.dtype)
+        # the result type of points and coefficients: int points take float
+        # coefficients' type, and Fraction points or coefficients make it
+        # object, where Fraction and int sums stay exact (a zero that no
+        # term reaches is the int 0)
+        dtype = np.result_type(points, np.array(list(self.monomials.values())))
+        value = np.zeros(n, dtype=dtype)
+        grad = np.zeros((n, d), dtype=dtype)
+        hess = None if order == 1 else np.zeros((n, d, d), dtype=dtype)
 
         for expo, coef in self.monomials.items():
             term = coef * self._power(points, expo)
@@ -224,16 +223,6 @@ class PolynomialField(ScalarField):
             one = points[:, 0] * 0 + 1
             return one
         return out
-
-    def values(self, points):
-        points = np.asarray(points)
-        if points.dtype == object:
-            value = points[:, 0] * 0
-        else:
-            value = np.zeros(points.shape[0], dtype=points.dtype)
-        for expo, coef in self.monomials.items():
-            value = value + coef * self._power(points, expo)
-        return value
 
 
 class JetField(ScalarField):

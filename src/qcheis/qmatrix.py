@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
-import numpy as np
-
 F = Fraction
 
 _Q_ROWS = (
@@ -42,10 +40,17 @@ _Q_ROWS = (
     (F(-2), F(-2, 3), F(-2, 3), F(10, 3), F(-2, 3), F(-2, 3), F(22, 3)),
 )
 
-# the factors the spectrum is tested against, monic, descending coefficients
-_LINEAR = (F(1), F(-1))            # x - 1
-_QUAD_A = (F(1), F(-9), F(2))      # roots (9 +- sqrt 73)/2
-_QUAD_B = (F(1), F(-11), F(8))     # roots (11 +- sqrt 89)/2
+# the claimed factorization of det(xI - Q): each monic factor by descending
+# coefficients, its claimed multiplicity, and its roots as (float, label)
+CLAIMED_FACTORS = (
+    ((F(1), F(-1)), 1, ((1.0, "1"),)),
+    ((F(1), F(-9), F(2)), 1,
+     (((9.0 - sqrt(73.0)) / 2.0, "(9 - sqrt(73))/2"),
+      ((9.0 + sqrt(73.0)) / 2.0, "(9 + sqrt(73))/2"))),
+    ((F(1), F(-11), F(8)), 2,
+     (((11.0 - sqrt(89.0)) / 2.0, "(11 - sqrt(89))/2"),
+      ((11.0 + sqrt(89.0)) / 2.0, "(11 + sqrt(89))/2"))),
+)
 
 
 @dataclass(frozen=True)
@@ -67,11 +72,6 @@ class QMatrix:
 
 def build_q() -> QMatrix:
     return QMatrix(entries=_Q_ROWS)
-
-
-def q_float():
-    """The matrix as a float array, for float cross-checks."""
-    return np.array([[float(v) for v in row] for row in _Q_ROWS])
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +164,10 @@ def leading_minors(rows):
 
 
 def poly_eval(poly, x):
-    acc = F(0) if isinstance(x, Fraction) else 0.0
+    """poly, by descending coefficients, at x by Horner's rule."""
+    acc = 0
     for c in poly:
-        acc = acc * x + (c if isinstance(x, Fraction) else float(c))
+        acc = acc * x + c
     return acc
 
 
@@ -230,28 +231,20 @@ class SpectralCertificate:
 def spectral_certificate(q: QMatrix) -> SpectralCertificate:
     """Factorization, minors and eigenvalues of q as found: a matrix that
     fails the claims is reported here, and certify() raises on it."""
-    poly = char_poly(q)
-    m1, rest = factor_multiplicity(poly, _LINEAR)
-    ma, rest = factor_multiplicity(rest, _QUAD_A)
-    mb, rest = factor_multiplicity(rest, _QUAD_B)
-
-    r73 = sqrt(73.0)
-    r89 = sqrt(89.0)
-    eigenvalues = (
-        (1.0, m1, "1"),
-        ((9.0 - r73) / 2.0, ma, "(9 - sqrt(73))/2"),
-        ((9.0 + r73) / 2.0, ma, "(9 + sqrt(73))/2"),
-        ((11.0 - r89) / 2.0, mb, "(11 - sqrt(89))/2"),
-        ((11.0 + r89) / 2.0, mb, "(11 + sqrt(89))/2"),
-    )
+    poly = rest = char_poly(q)
+    factors, eigenvalues = [], []
+    for factor, _, roots in CLAIMED_FACTORS:
+        found, rest = factor_multiplicity(rest, factor)
+        factors.append((factor, found))
+        eigenvalues += [(v, found, label) for v, label in roots]
     shifted = [[q[i, j] - (1 if i == j else 0) for j in range(7)]
                for i in range(7)]
     return SpectralCertificate(
         matrix=q,
         char_coeffs=poly,
-        factors=((_LINEAR, m1), (_QUAD_A, ma), (_QUAD_B, mb)),
+        factors=tuple(factors),
         unfactored=rest,
-        eigenvalues=eigenvalues,
+        eigenvalues=tuple(eigenvalues),
         minors=leading_minors(q.entries),
         minors_shifted=leading_minors(shifted),
     )

@@ -170,7 +170,7 @@ def phi_from_h(h_field: ScalarField, qdim) -> ScalarField:
 
 
 def phi_explicit(params: ExtremalParams) -> ScalarField:
-    return phi_from_h(h_explicit(params), 4 * params.n + 6)
+    return phi_from_h(h_explicit(params), _exponents(params.n)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def yamabe_residual(phi: ScalarField, s_const, points, frame: HorizontalFrame,
     residuals relative to the size of the terms that are cancelling.
     """
     points = np.asarray(points, dtype=float)
-    q = 4 * frame.n + 6
+    q, _ = _exponents(frame.n)
     value, _, fh, _ = frame_second_order(phi, points, frame)
     if np.any(value <= 0):
         raise DomainError("Phi must be positive at the evaluation points")

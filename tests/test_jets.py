@@ -1,5 +1,7 @@
 """Second-order jet arithmetic against finite differences and hand values."""
 
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,44 @@ def test_polynomial_field_hand_values():
         assert np.isclose(v, x * x * y + 3 * y)
         assert _close(g, [2 * x * y, x * x + 3], 1e-12)
         assert _close(H, [[2 * y, 2 * x], [2 * x, 0.0]], 1e-12)
+
+
+def test_polynomial_field_integer_points_are_not_truncated():
+    # f(x, y) = x^2 y / 4 + 3 y: float jets at int points, equal to the
+    # jets at the same points as floats
+    f = PolynomialField(2, {(2, 1): 0.25, (0, 1): 3.0})
+    got = f.jets(np.array([[3, 1], [-1, 2]]))
+    expect = f.jets(np.array([[3.0, 1.0], [-1.0, 2.0]]))
+    for a, b in ((got.value, expect.value), (got.grad, expect.grad),
+                 (got.hess, expect.hess)):
+        assert a.dtype == np.float64
+        assert np.array_equal(a, b)
+    assert np.array_equal(got.grad[0], [1.5, 5.25])
+    assert np.array_equal(f.values(np.array([[3, 1]])), [5.25])
+
+
+@pytest.mark.parametrize("monomials, points", [
+    ({(2, 1): F(1, 4), (0, 1): 3}, [[3, F(2, 3)], [F(-1, 2), 2]]),
+    ({(2, 1): F(1, 4), (0, 1): 3}, [[3, 1], [-1, 2]]),
+    ({(2, 1): 1, (0, 1): 3}, [[3, F(2, 3)], [F(-1, 2), 2]]),
+], ids=["fraction-points", "fraction-coefficients", "int-coefficients"])
+def test_polynomial_field_is_exact_on_fractions(monomials, points):
+    # f(x, y) = c x^2 y + 3 y with Fraction coefficients or points: every
+    # jet entry is the exact rational the hand derivatives give
+    f = PolynomialField(2, monomials)
+    c = F(monomials[(2, 1)])
+    jf = f.jets(np.array(points))
+    for (x, y), v, g, H in zip(points, jf.value, jf.grad, jf.hess):
+        x, y = F(x), F(y)
+        want = [c * x * x * y + 3 * y, 2 * c * x * y, c * x * x + 3,
+                2 * c * y, 2 * c * x, 2 * c * x, 0]
+        got = [v, *g, *H.ravel()]
+        assert got == want
+        # exact throughout: an entry is a Fraction, or an int where only
+        # ints reach it (the zero Hessian entry is the int 0), never a float
+        assert type(v) is F
+        assert all(type(e) in (F, int) for e in got)
+    assert list(f.values(np.array(points))) == list(jf.value)
 
 
 def test_product_rule():

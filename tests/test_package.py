@@ -1,4 +1,8 @@
-"""The package's hand-kept export list and its BLAS thread policy."""
+"""The package's BLAS thread policy.
+
+The package imports no submodule, so each check imports numpy after it:
+that is when OpenBLAS reads its thread count and starts its pool.
+"""
 
 import os
 import subprocess
@@ -12,12 +16,6 @@ import qcheis
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def test_all_names_resolve_without_duplicates():
-    assert len(qcheis.__all__) == len(set(qcheis.__all__))
-    missing = [name for name in qcheis.__all__ if not hasattr(qcheis, name)]
-    assert missing == []
-
-
 def _fresh_interpreter(code, **env):
     """Standard output lines of `python -c code` in a fresh interpreter
     with neither thread variable set unless given in env."""
@@ -29,17 +27,29 @@ def _fresh_interpreter(code, **env):
                           check=True).stdout.split()
 
 
+_COUNT_TASKS = (
+    "import os, qcheis, numpy\n"
+    "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    "task = '/proc/self/task'\n"
+    "print(len(os.listdir(task)) if os.path.isdir(task) else 'none')\n")
+
+
 def test_import_pins_blas_to_one_thread():
     # every product is thin, so a second OpenBLAS thread only spins; with
     # the pin the process runs on its main thread alone
-    threads, tasks = _fresh_interpreter(
-        "import os, qcheis\n"
-        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
-        "task = '/proc/self/task'\n"
-        "print(len(os.listdir(task)) if os.path.isdir(task) else 'none')\n")
+    threads, tasks = _fresh_interpreter(_COUNT_TASKS)
     assert threads == "1"
     if tasks != "none":
         assert tasks == "1"
+
+
+def test_a_preset_thread_count_starts_that_many_threads():
+    # negative control for the check above: the same count sees the pool
+    # that a preset count starts, as OpenBLAS caps it at the usable cores
+    threads, tasks = _fresh_interpreter(_COUNT_TASKS, OPENBLAS_NUM_THREADS="2")
+    assert threads == "2"
+    if tasks != "none":
+        assert tasks == str(min(2, len(os.sched_getaffinity(0))))
 
 
 @pytest.mark.parametrize("var", _THREAD_VARS)

@@ -13,7 +13,7 @@ import pytest
 
 from qcheis.qmatrix import (QMatrix, build_q, certify, char_poly,
                             factor_multiplicity, leading_minors, poly_divmod,
-                            poly_eval, poly_mod_quadratic, q_float,
+                            poly_eval, poly_mod_quadratic,
                             spectral_certificate)
 
 CHAR_POLY = (F(1), F(-32), F(368), F(-1790), F(3375), F(-2850), F(1056),
@@ -100,7 +100,7 @@ def test_certificate_contents():
 def test_certificate_matches_float_spectrum():
     cert = certify()
     expect = sorted(v for v, m, _ in cert.eigenvalues for _ in range(m))
-    got = sorted(np.linalg.eigvalsh(q_float()))
+    got = sorted(np.linalg.eigvalsh(np.array(build_q().entries, dtype=float)))
     assert np.max(np.abs(np.array(got) - np.array(expect))) < 1e-12
 
 
