@@ -27,11 +27,15 @@ and under u -> lam^{(Q-2)/2} u o delta_lam, and the extremal Phi minimizes
 it; the scans in the test-suite and CLI exercise exactly those statements.
 
 The nodes are streamed: each scramble's Sobol points are drawn in chunks
-and mapped to polar nodes once, so no full node set is ever held, and each
-field maps them through its own fitted affine map. R(Phi), its translate,
-its two dilates and R(Phi + eps b) for the compactly supported bumps b of
-the extremality test all share one draw per scramble. Each bump is
-evaluated only at the nodes inside its support, and every integrand is
+of 2^12 rows and mapped to polar nodes once, so no full node set is ever
+held, and each field maps them through its own fitted affine map. Chunks
+of that size keep every working array small enough for the allocator to
+reuse it from one chunk to the next instead of mapping and faulting in
+fresh pages. R(Phi), its translate, its two dilates and R(Phi + eps b) for
+the compactly supported bumps b of the extremality test all share one draw
+per scramble. Each bump is evaluated only at the nodes inside its support,
+found by one screen of all bumps per chunk followed by the bump's exact
+support test on the rows the screen keeps, and every integrand is
 reduced exactly as for a single field, so each result equals the separate
 estimate of its field bit for bit. The exact R(Phi) is extremal_ratio(n).
 
@@ -134,17 +138,29 @@ def h_explicit(params: ExtremalParams) -> ScalarField:
     twist_grad = 2.0 * c0 * T
     q_diag = np.arange(nh)
 
+    # at q0 = 0 the twist does not depend on q: T = [0 | Id], so tw = w + w0
+    # and T^T tw = [0 | tw]; the einsums over T would only add exact zeros
+    untwisted = not T[:, :nh].any()
+
     def builder(points, order):
         points = np.ascontiguousarray(points, dtype=float)
         s = points[:, :nh] + q0
         r = sigma + np.einsum("ni,ni->n", s, s)
-        # einsum, not matmul: BLAS may sum a row differently with the size
-        # of its batch, and a scan's blocks must equal one evaluation over
-        # all its points (test_scan_blocks_equal_one_batch_evaluation)
-        tw = np.einsum("nj,sj->ns", points, T) + w0
-        value = c0 * (r * r + np.einsum("ns,ns->n", tw, tw))
-        grad = np.einsum("ns,sj->nj", tw, twist_grad)
-        grad[:, :nh] += (4.0 * c0 * r)[:, None] * s
+        if untwisted:
+            tw = points[:, nh:] + w0
+            value = c0 * (r * r + np.einsum("ns,ns->n", tw, tw))
+            grad = np.empty_like(points)
+            np.multiply((4.0 * c0 * r)[:, None], s, out=grad[:, :nh])
+            np.multiply(tw, 2.0 * c0, out=grad[:, nh:])
+        else:
+            # einsum, not matmul: BLAS may sum a row differently with the
+            # size of its batch, and a scan's blocks must equal one
+            # evaluation over all its points
+            # (test_scan_blocks_equal_one_batch_evaluation)
+            tw = np.einsum("nj,sj->ns", points, T) + w0
+            value = c0 * (r * r + np.einsum("ns,ns->n", tw, tw))
+            grad = np.einsum("ns,sj->nj", tw, twist_grad)
+            grad[:, :nh] += (4.0 * c0 * r)[:, None] * s
         if order == 1:
             return Jet2(value, grad, None)
         hess = np.empty((points.shape[0], d, d))
@@ -335,6 +351,47 @@ class BumpField(ScalarField):
         diag = np.arange(self.dim)
         hess[:, diag, diag] -= (6.0 * u2 * lin_value)[:, None] * self._inv_r2
         return Jet2(value, grad, hess)
+
+
+# the screen's allowance for its own round-off, relative to a + b below
+_SCREEN_ROUNDOFF = 1e-13
+
+# rows screened at once: larger (rows, bumps) blocks are handed back to the
+# system and faulted in afresh on every call; screening 4096 rows at once
+# took functional --n 1 from 15 k to 78 k minor page faults
+_SCREEN_ROWS = 1024
+
+
+def _support_screen(bumps, points):
+    """(N, len(bumps)) mask of the rows that may lie in each bump's support:
+    every row bump.support() admits, and a few near misses.
+
+    rho^2 = sum_i ir_i (p_i - c_i)^2 expands into a - 2 p . (c o ir) + b with
+    a = (p o p) . ir and b = (c o c) . ir, so all bumps are screened by two
+    thin matrix products. As 2 |p_i c_i| <= p_i^2 + c_i^2, the three terms
+    add up to at most 2 (a + b) in magnitude, so the expanded sum is within
+    gamma_{d+3} 2 (a + b) < 1e-13 (a + b) of the exact rho^2, and support()'s
+    own sum is within far less than _SUPPORT_SLACK of it. A row is kept when
+    the expanded rho^2 is below 1 + 2 _SUPPORT_SLACK + 1e-13 (a + b); far
+    from the origin a + b is large, and the allowance with it. The mask is
+    a screen only: support() on its rows is the exact test.
+    """
+    centers = np.stack([bump.center for bump in bumps], axis=1)
+    ir = np.stack([bump._inv_r2 for bump in bumps], axis=1)
+    cross = -2.0 * centers * ir
+    b = np.sum(centers * centers * ir, axis=0)
+    keep = np.empty((points.shape[0], len(bumps)), dtype=bool)
+    for lo in range(0, points.shape[0], _SCREEN_ROWS):
+        p = points[lo:lo + _SCREEN_ROWS]
+        a = (p * p) @ ir
+        rho2 = p @ cross
+        rho2 += a
+        rho2 += b
+        a += b
+        a *= _SCREEN_ROUNDOFF
+        a += 1.0 + 2.0 * _SUPPORT_SLACK
+        np.less(rho2, a, out=keep[lo:lo + _SCREEN_ROWS])
+    return keep
 
 
 def bump_field(n, seed, box=2.0) -> BumpField:
@@ -539,8 +596,13 @@ def _polar_nodes(u, n):
 # covariance into the node map.
 _KAPPA = 2.0 * math.sqrt(2.0)
 
-# rows of nodes generated and integrated at once
-_CHUNK = 2 ** 14
+# rows of nodes generated and integrated at once. The working arrays of a
+# 2^12-row chunk are reused by the allocator from one chunk to the next;
+# larger ones are handed back to the system and faulted in afresh each time
+# (functional --n 1 took 48 k minor faults at 2^13 and 170 k at 2^14, with
+# a sixth of its time in the kernel, against 15 k at 2^12), and at 2^11 the
+# per-chunk Python overhead costs more than it saves
+_CHUNK = 2 ** 12
 
 # log2 of the node count of each of the two pilot passes
 _PILOT_LOG2 = 14
@@ -582,7 +644,8 @@ def _chunk_sums(target, z, wts, frame, two_star, eps):
     u + eps * b with b in bumps, and the nodes where b is nonzero (0 for u).
 
     u's jets are evaluated once and each bump only at the nodes its
-    support() admits; elsewhere u + eps * b = u. Every field's integrands
+    support() admits, tested on the rows _support_screen keeps for it;
+    elsewhere u + eps * b = u. Every field's integrands
     are whole arrays (u's, with the support nodes overwritten) summed alike,
     so a bump's sums equal those of u + eps * b evaluated at every node,
     and a bump that holds no node reproduces u's sums exactly.
@@ -595,8 +658,10 @@ def _chunk_sums(target, z, wts, frame, two_star, eps):
     num = np.einsum("nb,nb->n", fg, fg) * wts
     den = np.abs(ju.value) ** two_star * wts
     sums = [(float(np.sum(num)), float(np.sum(den)), 0)]
-    for bump in bumps:
-        idx = np.flatnonzero(bump.support(pts))
+    screen = _support_screen(bumps, pts) if bumps else None
+    for k, bump in enumerate(bumps):
+        idx = np.flatnonzero(screen[:, k])
+        idx = idx[bump.support(pts[idx])]
         num_k, den_k, nodes = num.copy(), den.copy(), 0
         if idx.size:
             jb = bump.jets(pts[idx], order=1)
@@ -690,7 +755,8 @@ def functional_estimates(fields, bumps, eps, n, samples_log2=18, seed=0):
     difference. Its support_nodes counts the nodes, over both scrambles,
     where b is nonzero; with none, it is R(u) and says nothing. The bumps
     need support(points), a mask covering every point where they are
-    nonzero, and row-wise jets; BumpField has both.
+    nonzero, and row-wise jets, and the screen reads their ellipsoids, so
+    they are BumpFields.
     """
     targets = [(u, *_adapted_map(u, n, seed, _PILOT_LOG2),
                 tuple(bumps) if k == 0 else ())

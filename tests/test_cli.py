@@ -406,18 +406,22 @@ def _read_dump(path):
 @pytest.mark.parametrize("command", SCANS)
 def test_scan_blocks_equal_one_batch_evaluation(tmp_path, command):
     # the scans evaluate their points in blocks of _SCAN_CHUNK rows; the
-    # values they dump equal one evaluation over all points, bit for bit
+    # values they dump equal one evaluation over all points, bit for bit,
+    # with a twisted base and with q0 = 0, where h_explicit skips the twist
     points = 2 * cli._SCAN_CHUNK + 123
-    q0, w0 = [0.3, -0.2, 0.1, 0.5], [0.4, 0.0, -0.7]
+    w0 = [0.4, 0.0, -0.7]
     out = tmp_path / "dump.csv"
-    assert main([command, "--points", str(points), "--seed", "2",
-                 "--q0", ",".join(map(str, q0)), "--w0", ",".join(map(str, w0)),
-                 "--format", "csv", "--out", str(out)]) == 0
-    index, pts, dumped = _read_dump(out)
-    assert index.tolist() == list(range(points))
-    params = ExtremalParams(n=1, c0=1.0, sigma=1.0,
-                            base=GroupPoint.from_flat(q0 + w0, 1))
-    assert np.array_equal(dumped, _dumped_by_one_batch(command, params, pts))
+    for q0 in ([0.3, -0.2, 0.1, 0.5], [0.0] * 4):
+        assert main([command, "--points", str(points), "--seed", "2",
+                     "--q0", ",".join(map(str, q0)),
+                     "--w0", ",".join(map(str, w0)),
+                     "--format", "csv", "--out", str(out)]) == 0
+        index, pts, dumped = _read_dump(out)
+        assert index.tolist() == list(range(points))
+        params = ExtremalParams(n=1, c0=1.0, sigma=1.0,
+                                base=GroupPoint.from_flat(q0 + w0, 1))
+        assert np.array_equal(dumped,
+                              _dumped_by_one_batch(command, params, pts))
 
 
 @pytest.mark.parametrize("command", SCANS)

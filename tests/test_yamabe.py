@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, dblquad
 
+from qcheis import yamabe
 from qcheis.heis import GroupPoint, HorizontalFrame, left_translation_affine
 from qcheis.jets import (CombinationField, DomainError, Jet2, JetField,
                          coordinate_jets, fd_oracle, random_positive_polynomial)
@@ -143,6 +144,57 @@ def test_h_closed_form_matches_jet_composition(n, order):
         pts = rng.uniform(-2, 2, size=(500, 4 * n + 3))
         _assert_jets_close(h_explicit(params).jets(pts, order=order),
                            _composed_h(params).jets(pts, order=order), 1e-13)
+
+
+def _full_twist_h_jets(params, points, order):
+    """h's closed-form jet with the twist always contracted against the
+    whole 3 x d block T of L_{p0}, as for a base with q0 != 0."""
+    nh = 4 * params.n
+    A, offset = left_translation_affine(params.base)
+    T = np.array(A[nh:], dtype=float)
+    q0 = np.array(offset[:nh], dtype=float)
+    w0 = np.array(offset[nh:], dtype=float)
+    c0, sigma = float(params.c0), float(params.sigma)
+    s = points[:, :nh] + q0
+    r = sigma + np.einsum("ni,ni->n", s, s)
+    tw = np.einsum("nj,sj->ns", points, T) + w0
+    value = c0 * (r * r + np.einsum("ns,ns->n", tw, tw))
+    grad = np.einsum("ns,sj->nj", tw, 2.0 * c0 * T)
+    grad[:, :nh] += (4.0 * c0 * r)[:, None] * s
+    if order == 1:
+        return Jet2(value, grad, None)
+    TtT = T.T @ T
+    hess = np.empty((len(points), nh + 3, nh + 3))
+    hess[:] = c0 * (TtT + TtT.T)
+    ss = s[:, :, None] * s[:, None, :]
+    ss *= 8.0 * c0
+    hess[:, :nh, :nh] += ss
+    hess[:, np.arange(nh), np.arange(nh)] += (4.0 * c0 * r)[:, None]
+    return Jet2(value, grad, hess)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_h_untwisted_jets_equal_the_full_twist_contraction(n):
+    # at q0 = 0 the twist block of L_{p0} is [0 | Id] and h_explicit skips
+    # its einsums; the jets must equal the full contraction bit for bit,
+    # and a base with q0 != 0 keeps the full contraction
+    rng = np.random.default_rng(40 + n)
+    d = 4 * n + 3
+    pts = rng.uniform(-3, 3, size=(600, d))
+    pts[:5] = 0.0
+    for q0, w0 in (([0.0] * (4 * n), [0.0] * 3),
+                   ([0.0] * (4 * n), rng.uniform(-2, 2, 3).tolist()),
+                   (rng.uniform(-1, 1, 4 * n).tolist(), [0.5, 0.0, -1.5])):
+        params = ExtremalParams(n=n, c0=0.75, sigma=1.25,
+                                base=GroupPoint.from_flat(q0 + w0, n))
+        for order in (1, 2):
+            got = h_explicit(params).jets(pts, order=order)
+            ref = _full_twist_h_jets(params, pts, order)
+            for part in ("value", "grad", "hess"):
+                a, b = getattr(got, part), getattr(ref, part)
+                assert (a is None and b is None) or (
+                    np.array_equal(a, b)
+                    and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -378,6 +430,45 @@ def test_bump_support_covers_every_nonzero_point(n):
         assert not np.all(inside)
 
 
+def _screen_points(bumps, rng):
+    """Points within 1e-9 and 1e-15 of each bump's ellipsoid in rho^2, a few
+    well inside, and far points with Cauchy-tail magnitudes up to 1e12."""
+    d = bumps[0].dim
+    parts = []
+    for bump in bumps:
+        dirs = rng.normal(size=(3000, d))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        rho2 = 1.0 + rng.uniform(-1e-9, 1e-9, size=3000)
+        rho2[:1000] = 1.0 + rng.uniform(-1e-15, 1e-15, size=1000)
+        rho2[-100:] = rng.uniform(0.0, 1.0, size=100)
+        parts.append(bump.center + dirs * np.sqrt(rho2)[:, None] * bump.radii)
+    dirs = rng.normal(size=(2000, d))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    radius = np.minimum(np.abs(rng.standard_cauchy(2000)) * 1e3, 1e12)
+    radius[:10] = 1e12
+    parts.append(dirs * radius[:, None])
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("box", [2.0, 1e6])
+def test_support_screen_keeps_every_support_row(monkeypatch, n, box):
+    # the one-pass screen of all bumps must keep every row support() admits;
+    # far from the origin the expanded rho^2 loses digits to cancellation,
+    # and without its allowance for that round-off it drops support rows
+    bumps = [bump_field(n, seed=k, box=box) for k in range(20)]
+    pts = _screen_points(bumps, np.random.default_rng(int(box) + n))
+    support = np.stack([bump.support(pts) for bump in bumps], axis=1)
+    keep = yamabe._support_screen(bumps, pts)
+    assert np.count_nonzero(support) > 20000
+    assert np.all(keep[support])
+    assert not np.all(keep)
+    monkeypatch.setattr(yamabe, "_SCREEN_ROUNDOFF", 0.0)
+    dropped = np.count_nonzero(support & ~yamabe._support_screen(bumps, pts))
+    # near the origin support()'s slack alone covers the round-off
+    assert dropped == 0 if box == 2.0 else dropped > 10000
+
+
 def test_bump_jets_do_not_depend_on_the_batch():
     # functional_estimates evaluates a bump on the support rows of a chunk
     # only,
@@ -513,14 +604,20 @@ def test_sobol_chunks_refuse_unsupported_sizes():
         next(_sobol_chunks(7, 31, 0, 16))
 
 
-@pytest.mark.parametrize("n,m", [(1, 12), (2, 10)])
-def test_functional_estimates_equal_separate_ratios(n, m):
+@pytest.mark.parametrize("n,m,chunk", [
+    pytest.param(1, 12, None, id="1-12"),
+    pytest.param(2, 10, None, id="2-10"),
+    pytest.param(1, 12, 2 ** 10, id="1-12-chunks-of-1024")])
+def test_functional_estimates_equal_separate_ratios(monkeypatch, n, m, chunk):
     # one shared draw per scramble gives exactly what the separate estimates
     # give: each field's estimate equals its own folland_stein_ratio in
     # every field of the result, and each bump the per-bump path on the
     # base's nodes, down to bumps with a single node in their support; a
     # bump far from every node keeps the base ratio bit for bit, so its
-    # margin is exactly 0.0
+    # margin is exactly 0.0. With a smaller chunk the pilots and the main
+    # nodes span several chunks each
+    if chunk is not None:
+        monkeypatch.setattr(yamabe, "_CHUNK", chunk)
     d = 4 * n + 3
     phi = phi_explicit(ExtremalParams.centered(n))
     fields = [phi, translated_field(phi, _point(n, np.random.default_rng(2))),
