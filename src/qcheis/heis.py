@@ -210,10 +210,12 @@ class HorizontalFrame:
                             for m in (1, 2, 3)])
         self.reeb = 2 * np.eye(3, self.dim, self.nh, dtype=int)
         vrows = -2 * _IM_CONJ    # vrows[m, c, s] = d v_s / d q_c of unit m
-        # slot coordinate c -> (unit m, component s), flattened for one einsum
+        # slot coordinate c -> (unit m, component s), flattened for one
+        # product; each column holds one entry +-2, the rest 0
         self._vmap = vrows.transpose(1, 0, 2).reshape(4, 12)
         # d_a v_s of frame field b as (b, a, s): the only nonzero block of
-        # the coefficient gradients, the block vrows in every slot
+        # the coefficient gradients, the block vrows in every slot; each
+        # (b, a) holds at most one nonzero s
         self._vgrads = np.zeros((self.nh, self.nh, 3))
         for a in range(n):
             self._vgrads[4 * a:4 * a + 4, 4 * a:4 * a + 4] = vrows
@@ -225,14 +227,14 @@ class HorizontalFrame:
         linear in the four coordinates of slot a only.
         """
         points = _scalars(points)
-        q = points[:, :self.nh].reshape(-1, self.n, 4)
-        # einsum, not matmul: BLAS may sum a row differently with the size
-        # of its batch, and a scan's blocks must equal one evaluation over
-        # all its points (test_scan_blocks_equal_one_batch_evaluation).
-        # The table takes the points' dtype: einsum over mixed dtypes runs a
-        # buffered loop about twice as slow
-        vmap = self._vmap.astype(points.dtype)
-        return np.einsum("nac,ck->nak", q, vmap).reshape(-1, self.nh, 3)
+        q = points[:, :self.nh].reshape(-1, 4)
+        # a BLAS product, yet row-wise: each output is one coordinate times
+        # +-2 plus exact zeros, which every order of summation adds up to
+        # the same value, whatever the batch; a scan's blocks must equal one
+        # evaluation over all its points
+        # (test_scan_blocks_equal_one_batch_evaluation). The table takes the
+        # points' dtype, so exact points stay exact
+        return (q @ self._vmap.astype(points.dtype)).reshape(-1, self.nh, 3)
 
     def coefficients(self, points):
         """Frame coefficients C = [I | V]: (N, 4n, dim)."""
@@ -393,10 +395,14 @@ def frame_second_order(field: ScalarField, points, frame: HorizontalFrame):
     contracts only the vertical gradient, with the constant G[b, a, s].
     """
     points = np.asarray(points, dtype=float)
+    nh = frame.nh
     jf = field.jets(points, order=2)
     C = frame.coefficients(points)
-    grad_w = jf.grad[:, frame.nh:frame.nh + 3]
-    fg = horizontal_gradient(C[:, :, frame.nh:], jf.grad)
+    grad_w = jf.grad[:, nh:nh + 3]
+    fg = horizontal_gradient(C[:, :, nh:], jf.grad)
     fh = C @ jf.hess @ np.swapaxes(C, 1, 2)
-    fh += np.einsum("bas,ns->nab", frame._vgrads, grad_w)
+    # G[b, a, :] holds at most one nonzero, so this BLAS product is exact
+    # and row-wise: (a, b) gets one +-2 d/dw_s f or a sum of zeros
+    g = frame._vgrads.transpose(2, 1, 0).reshape(3, nh * nh)
+    fh += (grad_w @ g).reshape(-1, nh, nh)
     return jf.value, fg, fh, 2.0 * grad_w

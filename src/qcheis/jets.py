@@ -251,13 +251,17 @@ class AffineMapField(ScalarField):
         self.offset = np.asarray(offset)
         self.scale = scale
         self.dim = self.matrix.shape[1]
+        # A^T in C order, which BLAS multiplies by faster than by the
+        # transposed view
+        self._matrix_t = np.ascontiguousarray(self.matrix.T)
 
     def jets(self, points, order=2):
         points = np.asarray(points)
         # BLAS products: a row's jet may move at round-off with the size of
-        # its batch, so a field reproduces its jets bit for bit only on the
-        # same batches (the functional evaluates whole node chunks)
-        mapped = points @ self.matrix.T + self.offset
+        # its batch (a single row takes another BLAS path), so a field
+        # reproduces its jets bit for bit only on the same batches (the
+        # functional evaluates whole node chunks)
+        mapped = points @ self._matrix_t + self.offset
         ju = self.base.jets(mapped, order=order)
         value = self.scale * ju.value
         grad = self.scale * (ju.grad @ self.matrix)

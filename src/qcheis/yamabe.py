@@ -33,9 +33,10 @@ of that size keep every working array small enough for the allocator to
 reuse it from one chunk to the next instead of mapping and faulting in
 fresh pages. R(Phi), its translate, its two dilates and R(Phi + eps b) for
 the compactly supported bumps b of the extremality test all share one draw
-per scramble. Each bump is evaluated only at the nodes inside its support,
-found by one screen of all bumps per chunk followed by the bump's exact
-support test on the rows the screen keeps, and every integrand is
+per scramble. The bumps are evaluated together, once per chunk, and each
+only at the nodes inside its support: one screen of all bumps turns the
+chunk into (node, bump) pairs, and the exact support test, the bump jets
+and the horizontal gradients run once over those pairs. Every integrand is
 reduced exactly as for a single field, so each result equals the separate
 estimate of its field bit for bit. The exact R(Phi) is extremal_ratio(n).
 
@@ -293,6 +294,43 @@ def dilated_field(u: ScalarField, lam, n, weight_power=0.0) -> ScalarField:
 _SUPPORT_SLACK = 1e-9
 
 
+def _rho2(dx, inv_r2):
+    """rho^2 = sum_i inv_r2_i dx_i^2 of each row of dx (N, d), for one
+    bump's inv_r2 (d,) or for one (N, d) row of them per row of dx. The
+    einsum sums both alike, along C-ordered rows."""
+    return np.einsum("ni,ni->n", dx * dx, np.broadcast_to(inv_r2, dx.shape))
+
+
+def _bump_jets(points, dx, rho2, inv_r2, lin, const, order):
+    """Jets of the bump window times its affine factor at each row of
+    points, given dx = points - center and rho2 = _rho2(dx, inv_r2).
+
+    The parameters are one bump's (inv_r2 and lin (d,), const a float) or
+    one bump per row (inv_r2 and lin (N, d), const (N,)); every operation
+    is row-wise, so a row gets the same jet either way.
+    """
+    inv_r2, lin = (np.broadcast_to(a, points.shape) for a in (inv_r2, lin))
+    u = np.maximum(1.0 - rho2, 0.0)
+    u2 = u * u
+    g = 2.0 * dx * inv_r2
+    w = u2 * u
+    grad_w = (-3.0 * u2)[:, None] * g
+    lin_value = np.einsum("nd,nd->n", points, lin) + const
+    value = w * lin_value
+    grad = w[:, None] * lin + lin_value[:, None] * grad_w
+    if order == 1:
+        return Jet2(value, grad, None)
+    # each piece is symmetric before it is added, so the sum is too
+    cross = grad_w[:, :, None] * lin[:, None, :]
+    hess = cross + np.swapaxes(cross, 1, 2)
+    gg = g[:, :, None] * g[:, None, :]
+    gg *= (6.0 * u * lin_value)[:, None, None]
+    hess += gg
+    diag = np.arange(points.shape[1])
+    hess[:, diag, diag] -= (6.0 * u2 * lin_value)[:, None] * inv_r2
+    return Jet2(value, grad, hess)
+
+
 class BumpField(ScalarField):
     """A C^2 perturbation with compact ellipsoidal support.
 
@@ -314,43 +352,24 @@ class BumpField(ScalarField):
         self.dim = self.center.shape[0]
         self._inv_r2 = 1.0 / self.radii ** 2
 
-    def _rho2(self, dx):
-        return np.einsum("ni,i->n", dx * dx, self._inv_r2)
-
     def support(self, points):
         """Mask of the points where the bump may be nonzero: the closed
         ellipsoid rho <= 1 widened by a round-off slack. Covers every point
         where jets() gives a nonzero value or gradient."""
         points = np.asarray(points, dtype=float)
-        return self._rho2(points - self.center) < 1.0 + _SUPPORT_SLACK
+        return _rho2(points - self.center, self._inv_r2) < 1.0 + _SUPPORT_SLACK
 
     def jets(self, points, order=2):
         # every operation is row-wise, and the einsum sums run along
         # C-ordered rows, so a row gets the same jet in a batch of any size
-        # and layout (functional_estimates evaluates bumps on subsets of a
-        # chunk and relies on this); a matmul's sums may depend on the
-        # batch, so none is used (test_bump_jets_do_not_depend_on_the_batch)
+        # and layout, and from the same formulas on stacked parameters,
+        # which is how functional_estimates evaluates all bumps of a chunk
+        # at once; a matmul's sums may depend on the batch, so none is used
+        # (test_bump_jets_do_not_depend_on_the_batch)
         points = np.ascontiguousarray(points, dtype=float)
         dx = points - self.center
-        u = np.maximum(1.0 - self._rho2(dx), 0.0)
-        u2 = u * u
-        g = 2.0 * dx * self._inv_r2
-        w = u2 * u
-        grad_w = (-3.0 * u2)[:, None] * g
-        lin_value = np.einsum("nd,d->n", points, self.lin) + self.const
-        value = w * lin_value
-        grad = w[:, None] * self.lin + lin_value[:, None] * grad_w
-        if order == 1:
-            return Jet2(value, grad, None)
-        # each piece is symmetric before it is added, so the sum is too
-        cross = grad_w[:, :, None] * self.lin
-        hess = cross + np.swapaxes(cross, 1, 2)
-        gg = g[:, :, None] * g[:, None, :]
-        gg *= (6.0 * u * lin_value)[:, None, None]
-        hess += gg
-        diag = np.arange(self.dim)
-        hess[:, diag, diag] -= (6.0 * u2 * lin_value)[:, None] * self._inv_r2
-        return Jet2(value, grad, hess)
+        return _bump_jets(points, dx, _rho2(dx, self._inv_r2), self._inv_r2,
+                          self.lin, self.const, order)
 
 
 # the screen's allowance for its own round-off, relative to a + b below
@@ -367,30 +386,38 @@ def _support_screen(bumps, points):
     every row bump.support() admits, and a few near misses.
 
     rho^2 = sum_i ir_i (p_i - c_i)^2 expands into a - 2 p . (c o ir) + b with
-    a = (p o p) . ir and b = (c o c) . ir, so all bumps are screened by two
-    thin matrix products. As 2 |p_i c_i| <= p_i^2 + c_i^2, the three terms
-    add up to at most 2 (a + b) in magnitude, so the expanded sum is within
-    gamma_{d+3} 2 (a + b) < 1e-13 (a + b) of the exact rho^2, and support()'s
-    own sum is within far less than _SUPPORT_SLACK of it. A row is kept when
-    the expanded rho^2 is below 1 + 2 _SUPPORT_SLACK + 1e-13 (a + b); far
-    from the origin a + b is large, and the allowance with it. The mask is
-    a screen only: support() on its rows is the exact test.
+    a = (p o p) . ir and b = (c o c) . ir. A row is kept when
+    rho^2 < 1 + 2 _SUPPORT_SLACK + R (a + b), R = _SCREEN_ROUNDOFF; far from
+    the origin a + b is large, and the allowance with it. The difference of
+    the two sides is linear in [p o p | p | 1], so all bumps are screened by
+    one product with a (2d + 1, K) table, stacked once per call, and a sign
+    test. As 2 |p_i c_i| <= p_i^2 + c_i^2, its terms add up to at most
+    2 (a + b) + 2 in magnitude. Each term enters the product with at most
+    d + 5 roundings of its own (b's sum, the table's entries, p o p), and
+    the product's sum of 2d + 1 terms adds 2d + 1 more, so the computed
+    difference is within gamma_{3d+6} (2 (a + b) + 2) < 1e-14 (a + b + 1) of
+    the exact one for d <= 11. A row support() admits has its computed
+    rho^2 below 1 + _SUPPORT_SLACK, so its exact rho^2 is below
+    1 + _SUPPORT_SLACK + 1e-14, and its computed difference is below
+    -_SUPPORT_SLACK + 2e-14 - (R - 1e-14) (a + b) < 0: it is kept. The mask
+    is a screen only: the support test on its rows is the exact one.
     """
     centers = np.stack([bump.center for bump in bumps], axis=1)
     ir = np.stack([bump._inv_r2 for bump in bumps], axis=1)
-    cross = -2.0 * centers * ir
     b = np.sum(centers * centers * ir, axis=0)
-    keep = np.empty((points.shape[0], len(bumps)), dtype=bool)
-    for lo in range(0, points.shape[0], _SCREEN_ROWS):
+    table = np.concatenate([
+        (1.0 - _SCREEN_ROUNDOFF) * ir, -2.0 * centers * ir,
+        ((1.0 - _SCREEN_ROUNDOFF) * b - (1.0 + 2.0 * _SUPPORT_SLACK))[None]])
+    N, d = points.shape
+    keep = np.empty((N, len(bumps)), dtype=bool)
+    x = np.empty((min(N, _SCREEN_ROWS), 2 * d + 1))
+    x[:, 2 * d] = 1.0
+    for lo in range(0, N, _SCREEN_ROWS):
         p = points[lo:lo + _SCREEN_ROWS]
-        a = (p * p) @ ir
-        rho2 = p @ cross
-        rho2 += a
-        rho2 += b
-        a += b
-        a *= _SCREEN_ROUNDOFF
-        a += 1.0 + 2.0 * _SUPPORT_SLACK
-        np.less(rho2, a, out=keep[lo:lo + _SCREEN_ROWS])
+        rows = p.shape[0]
+        np.multiply(p, p, out=x[:rows, :d])
+        x[:rows, d:2 * d] = p
+        np.less(x[:rows] @ table, 0.0, out=keep[lo:lo + rows])
     return keep
 
 
@@ -612,9 +639,10 @@ def _pilot_moments(u, two_star, n, m, seed, center, B):
     """Weighted mean and covariance of the density |u|^{2*} under the node
     map center + B z; the constant det(B) cancels in the moments."""
     xs, vals = [], []
+    Bt = np.ascontiguousarray(B.T)
     for unit in _sobol_chunks(4 * n + 3, m, seed, _CHUNK):
         z, w = _polar_nodes(unit, n)
-        xs.append(center + z @ B.T)
+        xs.append(center + z @ Bt)
         vals.append(np.abs(u.jets(xs[-1], order=1).value) ** two_star * w)
     x = np.concatenate(xs)
     vals_all = np.concatenate(vals)
@@ -638,48 +666,60 @@ def _adapted_map(u, n, seed, pilot_log2):
     return c, _KAPPA * np.linalg.cholesky(cov)
 
 
-def _chunk_sums(target, z, wts, frame, two_star, eps):
-    """One chunk's (num, den, nodes) on the target's nodes center + B z:
-    the sums of |grad_H u|^2 w and |u|^{2*} w for u and then for each
-    u + eps * b with b in bumps, and the nodes where b is nonzero (0 for u).
+def _stacked(bumps):
+    """The bumps' parameters one row per bump: center, inverse squared
+    radii and lin (K, d), and const (K,)."""
+    return tuple(np.array([getattr(bump, k) for bump in bumps], dtype=float)
+                 for k in ("center", "_inv_r2", "lin", "const"))
 
-    u's jets are evaluated once and each bump only at the nodes its
-    support() admits, tested on the rows _support_screen keeps for it;
-    elsewhere u + eps * b = u. Every field's integrands
-    are whole arrays (u's, with the support nodes overwritten) summed alike,
-    so a bump's sums equal those of u + eps * b evaluated at every node,
-    and a bump that holds no node reproduces u's sums exactly.
+
+def _chunk_sums(target, z, wts, frame, two_star, eps):
+    """One chunk's sums on the target's nodes center + B z, as a
+    (1 + len(bumps), 3) array: a row for u and then one for each u + eps * b
+    with b in bumps, holding the sums of |grad_H u|^2 w and |u|^{2*} w and
+    the number of nodes where b is nonzero (0 for u).
+
+    u's jets are evaluated once. _support_screen screens all bumps at once,
+    and its mask becomes (row, bump) pairs; the exact support test, the
+    bump jets on the pairs' stacked parameters and the horizontal gradient
+    then run once over all pairs. Elsewhere u + eps * b = u. Each field's
+    integrands fill one row of a (1 + len(bumps), N) array, u's values with
+    its pairs' written over them, and every row is summed alike, so a
+    bump's sums equal those of u + eps * b evaluated at every node, and a
+    bump that holds no node reproduces u's sums exactly.
     """
-    u, center, B, bumps = target
-    pts = center + z @ B.T
+    u, center, Bt, bumps, (centers, inv_r2, lin, const), work = target
+    pts = center + z @ Bt
     V = frame.vertical_coefficients(pts)
     ju = u.jets(pts, order=1)
     fg = horizontal_gradient(V, ju.grad)
-    num = np.einsum("nb,nb->n", fg, fg) * wts
-    den = np.abs(ju.value) ** two_star * wts
-    sums = [(float(np.sum(num)), float(np.sum(den)), 0)]
-    screen = _support_screen(bumps, pts) if bumps else None
-    for k, bump in enumerate(bumps):
-        idx = np.flatnonzero(screen[:, k])
-        idx = idx[bump.support(pts[idx])]
-        num_k, den_k, nodes = num.copy(), den.copy(), 0
-        if idx.size:
-            jb = bump.jets(pts[idx], order=1)
-            nodes = int(np.count_nonzero(jb.value))
-            value = ju.value[idx] + jb.value * eps
-            fg_k = horizontal_gradient(V[idx], ju.grad[idx] + jb.grad * eps)
-            num_k[idx] = np.einsum("nb,nb->n", fg_k, fg_k) * wts[idx]
-            den_k[idx] = np.abs(value) ** two_star * wts[idx]
-        sums.append((float(np.sum(num_k)), float(np.sum(den_k)), nodes))
-    return sums
+    K = len(bumps)
+    num, den = work[:2 * (1 + K) * pts.shape[0]].reshape(2, 1 + K, -1)
+    num[:] = np.einsum("nb,nb->n", fg, fg) * wts
+    den[:] = np.abs(ju.value) ** two_star * wts
+    nodes = np.zeros(1 + K)
+    if K:
+        rows, ks = np.divmod(np.flatnonzero(_support_screen(bumps, pts)), K)
+        dx = pts[rows] - centers[ks]
+        rho2 = _rho2(dx, inv_r2[ks])
+        inside = rho2 < 1.0 + _SUPPORT_SLACK
+        rows, ks, dx, rho2 = rows[inside], ks[inside], dx[inside], rho2[inside]
+        jb = _bump_jets(pts[rows], dx, rho2, inv_r2[ks], lin[ks], const[ks],
+                        order=1)
+        nodes[1:] = np.bincount(ks[jb.value != 0], minlength=K)
+        value = ju.value[rows] + jb.value * eps
+        fg_b = horizontal_gradient(V[rows], ju.grad[rows] + jb.grad * eps)
+        num[1 + ks, rows] = np.einsum("nb,nb->n", fg_b, fg_b) * wts[rows]
+        den[1 + ks, rows] = np.abs(value) ** two_star * wts[rows]
+    return np.stack([num.sum(axis=1), den.sum(axis=1), nodes], axis=1)
 
 
 def _qmc_integrals(targets, n, two_star, m, seed, eps):
-    """One scramble's chunk sums for every target (u, center, B, bumps),
-    from one pass over its 2^m nodes: each chunk of Sobol points is drawn
-    and mapped to polar nodes z once, and every target maps z its own way.
-    Per target, _chunk_sums' results as an array indexed (field, one of
-    num, den and nodes, chunk)."""
+    """One scramble's chunk sums for every prepared target (u, center, B^T,
+    bumps, stacked bumps, work), from one pass over its 2^m nodes: each
+    chunk of Sobol points is drawn and mapped to polar nodes z once, and
+    every target maps z its own way. Per target, _chunk_sums' results as an
+    array indexed (field, one of num, den and nodes, chunk)."""
     frame = HorizontalFrame(n)
     sums = [[] for _ in targets]
     for unit in _sobol_chunks(4 * n + 3, m, seed, _CHUNK):
@@ -712,7 +752,16 @@ def _estimates(targets, n, eps, samples_log2, seed):
     [u's, then one per u + eps * b] per target, from two scrambles (seed
     and seed + 1), each drawn once for all targets."""
     _, two_star = _exponents(n)
-    passes = [_qmc_integrals(targets, n, two_star, samples_log2, s, eps)
+    # per target, once for both scrambles: B^T in C order, which BLAS maps
+    # the nodes by faster than by B.T's view; the bumps' parameters; and
+    # the room for _chunk_sums' (1 + K, chunk) num and den arrays, which
+    # every chunk reuses, as arrays of that size allocated afresh are handed
+    # back to the system and faulted in again on every chunk
+    rows = min(_CHUNK, 2 ** samples_log2)
+    prepared = [(u, center, np.ascontiguousarray(B.T), bumps, _stacked(bumps),
+                 np.empty(2 * (1 + len(bumps)) * rows))
+                for u, center, B, bumps in targets]
+    passes = [_qmc_integrals(prepared, n, two_star, samples_log2, s, eps)
               for s in (seed, seed + 1)]
     return [[_estimate(field, two_star, center, B, samples_log2, k > 0)
              for k, field in enumerate(zip(*pair))]
@@ -754,9 +803,9 @@ def functional_estimates(fields, bumps, eps, n, samples_log2=18, seed=0):
     cancel the quadrature noise common to R(u) and R(u + eps * b) in their
     difference. Its support_nodes counts the nodes, over both scrambles,
     where b is nonzero; with none, it is R(u) and says nothing. The bumps
-    need support(points), a mask covering every point where they are
-    nonzero, and row-wise jets, and the screen reads their ellipsoids, so
-    they are BumpFields.
+    are BumpFields: the screen reads their ellipsoids, and each chunk
+    evaluates all of them in one pass over its (node, bump) pairs, from
+    the formulas of BumpField.jets on their stacked parameters.
     """
     targets = [(u, *_adapted_map(u, n, seed, _PILOT_LOG2),
                 tuple(bumps) if k == 0 else ())

@@ -190,6 +190,30 @@ def test_functional_draws_each_main_scramble_once(tmp_path, monkeypatch):
     assert draws == {(12, 3): 1, (12, 4): 1, (14, 20): 4, (14, 21): 4}
 
 
+def test_functional_evaluates_bump_jets_once_per_chunk(tmp_path,
+                                                      monkeypatch):
+    # the 20 bumps of the extremality test are evaluated together: one
+    # call of the bump jets per chunk of main nodes, on the (node, bump)
+    # pairs of all bumps, not one call per bump; 2^13 nodes are two chunks
+    # per scramble
+    calls = []
+    inner = yamabe._bump_jets
+
+    def counted(points, dx, rho2, inv_r2, lin, const, order):
+        calls.append(np.shape(const))
+        return inner(points, dx, rho2, inv_r2, lin, const, order)
+
+    monkeypatch.setattr(yamabe, "_bump_jets", counted)
+    code, report = _run_json(
+        tmp_path, ["functional", "--points", "8192", "--seed", "3"])
+    assert code in (0, 1)
+    assert report["samples_log2"] == 13
+    assert len(calls) == 2 * 2 ** 13 // yamabe._CHUNK == 4
+    # one parameter row per pair, and more pairs than any one bump holds
+    assert sum(shape[0] for shape in calls) >= sum(report["bump_nodes"]) > \
+        max(report["bump_nodes"])
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about a second to import, and no subcommand needs it:
     # the functional's scrambled Sobol nodes are generated in-tree

@@ -446,3 +446,90 @@ def test_structured_frame_operators_match_dense_formulas(n):
         for got, want in ((fg, fg_ref), (fg1, fg_ref), (fh, fh_ref)):
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+# ---------------------------------------------------------------------------
+# the constant frame tables as exact BLAS products
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_frame_tables_hold_one_nonzero_per_output(n):
+    # vertical_coefficients and frame_second_order multiply by these tables
+    # with BLAS: each output picks up a single coefficient 0 or +-2, so the
+    # product is exact in any order of summation, whatever the batch
+    frame = HorizontalFrame(n)
+    assert (np.count_nonzero(frame._vmap, axis=0) == 1).all()
+    assert (np.count_nonzero(frame._vgrads, axis=2) <= 1).all()
+    assert np.count_nonzero(frame._vgrads) == 12 * n
+    for table in (frame._vmap, frame._vgrads):
+        assert set(np.abs(table[table != 0]).tolist()) == {2}
+
+
+def _einsum_vertical(frame, points):
+    """vertical_coefficients as the einsum over the slot coordinates."""
+    points = heis._scalars(points)
+    q = points[:, :frame.nh].reshape(-1, frame.n, 4)
+    return np.einsum("nac,ck->nak", q, frame._vmap.astype(q.dtype)).reshape(
+        -1, frame.nh, 3)
+
+
+def _heavy_points(rng, size, d):
+    """Cauchy-tailed points with a fifth of the coordinates +0.0 or -0.0,
+    so that the tables' products meet zeros of both signs."""
+    scale = 10.0 ** rng.integers(-3, 4, size=(size, d))
+    pts = rng.standard_cauchy((size, d)) * scale
+    zero = rng.random((size, d)) < 0.2
+    pts[zero] = np.where(rng.random(np.count_nonzero(zero)) < 0.5, 0.0, -0.0)
+    return pts
+
+
+def _assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_vertical_coefficients_equal_the_einsum_bit_for_bit(n):
+    frame = HorizontalFrame(n)
+    d = 4 * n + 3
+    rng = np.random.default_rng(90 + n)
+    for size in (1, 37, 4096, 24_000):
+        pts = _heavy_points(rng, size, d)
+        got = frame.vertical_coefficients(pts)
+        want = _einsum_vertical(frame, pts)
+        _assert_same_bits(got, want)
+        assert size == 1 or (want == 0).any()
+        # row-wise: a block of the batch gives the rows of the whole batch
+        _assert_same_bits(frame.vertical_coefficients(pts[size // 3:]),
+                          want[size // 3:])
+    # exact points stay exact: int64 and Fraction points give the einsum's
+    # values and scalar types
+    K = rng.integers(-40, 41, size=(50, d))
+    for pts in (K, np.vectorize(lambda k: Fraction(int(k), 7),
+                                otypes=[object])(K)):
+        got = frame.vertical_coefficients(pts)
+        want = _einsum_vertical(frame, pts)
+        assert got.dtype == want.dtype == object
+        assert got.tolist() == want.tolist()
+        assert [type(v) for v in got.flat] == [type(v) for v in want.flat]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_frame_second_order_hessian_equals_the_einsum_bit_for_bit(n):
+    # fh = C hess C^T plus the constant gradient term, whose einsum over
+    # G[b, a, s] frame_second_order replaces by one BLAS product
+    frame = HorizontalFrame(n)
+    d, nh = 4 * n + 3, 4 * n
+    rng = np.random.default_rng(95 + n)
+    base = GroupPoint.from_flat(rng.uniform(-1, 1, size=d).tolist(), n)
+    fields = (random_positive_polynomial(d, rng),
+              h_explicit(ExtremalParams(n=n, c0=0.7, sigma=1.3, base=base)))
+    for size in (1, 37, 4096, 24_000):
+        pts = _heavy_points(rng, size, d)
+        for field in fields:
+            jf = field.jets(pts, order=2)
+            C = frame.coefficients(pts)
+            want = C @ jf.hess @ np.swapaxes(C, 1, 2)
+            want += np.einsum("bas,ns->nab", frame._vgrads, jf.grad[:, nh:])
+            _assert_same_bits(frame_second_order(field, pts, frame)[2], want)

@@ -614,8 +614,10 @@ def test_functional_estimates_equal_separate_ratios(monkeypatch, n, m, chunk):
     # every field of the result, and each bump the per-bump path on the
     # base's nodes, down to bumps with a single node in their support; a
     # bump far from every node keeps the base ratio bit for bit, so its
-    # margin is exactly 0.0. With a smaller chunk the pilots and the main
-    # nodes span several chunks each
+    # margin is exactly 0.0. A duplicated bump and two overlapping ones put
+    # nodes in several supports at once, which the batched bump pass keeps
+    # apart. With a smaller chunk the pilots and the main nodes span
+    # several chunks each
     if chunk is not None:
         monkeypatch.setattr(yamabe, "_CHUNK", chunk)
     d = 4 * n + 3
@@ -623,7 +625,11 @@ def test_functional_estimates_equal_separate_ratios(monkeypatch, n, m, chunk):
     fields = [phi, translated_field(phi, _point(n, np.random.default_rng(2))),
               dilated_field(phi, 2.0, n, weight_power=2.0 * n + 2.0)]
     far = BumpField(np.full(d, 1e4), np.ones(d), np.zeros(d), 1.0)
-    bumps = [bump_field(n, seed=500 + k) for k in range(20)] + [far]
+    twins = [BumpField(np.full(d, 0.1), np.ones(d), np.linspace(-0.3, 0.3, d),
+                       1.0),
+             BumpField(np.full(d, -0.2), np.full(d, 0.8), np.zeros(d), -0.7)]
+    bumps = [bump_field(n, seed=500 + k) for k in range(20)] + twins + \
+        [BumpField(twins[0].center, twins[0].radii, twins[0].lin, 1.0), far]
     ests, got = functional_estimates(fields, bumps, 0.05, n, samples_log2=m,
                                      seed=0)
     assert len(ests) == len(fields)
@@ -652,6 +658,12 @@ def test_functional_estimates_equal_separate_ratios(monkeypatch, n, m, chunk):
     counts = [est_p.support_nodes for est_p in got]
     assert counts == [sum(np.count_nonzero(b.jets(x, order=1).value)
                           for x in nodes) for b in bumps]
+    dup = [(e.ratio, e.per_scramble, e.numerator, e.denominator,
+            e.support_nodes) for e in (got[20], got[22])]
+    assert dup[0] == dup[1] and counts[20] > 0
+    assert sum(np.count_nonzero(twins[0].jets(x, order=1).value
+                                * twins[1].jets(x, order=1).value)
+               for x in nodes) > 0
     assert counts[-1] == 0 and got[-1].ratio == est.ratio
     assert (got[-1].ratio - est.ratio) / est.ratio == 0.0
     assert any(c == 1 for c in counts) or n == 2
