@@ -213,6 +213,11 @@ class HorizontalFrame:
         # slot coordinate c -> (unit m, component s), flattened for one
         # product; each column holds one entry +-2, the rest 0
         self._vmap = vrows.transpose(1, 0, 2).reshape(4, 12)
+        # the same entries per unit m: for each component s, the slot
+        # coordinate c with v_s = +-2 q_c and whether the sign is -
+        self._vterms = [[(int(c), bool(vrows[m, c, s] < 0)) for s in range(3)
+                         for c in np.flatnonzero(vrows[m, :, s])]
+                        for m in range(4)]
         # d_a v_s of frame field b as (b, a, s): the only nonzero block of
         # the coefficient gradients, the block vrows in every slot; each
         # (b, a) holds at most one nonzero s
@@ -360,22 +365,46 @@ def frame_audit(frame: HorizontalFrame, contact: ContactForm = None,
 # first and second order horizontal operators (batched, float)
 
 
-def horizontal_gradient(V, grad):
-    """e_b f = d_b f + sum_s V[:, b, s] d/dw_s f: (N, 4n).
+def horizontal_gradient(frame: HorizontalFrame, points, grad):
+    """e_b f = d_b f + sum_s v_s(q_a) d/dw_s f: (N, 4n), in the memory
+    order of grad.
 
-    V is the frame's vertical block (vertical_coefficients) at the points
-    and grad the ambient gradient (N, 4n+3) of f there. It is the frame
-    acting on a covector field, in the scalar type of its arguments.
+    grad is the ambient gradient (N, 4n+3) of f at points (N, 4n+3), float.
+    Each vertical coefficient v_s of frame field b = 4a + m is +-2 q_c for
+    one coordinate c of slot a (frame._vterms), so the sum is written out
+    over whole coordinate rows: t_s = q_c (+-2 d/dw_s f), added as
+    d_b f + ((t_0 + t_2) + t_1), the order of jets.lane_sum. Each t_s is
+    the product V[:, b, s] d/dw_s f of the vertical block, as doubling is
+    exact, so the result equals d_H f + einsum("nbs,ns->nb", V, grad_w)
+    bit for bit, up to the sign of a zero; a row's value depends neither on
+    its batch nor on the memory order. The coordinate rows are views of the
+    transposed batch, contiguous when it is Fortran-ordered; copying a
+    C-ordered batch's rows instead would cost the scans more in page faults
+    and heap than it saves.
     """
-    nh = V.shape[1]
-    return grad[:, :nh] + np.einsum("nbs,ns->nb", V, grad[:, nh:])
+    nh, n = frame.nh, frame.n
+    q = points[:, :nh].T.reshape(n, 4, -1)
+    G = grad.T
+    twice = np.multiply(G[nh:], 2.0, order="C")
+    signed = (twice, -twice)
+    grad_h = G[:nh].reshape(n, 4, -1)
+    fg = np.empty_like(grad[:, :nh])
+    out = fg.T.reshape(n, 4, -1)
+    term = np.empty(out[:, 0].shape)
+    for m, ((c0, n0), (c1, n1), (c2, n2)) in enumerate(frame._vterms):
+        row = out[:, m]
+        np.multiply(q[:, c0], signed[n0][0], out=row)
+        row += np.multiply(q[:, c2], signed[n2][2], out=term)
+        row += np.multiply(q[:, c1], signed[n1][1], out=term)
+        row += grad_h[:, m]
+    return fg
 
 
 def frame_first_order(field: ScalarField, points, frame: HorizontalFrame):
     """(horizontal gradient (N,4n), vertical derivatives (N,3)) of field."""
     points = np.asarray(points, dtype=float)
     jf = field.jets(points, order=1)
-    fg = horizontal_gradient(frame.vertical_coefficients(points), jf.grad)
+    fg = horizontal_gradient(frame, points, jf.grad)
     xi = 2.0 * jf.grad[:, frame.nh:frame.nh + 3]
     return fg, xi
 
@@ -399,7 +428,7 @@ def frame_second_order(field: ScalarField, points, frame: HorizontalFrame):
     jf = field.jets(points, order=2)
     C = frame.coefficients(points)
     grad_w = jf.grad[:, nh:nh + 3]
-    fg = horizontal_gradient(C[:, :, nh:], jf.grad)
+    fg = horizontal_gradient(frame, points, jf.grad)
     fh = C @ jf.hess @ np.swapaxes(C, 1, 2)
     # G[b, a, :] holds at most one nonzero, so this BLAS product is exact
     # and row-wise: (a, b) gets one +-2 d/dw_s f or a sum of zeros

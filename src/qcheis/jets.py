@@ -10,7 +10,14 @@ derivatives are known in closed form (the extremal h and the bump window in
 yamabe) writes its Jet2 directly instead of composing one from these
 operations.
 
-Storage is batched: value (N,), gradient (N, d), Hessian (N, d, d). Every
+Storage is batched: value (N,), gradient (N, d), Hessian (N, d, d). A
+batch of points may come in either memory order: the functional's node
+pass hands fields the (N, d) view of a coordinate-major (d, N) array,
+which is Fortran-ordered, while the scans pass C-ordered rows. Every
+order-1 operation below works on whole columns, one numpy loop over the
+batch per coordinate, and a gradient keeps the memory order of its input.
+Sums over coordinates are written out term by term (lane_sum), so a row's
+jet depends neither on its batch nor on the memory order. Every
 Hessian is exactly symmetric, H[:, i, j] == H[:, j, i] bit for bit: each
 producer forms an outer product as x[:, :, None] * x[:, None, :] before it
 scales it, adds only symmetric pieces, and adds a matrix that may not be
@@ -27,6 +34,39 @@ pipeline without sharing any code with it.
 from __future__ import annotations
 
 import numpy as np
+
+
+def lane_sum(terms):
+    """The sum of k equally shaped arrays in numpy's order for a short
+    contiguous dot product: even- and odd-numbered terms are added up
+    apart and the two partial sums added last; each whole block of eight
+    enters from its last pair to its first (6, 4, 2, 0 and 7, 5, 3, 1)
+    before the remaining terms in order. That is the two-lane SIMD loop
+    behind np.einsum("ni,ni->n") on C-ordered rows, so the sum equals that
+    einsum bit for bit, up to the sign of an exactly zero sum. Each term is
+    a whole column, so the sum of a row does not depend on its batch or on
+    the memory order."""
+    k = len(terms)
+    head = k - k % 8
+    firsts = [i for lo in range(0, head, 8)
+              for i in (lo + 6, lo + 4, lo + 2, lo)]
+    firsts += range(head, k, 2)
+    sums = []
+    for lane in (firsts, [i + 1 for i in firsts if i + 1 < k]):
+        if len(lane) == 1:
+            sums.append(terms[lane[0]])
+        elif lane:
+            acc = terms[lane[0]] + terms[lane[1]]
+            for i in lane[2:]:
+                acc += terms[i]
+            sums.append(acc)
+    return sums[0] if len(sums) == 1 else sums[0] + sums[1]
+
+
+def scale_rows(a, v):
+    """Each row of a (N, d) times v (N,), in a's memory order: a numpy loop
+    over whole columns when a is a view of a (d, N) array."""
+    return (v * a.T).T
 
 
 class DomainError(ValueError):
@@ -93,7 +133,8 @@ class Jet2:
         if isinstance(other, Jet2):
             ha, hb = self._pair_hess(other)
             value = self.value * other.value
-            grad = self.grad * other.value[:, None] + other.grad * self.value[:, None]
+            grad = (scale_rows(self.grad, other.value)
+                    + scale_rows(other.grad, self.value))
             if ha is None:
                 return Jet2(value, grad, None)
             # a_i b_j + b_i a_j is symmetric bit for bit, as each sum
@@ -109,16 +150,21 @@ class Jet2:
 
     # -- real powers -----------------------------------------------------------
 
-    def pow_real(self, alpha):
-        """self ** alpha for real alpha; requires strictly positive values."""
-        if np.any(self.value <= 0):
+    def pow_real(self, alpha, scale=1.0):
+        """(scale * self) ** alpha for real alpha; requires strictly
+        positive values. scale enters the derivative factors, not the
+        gradient and Hessian, so for a power of two (exact scaling) the
+        result equals (self * scale).pow_real(alpha) bit for bit without
+        the scaled copies of both."""
+        base = self.value if scale == 1.0 else scale * self.value
+        if np.any(base <= 0):
             raise DomainError("pow_real needs a strictly positive base")
-        v = self.value ** alpha
-        d1 = alpha * self.value ** (alpha - 1)
-        grad = d1[:, None] * self.grad
+        v = base ** alpha
+        d1 = scale * alpha * base ** (alpha - 1)
+        grad = scale_rows(self.grad, d1)
         if self.hess is None:
             return Jet2(v, grad, None)
-        d2 = alpha * (alpha - 1) * self.value ** (alpha - 2)
+        d2 = scale * scale * alpha * (alpha - 1) * base ** (alpha - 2)
         # in place: this is the largest array on the order-2 scan path,
         # and d1 H + d2 g g^T out of place would hold two more of its size
         hess = self.grad[:, :, None] * self.grad[:, None, :]
@@ -184,7 +230,7 @@ class PolynomialField(ScalarField):
         # term reaches is the int 0)
         dtype = np.result_type(points, np.array(list(self.monomials.values())))
         value = np.zeros(n, dtype=dtype)
-        grad = np.zeros((n, d), dtype=dtype)
+        grad = np.zeros_like(points, dtype=dtype)
         hess = None if order == 1 else np.zeros((n, d, d), dtype=dtype)
 
         for expo, coef in self.monomials.items():
@@ -257,14 +303,22 @@ class AffineMapField(ScalarField):
 
     def jets(self, points, order=2):
         points = np.asarray(points)
-        # BLAS products: a row's jet may move at round-off with the size of
-        # its batch (a single row takes another BLAS path), so a field
-        # reproduces its jets bit for bit only on the same batches (the
-        # functional evaluates whole node chunks)
-        mapped = points @ self._matrix_t + self.offset
-        ju = self.base.jets(mapped, order=order)
+        # coordinate-major BLAS products: the mapped points A p^T + b as a
+        # (d, N) array, handed to the base field as its (N, d) view, and
+        # A^T (grad u)^T written into the transpose of a gradient in the
+        # input's memory order. A row's jet may move at round-off with its
+        # batch (a single row takes another BLAS path) and with the input's
+        # memory order (a C-ordered input's gradient is no BLAS operand),
+        # so a field reproduces its jets bit for bit only on the same
+        # batches in the same layout (the functional evaluates whole
+        # coordinate-major node chunks)
+        mapped = self.matrix @ points.T
+        mapped += self.offset[:, None]
+        ju = self.base.jets(mapped.T, order=order)
         value = self.scale * ju.value
-        grad = self.scale * (ju.grad @ self.matrix)
+        grad = np.empty_like(points, dtype=ju.grad.dtype)
+        np.matmul(self._matrix_t, ju.grad.T, out=grad.T)
+        grad *= self.scale
         if ju.hess is None:
             return Jet2(value, grad, None)
         hess = self.scale * np.einsum(

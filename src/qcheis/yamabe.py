@@ -27,15 +27,19 @@ and under u -> lam^{(Q-2)/2} u o delta_lam, and the extremal Phi minimizes
 it; the scans in the test-suite and CLI exercise exactly those statements.
 
 The nodes are streamed: each scramble's Sobol points are drawn in chunks
-of 2^12 rows and mapped to polar nodes once, so no full node set is ever
-held, and each field maps them through its own fitted affine map. Chunks
-of that size keep every working array small enough for the allocator to
-reuse it from one chunk to the next instead of mapping and faulting in
-fresh pages. R(Phi), its translate, its two dilates and R(Phi + eps b) for
-the compactly supported bumps b of the extremality test all share one draw
+of 2^12 and mapped to polar nodes once, so no full node set is ever held,
+and each field maps them through its own fitted affine map, B z^T + c.
+Chunks of that size keep every working array small enough for the
+allocator to reuse it from one chunk to the next instead of mapping and
+faulting in fresh pages. A chunk is held coordinate-major, one contiguous
+row of 2^12 values per coordinate: each field sees the (N, d) view of the
+(d, N) array, and the jets, the horizontal gradients and the integrands
+are computed row by row, so each numpy call loops over a whole chunk.
+R(Phi), its translate, its two dilates and R(Phi + eps b) for the
+compactly supported bumps b of the extremality test all share one draw
 per scramble. The bumps are evaluated together, once per chunk, and each
 only at the nodes inside its support: one screen of all bumps turns the
-chunk into (node, bump) pairs, and the exact support test, the bump jets
+chunk into (bump, node) pairs, and the exact support test, the bump jets
 and the horizontal gradients run once over those pairs. Every integrand is
 reduced exactly as for a single field, so each result equals the separate
 estimate of its field bit for bit. The exact R(Phi) is extremal_ratio(n).
@@ -56,7 +60,8 @@ import numpy as np
 from .heis import (GroupPoint, HorizontalFrame, dilation_affine,
                    frame_second_order, horizontal_gradient,
                    left_translation_affine)
-from .jets import AffineMapField, DomainError, Jet2, JetField, ScalarField
+from .jets import (AffineMapField, DomainError, Jet2, JetField, ScalarField,
+                   lane_sum)
 from .tensors import project_3_m1, trace_free
 
 
@@ -114,8 +119,12 @@ def h_explicit(params: ExtremalParams) -> ScalarField:
         grad h  = 2 c0 T^T tw  +  4 c0 r s          (s on the q-columns),
         hess h  = 2 c0 T^T T   +  8 c0 s s^T + 4 c0 r Id   (q-block).
 
-    The T^T T term is one constant (d, d) matrix. Every product is
-    row-wise, so a row's jet does not depend on the rest of its batch.
+    The T^T T term is one constant (d, d) matrix. The value and the
+    gradient are computed on coordinate rows (the transpose of the batch,
+    copied unless it is Fortran-ordered), with every sum over coordinates
+    written out in jets.lane_sum's order, so a row's jet depends neither
+    on its batch nor on the memory order; the gradient comes back in the
+    input's memory order.
     """
     n = params.n
     d = 4 * n + 3
@@ -124,8 +133,8 @@ def h_explicit(params: ExtremalParams) -> ScalarField:
     # and twist_s = w_s + w0_s + 2 Im(q0 conj(q))_s is row 4n+s of L_{p0}
     A, offset = left_translation_affine(params.base)
     T = np.array(A[nh:], dtype=float)
-    q0 = np.array(offset[:nh], dtype=float)
-    w0 = np.array(offset[nh:], dtype=float)
+    q0 = np.array(offset[:nh], dtype=float)[:, None]
+    w0 = np.array(offset[nh:], dtype=float)[:, None]
 
     c0 = float(params.c0)
     sigma = float(params.sigma)
@@ -136,36 +145,51 @@ def h_explicit(params: ExtremalParams) -> ScalarField:
     # on a symmetric product this is exactly 2 T^T T
     TtT = T.T @ T
     twist_hess = c0 * (TtT + TtT.T)
-    twist_grad = 2.0 * c0 * T
     q_diag = np.arange(nh)
 
     # at q0 = 0 the twist does not depend on q: T = [0 | Id], so tw = w + w0
-    # and T^T tw = [0 | tw]; the einsums over T would only add exact zeros
+    # and T^T tw = [0 | tw]; the sums over T would only add exact zeros
     untwisted = not T[:, :nh].any()
+    # the rows of T and of 2 c0 T, each as a (d, 1) column
+    T, twist_grad = T[:, :, None], 2.0 * c0 * T[:, :, None]
+
+    def first_order(points):
+        """value, gradient, s (4n, N) and r; the coordinate-major working
+        arrays are freed on return, before any Hessian-sized array."""
+        P = np.ascontiguousarray(points.T)
+        s = P[:nh] + q0
+        r = sigma + lane_sum(s * s)
+        grad = np.empty_like(points)
+        G = grad.T
+        if untwisted:
+            tw = P[nh:] + w0
+            value = c0 * (r * r + lane_sum(tw * tw))
+            np.multiply(4.0 * c0 * r, s, out=G[:nh])
+            np.multiply(tw, 2.0 * c0, out=G[nh:])
+        else:
+            # one work array of P's size for every product: a fresh
+            # (d, N) temporary per product grows the scans' heap
+            work = np.empty_like(P)
+            tw = np.empty((3, P.shape[1]))
+            for k, row in enumerate(T):
+                tw[k] = lane_sum(np.multiply(P, row, out=work))
+            tw += w0
+            value = c0 * (r * r + lane_sum(tw * tw))
+            # 2 c0 T^T tw, summed over s in order
+            np.multiply(tw[0], twist_grad[0], out=G)
+            G += np.multiply(tw[1], twist_grad[1], out=work)
+            G += np.multiply(tw[2], twist_grad[2], out=work)
+            G[:nh] += np.multiply(4.0 * c0 * r, s, out=work[:nh])
+        return value, grad, s, r
 
     def builder(points, order):
-        points = np.ascontiguousarray(points, dtype=float)
-        s = points[:, :nh] + q0
-        r = sigma + np.einsum("ni,ni->n", s, s)
-        if untwisted:
-            tw = points[:, nh:] + w0
-            value = c0 * (r * r + np.einsum("ns,ns->n", tw, tw))
-            grad = np.empty_like(points)
-            np.multiply((4.0 * c0 * r)[:, None], s, out=grad[:, :nh])
-            np.multiply(tw, 2.0 * c0, out=grad[:, nh:])
-        else:
-            # einsum, not matmul: BLAS may sum a row differently with the
-            # size of its batch, and a scan's blocks must equal one
-            # evaluation over all its points
-            # (test_scan_blocks_equal_one_batch_evaluation)
-            tw = np.einsum("nj,sj->ns", points, T) + w0
-            value = c0 * (r * r + np.einsum("ns,ns->n", tw, tw))
-            grad = np.einsum("ns,sj->nj", tw, twist_grad)
-            grad[:, :nh] += (4.0 * c0 * r)[:, None] * s
+        points = np.asarray(points, dtype=float)
+        value, grad, s, r = first_order(points)
         if order == 1:
             return Jet2(value, grad, None)
         hess = np.empty((points.shape[0], d, d))
         hess[:] = twist_hess
+        s = s.T
         ss = s[:, :, None] * s[:, None, :]
         ss *= 8.0 * c0
         hess[:, :nh, :nh] += ss
@@ -180,8 +204,10 @@ def phi_from_h(h_field: ScalarField, qdim) -> ScalarField:
     expo = -(qdim - 2) / 4.0
 
     def builder(points, order):
-        # no name for h's jet: it is freed before pow_real allocates
-        return (h_field.jets(points, order=order) * 2.0).pow_real(expo)
+        # the factor 2 goes into pow_real's derivative factors, which saves
+        # scaling h's gradient and Hessian; doubling is exact, so the jets
+        # equal those of (2 h)^expo bit for bit
+        return h_field.jets(points, order=order).pow_real(expo, scale=2.0)
 
     return JetField(h_field.dim, builder)
 
@@ -288,47 +314,49 @@ def dilated_field(u: ScalarField, lam, n, weight_power=0.0) -> ScalarField:
 
 
 # nodes within this much of the bump's boundary (in rho^2) are treated as
-# inside; a batch of another layout may sum rho^2 in another order, which
-# moves it by round-off of order 1e-15, so the support test can never miss a
-# node the bump touches
+# inside, so the support test keeps a margin over the round-off of rho^2
+# and can never miss a node the bump touches
 _SUPPORT_SLACK = 1e-9
 
 
 def _rho2(dx, inv_r2):
-    """rho^2 = sum_i inv_r2_i dx_i^2 of each row of dx (N, d), for one
-    bump's inv_r2 (d,) or for one (N, d) row of them per row of dx. The
-    einsum sums both alike, along C-ordered rows."""
-    return np.einsum("ni,ni->n", dx * dx, np.broadcast_to(inv_r2, dx.shape))
+    """rho^2 = sum_i inv_r2_i dx_i^2 of each column of dx (d, N), for one
+    bump's inv_r2 (d, 1) or for one column of them per column of dx,
+    summed over the coordinate rows in lane_sum's order."""
+    return lane_sum(dx * dx * inv_r2)
 
 
 def _bump_jets(points, dx, rho2, inv_r2, lin, const, order):
-    """Jets of the bump window times its affine factor at each row of
-    points, given dx = points - center and rho2 = _rho2(dx, inv_r2).
+    """Jets of the bump window times its affine factor at each column of
+    points (d, N), given dx = points - center and rho2 = _rho2(dx, inv_r2).
 
-    The parameters are one bump's (inv_r2 and lin (d,), const a float) or
-    one bump per row (inv_r2 and lin (N, d), const (N,)); every operation
-    is row-wise, so a row gets the same jet either way.
+    The parameters are one bump's (inv_r2 and lin (d, 1), const a float)
+    or one bump per column (inv_r2 and lin (d, N), const (N,)). Every
+    operation acts on whole coordinate rows and every sum over coordinates
+    is written out (lane_sum), so a point gets the same jet either way, in
+    a batch of any size. The gradient is the (N, d) view of a (d, N) array.
     """
-    inv_r2, lin = (np.broadcast_to(a, points.shape) for a in (inv_r2, lin))
     u = np.maximum(1.0 - rho2, 0.0)
     u2 = u * u
     g = 2.0 * dx * inv_r2
     w = u2 * u
-    grad_w = (-3.0 * u2)[:, None] * g
-    lin_value = np.einsum("nd,nd->n", points, lin) + const
+    grad_w = -3.0 * u2 * g
+    lin_value = lane_sum(points * lin) + const
     value = w * lin_value
-    grad = w[:, None] * lin + lin_value[:, None] * grad_w
+    grad = w * lin + lin_value * grad_w
     if order == 1:
-        return Jet2(value, grad, None)
+        return Jet2(value, grad.T, None)
     # each piece is symmetric before it is added, so the sum is too
+    grad_w, g = grad_w.T, g.T
+    lin, inv_r2 = (np.broadcast_to(a, dx.shape).T for a in (lin, inv_r2))
     cross = grad_w[:, :, None] * lin[:, None, :]
     hess = cross + np.swapaxes(cross, 1, 2)
     gg = g[:, :, None] * g[:, None, :]
     gg *= (6.0 * u * lin_value)[:, None, None]
     hess += gg
-    diag = np.arange(points.shape[1])
+    diag = np.arange(dx.shape[0])
     hess[:, diag, diag] -= (6.0 * u2 * lin_value)[:, None] * inv_r2
-    return Jet2(value, grad, hess)
+    return Jet2(value, grad.T, hess)
 
 
 class BumpField(ScalarField):
@@ -356,69 +384,78 @@ class BumpField(ScalarField):
         """Mask of the points where the bump may be nonzero: the closed
         ellipsoid rho <= 1 widened by a round-off slack. Covers every point
         where jets() gives a nonzero value or gradient."""
-        points = np.asarray(points, dtype=float)
-        return _rho2(points - self.center, self._inv_r2) < 1.0 + _SUPPORT_SLACK
+        P = np.asarray(points, dtype=float).T
+        return _rho2(P - self.center[:, None], self._inv_r2[:, None]) \
+            < 1.0 + _SUPPORT_SLACK
 
     def jets(self, points, order=2):
-        # every operation is row-wise, and the einsum sums run along
-        # C-ordered rows, so a row gets the same jet in a batch of any size
-        # and layout, and from the same formulas on stacked parameters,
-        # which is how functional_estimates evaluates all bumps of a chunk
-        # at once; a matmul's sums may depend on the batch, so none is used
+        # on coordinate rows, from the same formulas functional_estimates
+        # applies to all bumps of a chunk at once on their stacked
+        # parameters, so a point gets the same jet in a batch of any size
+        # and memory order, and in the batched pass
         # (test_bump_jets_do_not_depend_on_the_batch)
-        points = np.ascontiguousarray(points, dtype=float)
-        dx = points - self.center
-        return _bump_jets(points, dx, _rho2(dx, self._inv_r2), self._inv_r2,
-                          self.lin, self.const, order)
+        points = np.asarray(points, dtype=float)
+        P = np.ascontiguousarray(points.T)
+        dx = P - self.center[:, None]
+        ir = self._inv_r2[:, None]
+        jet = _bump_jets(P, dx, _rho2(dx, ir), ir, self.lin[:, None],
+                         self.const, order)
+        if not points.flags.f_contiguous:
+            jet.grad = np.ascontiguousarray(jet.grad)
+        return jet
 
 
 # the screen's allowance for its own round-off, relative to a + b below
 _SCREEN_ROUNDOFF = 1e-13
 
-# rows screened at once: larger (rows, bumps) blocks are handed back to the
-# system and faulted in afresh on every call; screening 4096 rows at once
-# took functional --n 1 from 15 k to 78 k minor page faults
+# nodes screened at once: larger (bumps, nodes) blocks are handed back to
+# the system and faulted in afresh on every call; screening 4096 nodes at
+# once took functional --n 1 from 15 k to 78 k minor page faults
 _SCREEN_ROWS = 1024
 
 
 def _support_screen(bumps, points):
-    """(N, len(bumps)) mask of the rows that may lie in each bump's support:
-    every row bump.support() admits, and a few near misses.
+    """(N, len(bumps)) mask of the points (N, d) that may lie in each
+    bump's support: every point bump.support() admits, and a few near
+    misses. The mask is the (N, K) view of a (K, N) array.
 
     rho^2 = sum_i ir_i (p_i - c_i)^2 expands into a - 2 p . (c o ir) + b with
-    a = (p o p) . ir and b = (c o c) . ir. A row is kept when
+    a = (p o p) . ir and b = (c o c) . ir. A point is kept when
     rho^2 < 1 + 2 _SUPPORT_SLACK + R (a + b), R = _SCREEN_ROUNDOFF; far from
     the origin a + b is large, and the allowance with it. The difference of
     the two sides is linear in [p o p | p | 1], so all bumps are screened by
-    one product with a (2d + 1, K) table, stacked once per call, and a sign
-    test. As 2 |p_i c_i| <= p_i^2 + c_i^2, its terms add up to at most
-    2 (a + b) + 2 in magnitude. Each term enters the product with at most
-    d + 5 roundings of its own (b's sum, the table's entries, p o p), and
-    the product's sum of 2d + 1 terms adds 2d + 1 more, so the computed
-    difference is within gamma_{3d+6} (2 (a + b) + 2) < 1e-14 (a + b + 1) of
-    the exact one for d <= 11. A row support() admits has its computed
-    rho^2 below 1 + _SUPPORT_SLACK, so its exact rho^2 is below
+    one product of a (K, 2d + 1) table, stacked once per call, with those
+    coordinate rows, and a sign test. As 2 |p_i c_i| <= p_i^2 + c_i^2, its
+    terms add up to at most 2 (a + b) + 2 in magnitude. Each term enters
+    the product with at most d + 5 roundings of its own (b's sum, the
+    table's entries, p o p), and the product's sum of 2d + 1 terms adds
+    2d + 1 more, so the computed difference is within
+    gamma_{3d+6} (2 (a + b) + 2) < 1e-14 (a + b + 1) of the exact one for
+    d <= 11. A point support() admits has its computed rho^2 below
+    1 + _SUPPORT_SLACK, so its exact rho^2 is below
     1 + _SUPPORT_SLACK + 1e-14, and its computed difference is below
     -_SUPPORT_SLACK + 2e-14 - (R - 1e-14) (a + b) < 0: it is kept. The mask
-    is a screen only: the support test on its rows is the exact one.
+    is a screen only: the support test on its points is the exact one.
     """
-    centers = np.stack([bump.center for bump in bumps], axis=1)
-    ir = np.stack([bump._inv_r2 for bump in bumps], axis=1)
-    b = np.sum(centers * centers * ir, axis=0)
+    centers = np.stack([bump.center for bump in bumps])
+    ir = np.stack([bump._inv_r2 for bump in bumps])
+    b = np.sum(centers * centers * ir, axis=1)
     table = np.concatenate([
         (1.0 - _SCREEN_ROUNDOFF) * ir, -2.0 * centers * ir,
-        ((1.0 - _SCREEN_ROUNDOFF) * b - (1.0 + 2.0 * _SUPPORT_SLACK))[None]])
-    N, d = points.shape
-    keep = np.empty((N, len(bumps)), dtype=bool)
-    x = np.empty((min(N, _SCREEN_ROWS), 2 * d + 1))
-    x[:, 2 * d] = 1.0
+        ((1.0 - _SCREEN_ROUNDOFF) * b
+         - (1.0 + 2.0 * _SUPPORT_SLACK))[:, None]], axis=1)
+    P = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+    d, N = P.shape
+    keep = np.empty((len(bumps), N), dtype=bool)
+    x = np.empty((2 * d + 1, min(N, _SCREEN_ROWS)))
+    x[2 * d] = 1.0
     for lo in range(0, N, _SCREEN_ROWS):
-        p = points[lo:lo + _SCREEN_ROWS]
-        rows = p.shape[0]
-        np.multiply(p, p, out=x[:rows, :d])
-        x[:rows, d:2 * d] = p
-        np.less(x[:rows] @ table, 0.0, out=keep[lo:lo + rows])
-    return keep
+        p = P[:, lo:lo + _SCREEN_ROWS]
+        cols = p.shape[1]
+        np.multiply(p, p, out=x[:d, :cols])
+        x[d:2 * d, :cols] = p
+        np.less(table @ x[:, :cols], 0.0, out=keep[:, lo:lo + cols])
+    return keep.T
 
 
 def bump_field(n, seed, box=2.0) -> BumpField:
@@ -546,7 +583,8 @@ def _sobol_chunks(d, m, seed, chunk):
     k ^ (k >> 1), scaled by 2^-30. Those are the points of
     scipy.stats.qmc.Sobol(d, scramble=True, seed=seed), bit for bit.
     Each chunk is two gathers from XOR tables over the low and the high
-    half of the index bits, one XOR and one multiply.
+    half of the index bits, one XOR and one multiply, made one coordinate
+    row at a time: a chunk is the (N, d) view of a (d, N) array.
     """
     if d > len(_SOBOL_POLY) or m > _SOBOL_BITS:
         raise ValueError(f"Sobol nodes support d <= {len(_SOBOL_POLY)} and "
@@ -560,14 +598,15 @@ def _sobol_chunks(d, m, seed, chunk):
             table = np.concatenate([table, table ^ col])
         return table
 
-    t_low = xor_table(sv.T[:low], np.zeros(d, dtype=np.uint32))
-    t_high = xor_table(sv.T[low:m], shift)
+    t_low = xor_table(sv.T[:low], np.zeros(d, dtype=np.uint32)).T.copy()
+    t_high = xor_table(sv.T[low:m], shift).T.copy()
     total = 2 ** m
     for lo in range(0, total, chunk):
         k = np.arange(lo, min(lo + chunk, total))
         gray = k ^ (k >> 1)
-        yield (t_low[gray & (2 ** low - 1)] ^ t_high[gray >> low]) \
-            * 2.0 ** -_SOBOL_BITS
+        yield ((np.take(t_low, gray & (2 ** low - 1), axis=1)
+                ^ np.take(t_high, gray >> low, axis=1))
+               * 2.0 ** -_SOBOL_BITS).T
 
 
 def _polar_nodes(u, n):
@@ -582,38 +621,40 @@ def _polar_nodes(u, n):
     radial axes carry unbounded weight factors and the integrand decays
     against them. Returns (points (N, 4n+3), weights (N,)) with
 
-        integral of F over R^{4n+3} = E_uniform[ F(x(u)) * weight(u) ].
+        integral of F over R^{4n+3} = E_uniform[ F(x(u)) * weight(u) ];
 
-    The map acts row by row, so a chunk of rows maps to the same values
-    as it does inside a larger draw.
+    the points are the (N, d) view of a coordinate-major (d, N) array. The
+    map acts point by point, so a chunk maps to the same values as it does
+    inside a larger draw.
     """
     d = 4 * n + 3
-    u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    N = u.shape[0]
-    x = np.empty((N, d))
+    u = np.clip(u.T, 1e-12, 1.0 - 1e-12, order="C")
+    N = u.shape[1]
+    x = np.empty((d, N))
     w = np.ones(N)
     for a in range(n):
-        p1 = 2.0 * np.pi * u[:, 4 * a]
-        p2 = 2.0 * np.pi * u[:, 4 * a + 1]
-        t = u[:, 4 * a + 2]
-        r = np.tan(0.5 * np.pi * u[:, 4 * a + 3])
-        st, ct = np.sqrt(t), np.sqrt(1.0 - t)
-        x[:, 4 * a + 0] = r * st * np.cos(p1)
-        x[:, 4 * a + 1] = r * st * np.sin(p1)
-        x[:, 4 * a + 2] = r * ct * np.cos(p2)
-        x[:, 4 * a + 3] = r * ct * np.sin(p2)
+        p1 = 2.0 * np.pi * u[4 * a]
+        p2 = 2.0 * np.pi * u[4 * a + 1]
+        t = u[4 * a + 2]
+        r = np.tan(0.5 * np.pi * u[4 * a + 3])
+        rst, rct = r * np.sqrt(t), r * np.sqrt(1.0 - t)
+        np.multiply(rst, np.cos(p1), out=x[4 * a + 0])
+        np.multiply(rst, np.sin(p1), out=x[4 * a + 1])
+        np.multiply(rct, np.cos(p2), out=x[4 * a + 2])
+        np.multiply(rct, np.sin(p2), out=x[4 * a + 3])
         jac_r = 0.5 * np.pi * (1.0 + r ** 2)
-        w *= r ** 3 * jac_r * 2.0 * np.pi ** 2
-    phi = 2.0 * np.pi * u[:, 4 * n]
-    z = 2.0 * u[:, 4 * n + 1] - 1.0
-    rho = np.tan(0.5 * np.pi * u[:, 4 * n + 2])
-    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    x[:, 4 * n + 0] = rho * s * np.cos(phi)
-    x[:, 4 * n + 1] = rho * s * np.sin(phi)
-    x[:, 4 * n + 2] = rho * z
+        # (v * 2) * pi^2 == v * (2 pi^2): doubling is exact
+        w *= r ** 3 * jac_r * (2.0 * np.pi ** 2)
+    phi = 2.0 * np.pi * u[4 * n]
+    z = 2.0 * u[4 * n + 1] - 1.0
+    rho = np.tan(0.5 * np.pi * u[4 * n + 2])
+    rs = rho * np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    np.multiply(rs, np.cos(phi), out=x[4 * n + 0])
+    np.multiply(rs, np.sin(phi), out=x[4 * n + 1])
+    np.multiply(rho, z, out=x[4 * n + 2])
     jac_rho = 0.5 * np.pi * (1.0 + rho ** 2)
-    w *= rho ** 2 * jac_rho * 4.0 * np.pi
-    return x, w
+    w *= rho ** 2 * jac_rho * (4.0 * np.pi)
+    return x.T, w
 
 
 # Calibration of the affine adaptation: for a reference centered density
@@ -635,23 +676,39 @@ _CHUNK = 2 ** 12
 _PILOT_LOG2 = 14
 
 
+def _mapped_nodes(B, z, center):
+    """The nodes center + B z of a chunk of polar nodes z (N, d), as a
+    coordinate-major (d, N) array."""
+    x = B @ z.T
+    x += center[:, None]
+    return x
+
+
 def _pilot_moments(u, two_star, n, m, seed, center, B):
     """Weighted mean and covariance of the density |u|^{2*} under the node
-    map center + B z; the constant det(B) cancels in the moments."""
-    xs, vals = [], []
-    Bt = np.ascontiguousarray(B.T)
+    map center + B z; the constant det(B) cancels in the moments. u sees
+    coordinate-major chunks; the moments sum over a node-major copy of the
+    nodes, node by node in the order of their draw."""
+    x = np.empty((2 ** m, 4 * n + 3))
+    vals = np.empty(2 ** m)
+    lo = 0
     for unit in _sobol_chunks(4 * n + 3, m, seed, _CHUNK):
         z, w = _polar_nodes(unit, n)
-        xs.append(center + z @ Bt)
-        vals.append(np.abs(u.jets(xs[-1], order=1).value) ** two_star * w)
-    x = np.concatenate(xs)
-    vals_all = np.concatenate(vals)
-    tot = float(np.sum(vals_all))
+        nodes = _mapped_nodes(B, z, center).T
+        hi = lo + len(nodes)
+        x[lo:hi] = nodes
+        vals[lo:hi] = np.abs(u.jets(nodes, order=1).value) ** two_star * w
+        lo = hi
+    tot = float(np.sum(vals))
     if tot <= 0:
         raise DomainError("field has no mass under the pilot nodes")
-    c = (vals_all[:, None] * x).sum(axis=0) / tot
-    xc = x - c
-    cov = (vals_all[:, None] * xc).T @ xc / tot
+    # one weighted copy of the nodes, reused, and x centred in place: every
+    # array of this size is freshly mapped and faulted in
+    weighted = vals[:, None] * x
+    c = weighted.sum(axis=0) / tot
+    x -= c
+    np.multiply(vals[:, None], x, out=weighted)
+    cov = weighted.T @ x / tot
     return c, (cov + cov.T) / 2.0
 
 
@@ -667,10 +724,11 @@ def _adapted_map(u, n, seed, pilot_log2):
 
 
 def _stacked(bumps):
-    """The bumps' parameters one row per bump: center, inverse squared
-    radii and lin (K, d), and const (K,)."""
-    return tuple(np.array([getattr(bump, k) for bump in bumps], dtype=float)
-                 for k in ("center", "_inv_r2", "lin", "const"))
+    """The bumps' parameters one column per bump: center, inverse squared
+    radii and lin (d, K), and const (K,)."""
+    return tuple(np.ascontiguousarray(
+        np.array([getattr(bump, k) for bump in bumps], dtype=float).T)
+        for k in ("center", "_inv_r2", "lin", "const"))
 
 
 def _chunk_sums(target, z, wts, frame, two_star, eps):
@@ -679,43 +737,48 @@ def _chunk_sums(target, z, wts, frame, two_star, eps):
     with b in bumps, holding the sums of |grad_H u|^2 w and |u|^{2*} w and
     the number of nodes where b is nonzero (0 for u).
 
-    u's jets are evaluated once. _support_screen screens all bumps at once,
-    and its mask becomes (row, bump) pairs; the exact support test, the
-    bump jets on the pairs' stacked parameters and the horizontal gradient
-    then run once over all pairs. Elsewhere u + eps * b = u. Each field's
-    integrands fill one row of a (1 + len(bumps), N) array, u's values with
-    its pairs' written over them, and every row is summed alike, so a
-    bump's sums equal those of u + eps * b evaluated at every node, and a
-    bump that holds no node reproduces u's sums exactly.
+    The nodes are a coordinate-major (d, N) array, and u sees its (N, d)
+    view; every integrand is computed on whole coordinate rows. u's jets
+    are evaluated once. _support_screen screens all bumps at once, and its
+    mask becomes (bump, node) pairs; the exact support test, the bump jets
+    on the pairs' stacked parameters and the horizontal gradient then run
+    once over all pairs. Elsewhere u + eps * b = u. Each field's integrands
+    fill one row of a (1 + len(bumps), N) array, u's values with its
+    pairs' written over them, and every row is summed alike, so a bump's
+    sums equal those of u + eps * b evaluated at every node, and a bump
+    that holds no node reproduces u's sums exactly.
     """
-    u, center, Bt, bumps, (centers, inv_r2, lin, const), work = target
-    pts = center + z @ Bt
-    V = frame.vertical_coefficients(pts)
-    ju = u.jets(pts, order=1)
-    fg = horizontal_gradient(V, ju.grad)
+    u, center, B, bumps, (centers, inv_r2, lin, const), work = target
+    P = _mapped_nodes(B, z, center)
+    N = P.shape[1]
+    ju = u.jets(P.T, order=1)
+    fg = horizontal_gradient(frame, P.T, ju.grad).T
     K = len(bumps)
-    num, den = work[:2 * (1 + K) * pts.shape[0]].reshape(2, 1 + K, -1)
-    num[:] = np.einsum("nb,nb->n", fg, fg) * wts
+    num, den = work[:2 * (1 + K) * N].reshape(2, 1 + K, -1)
+    num[:] = lane_sum(fg * fg) * wts
     den[:] = np.abs(ju.value) ** two_star * wts
-    nodes = np.zeros(1 + K)
+    out = np.zeros((1 + K, 3))
     if K:
-        rows, ks = np.divmod(np.flatnonzero(_support_screen(bumps, pts)), K)
-        dx = pts[rows] - centers[ks]
-        rho2 = _rho2(dx, inv_r2[ks])
+        ks, rows = np.divmod(np.flatnonzero(_support_screen(bumps, P.T).T), N)
+        dx = P[:, rows] - centers[:, ks]
+        rho2 = _rho2(dx, inv_r2[:, ks])
         inside = rho2 < 1.0 + _SUPPORT_SLACK
-        rows, ks, dx, rho2 = rows[inside], ks[inside], dx[inside], rho2[inside]
-        jb = _bump_jets(pts[rows], dx, rho2, inv_r2[ks], lin[ks], const[ks],
+        rows, ks, rho2 = rows[inside], ks[inside], rho2[inside]
+        dx, at = dx[:, inside], P[:, rows]
+        jb = _bump_jets(at, dx, rho2, inv_r2[:, ks], lin[:, ks], const[ks],
                         order=1)
-        nodes[1:] = np.bincount(ks[jb.value != 0], minlength=K)
+        out[1:, 2] = np.bincount(ks[jb.value != 0], minlength=K)
         value = ju.value[rows] + jb.value * eps
-        fg_b = horizontal_gradient(V[rows], ju.grad[rows] + jb.grad * eps)
-        num[1 + ks, rows] = np.einsum("nb,nb->n", fg_b, fg_b) * wts[rows]
+        grad = ju.grad.T[:, rows] + jb.grad.T * eps
+        fg_b = horizontal_gradient(frame, at.T, grad.T).T
+        num[1 + ks, rows] = lane_sum(fg_b * fg_b) * wts[rows]
         den[1 + ks, rows] = np.abs(value) ** two_star * wts[rows]
-    return np.stack([num.sum(axis=1), den.sum(axis=1), nodes], axis=1)
+    out[:, 0], out[:, 1] = num.sum(axis=1), den.sum(axis=1)
+    return out
 
 
 def _qmc_integrals(targets, n, two_star, m, seed, eps):
-    """One scramble's chunk sums for every prepared target (u, center, B^T,
+    """One scramble's chunk sums for every prepared target (u, center, B,
     bumps, stacked bumps, work), from one pass over its 2^m nodes: each
     chunk of Sobol points is drawn and mapped to polar nodes z once, and
     every target maps z its own way. Per target, _chunk_sums' results as an
@@ -752,13 +815,12 @@ def _estimates(targets, n, eps, samples_log2, seed):
     [u's, then one per u + eps * b] per target, from two scrambles (seed
     and seed + 1), each drawn once for all targets."""
     _, two_star = _exponents(n)
-    # per target, once for both scrambles: B^T in C order, which BLAS maps
-    # the nodes by faster than by B.T's view; the bumps' parameters; and
-    # the room for _chunk_sums' (1 + K, chunk) num and den arrays, which
-    # every chunk reuses, as arrays of that size allocated afresh are handed
-    # back to the system and faulted in again on every chunk
+    # per target, once for both scrambles: the bumps' parameters, and the
+    # room for _chunk_sums' (1 + K, chunk) num and den arrays, which every
+    # chunk reuses, as arrays of that size allocated afresh are handed back
+    # to the system and faulted in again on every chunk
     rows = min(_CHUNK, 2 ** samples_log2)
-    prepared = [(u, center, np.ascontiguousarray(B.T), bumps, _stacked(bumps),
+    prepared = [(u, center, B, bumps, _stacked(bumps),
                  np.empty(2 * (1 + len(bumps)) * rows))
                 for u, center, B, bumps in targets]
     passes = [_qmc_integrals(prepared, n, two_star, samples_log2, s, eps)

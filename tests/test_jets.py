@@ -103,6 +103,29 @@ def test_pow_real_against_log_exp_relation():
     assert _close(p.grad, expect[:, None] * jf.grad, 1e-9)
 
 
+def test_pow_real_folds_its_scale_into_the_derivative_factors():
+    # pow_real(alpha, scale) is (scale * jet) ** alpha without the scaled
+    # gradient and Hessian; for scale 2 every factor scales exactly, so
+    # the jets equal those of the scaled jet bit for bit, at both orders
+    rng = np.random.default_rng(4)
+    f = random_positive_polynomial(4, rng)
+    pts = rng.uniform(-1, 1, size=(300, 4))
+    for order in (1, 2):
+        jf = f.jets(pts, order=order)
+        for alpha in (-2.0, -2.5, 0.7):
+            got = jf.pow_real(alpha, scale=2.0)
+            want = (jf * 2.0).pow_real(alpha)
+            for part in ("value", "grad", "hess"):
+                a, b = getattr(got, part), getattr(want, part)
+                assert (a is None and b is None) or np.array_equal(a, b)
+            odd = jf.pow_real(alpha, scale=3.0)
+            ref = (jf * 3.0).pow_real(alpha)
+            assert _close(odd.value, ref.value, 1e-15 * np.max(ref.value))
+            assert _close(odd.grad, ref.grad, 1e-14 * np.max(np.abs(ref.grad)))
+    with pytest.raises(DomainError):
+        jf.pow_real(0.5, scale=-1.0)
+
+
 def test_pow_and_log_refuse_nonpositive_values():
     j = Jet2(np.array([-1.0]), np.zeros((1, 2)), np.zeros((1, 2, 2)))
     with pytest.raises(DomainError):
@@ -148,6 +171,53 @@ def test_combination_field_linearity():
     assert _close(jc.value, 2.0 * jf.value - 0.5 * jg.value, 1e-12)
     assert _close(jc.grad, 2.0 * jf.grad - 0.5 * jg.grad, 1e-12)
     assert _close(jc.hess, 2.0 * jf.hess - 0.5 * jg.hess, 1e-12)
+
+
+def _memory_order_pairs(rng, d):
+    """(C-ordered batch, its Fortran-ordered copy) at batch sizes 1, 37 and
+    4096, a fifth of the coordinates +0.0 or -0.0."""
+    for size in (1, 37, 4096):
+        pts = rng.uniform(-1, 1, size=(size, d))
+        zero = rng.random((size, d)) < 0.2
+        pts[zero] = np.where(rng.random(np.count_nonzero(zero)) < 0.5,
+                             0.0, -0.0)
+        yield pts, np.asfortranarray(pts)
+
+
+def _same_bits(a, b):
+    return (a.dtype == b.dtype and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def test_combination_field_jets_do_not_depend_on_memory_order():
+    # a (N, d) batch may be the view of a coordinate-major (d, N) array;
+    # its order-1 jets equal those of its C-ordered copy bit for bit, zero
+    # signs included, and the gradient keeps the input's memory order
+    rng = np.random.default_rng(61)
+    comb = CombinationField([random_positive_polynomial(5, rng),
+                             random_positive_polynomial(5, rng)], [2.0, -0.5])
+    for c_rows, f_rows in _memory_order_pairs(rng, 5):
+        jc, jf = comb.jets(c_rows, order=1), comb.jets(f_rows, order=1)
+        assert _same_bits(jc.value, jf.value) and _same_bits(jc.grad, jf.grad)
+        assert jc.grad.flags.c_contiguous and jf.grad.flags.f_contiguous
+
+
+def test_affine_map_field_jets_in_either_memory_order():
+    # AffineMapField maps and pulls back through BLAS products, which need
+    # not sum a row alike for both memory orders of the input; the jets
+    # of a Fortran-ordered batch and of its C-ordered copy measured equal
+    # bit for bit (numpy 2.4, OpenBLAS 0.3), and may differ by no more than
+    # a few roundings of the products
+    rng = np.random.default_rng(62)
+    for d in (3, 7, 11):
+        inner = random_positive_polynomial(d, rng)
+        mapped = AffineMapField(inner, rng.normal(size=(d, d)),
+                                rng.normal(size=d), scale=1.5)
+        for c_rows, f_rows in _memory_order_pairs(rng, d):
+            jc, jf = mapped.jets(c_rows, order=1), mapped.jets(f_rows, order=1)
+            assert jc.grad.flags.c_contiguous and jf.grad.flags.f_contiguous
+            for a, b in ((jc.value, jf.value), (jc.grad, jf.grad)):
+                assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(a))
 
 
 def test_order_one_jets_have_no_hessian():

@@ -27,7 +27,7 @@ from qcheis.yamabe import (BumpField, ExtremalParams, FunctionalEstimate,
                            functional_estimates, h_explicit, phi_explicit,
                            phi_from_h, translated_field, yamabe_residual)
 
-from test_heis import oracle_multiply
+from test_heis import _assert_same_bits, oracle_multiply
 
 # frozen from the radial oracle below; R = num / den^{4/5}
 ORACLE_NUM = 0.507339015802
@@ -492,6 +492,109 @@ def test_bump_jets_do_not_depend_on_the_batch():
             for part in parts:
                 assert np.array_equal(getattr(one, part)[0],
                                       getattr(full, part)[i])
+
+
+def _order1_fields(n, rng):
+    """The closed-form fields of the functional's node pass: h centred and
+    twisted, Phi, a bump and Phi + eps b."""
+    twisted = ExtremalParams(n=n, c0=0.7, sigma=1.3, base=_point(n, rng))
+    phi = phi_explicit(ExtremalParams.centered(n))
+    bump = bump_field(n, seed=n)
+    return bump, {
+        "h_centred": h_explicit(ExtremalParams.centered(n, c0=0.8, sigma=1.2)),
+        "h_twisted": h_explicit(twisted), "phi": phi,
+        "phi_twisted": phi_explicit(twisted), "bump": bump,
+        "combination": CombinationField([phi, bump], [1.0, 0.05])}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_order1_jets_do_not_depend_on_memory_order(n):
+    # the node pass hands fields the (N, d) view of a coordinate-major
+    # (d, N) array; every closed-form field computes on coordinate rows and
+    # writes out its sums over coordinates, so a Fortran-ordered batch and
+    # its C-ordered copy get the same jets bit for bit, zero signs included,
+    # and each gradient keeps its input's memory order
+    d = 4 * n + 3
+    rng = np.random.default_rng(70 + n)
+    bump, fields = _order1_fields(n, rng)
+    for size in (1, 37, 4096):
+        pts = bump.center + rng.uniform(-0.6, 0.6, size=(size, d))
+        zero = rng.random((size, d)) < 0.2
+        pts[zero] = np.where(rng.random(np.count_nonzero(zero)) < 0.5,
+                             0.0, -0.0)
+        for name, field in fields.items():
+            jc = field.jets(pts, order=1)
+            jf = field.jets(np.asfortranarray(pts), order=1)
+            _assert_same_bits(jc.value, jf.value)
+            _assert_same_bits(jc.grad, jf.grad)
+            assert jc.grad.flags.c_contiguous, (name, size)
+            assert jf.grad.flags.f_contiguous, (name, size)
+        if size == 4096:
+            assert np.count_nonzero(bump.jets(pts, order=1).value) > 100
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_h_and_phi_order1_jets_equal_their_order2_jets(n):
+    # order 1 and order 2 share the value and gradient code, so they agree
+    # bit for bit; bench/layers.py's traced probe checks the same of Phi's
+    # values ("phi order-1 values differ from order 2")
+    d = 4 * n + 3
+    rng = np.random.default_rng(75 + n)
+    _, fields = _order1_fields(n, rng)
+    pts = rng.uniform(-2, 2, size=(600, d))
+    for name in ("h_centred", "h_twisted", "phi", "phi_twisted"):
+        for batch in (pts, np.asfortranarray(pts)):
+            j1 = fields[name].jets(batch, order=1)
+            j2 = fields[name].jets(batch, order=2)
+            assert np.array_equal(j1.value, j2.value), name
+            assert np.array_equal(j1.grad, j2.grad), name
+
+
+class _RecordingField:
+    """Passes jets() through to a field and records each batch's shape,
+    memory order and jet order; like bench/layers.py's CountingField it has
+    only dim and jets."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+        self.batches = []
+
+    def jets(self, points, order=2):
+        self.batches.append((points.shape, points.flags.f_contiguous,
+                             points.flags.c_contiguous, order))
+        return self.inner.jets(points, order=order)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_node_pass_hands_fields_coordinate_major_batches(n):
+    # the pilot and the main pass evaluate every field on the (N, d) view of
+    # a coordinate-major (d, N) node chunk, order 1 only, and each node
+    # exactly once: 2 2^p pilot rows plus 2 2^m main rows, the count
+    # bench/layers.py's fs_ratio probe requires
+    d = 4 * n + 3
+    p, m = 12, 13
+    phi = phi_explicit(ExtremalParams.centered(n))
+    rec = _RecordingField(phi)
+    est = folland_stein_ratio(rec, n, samples_log2=m, seed=1, pilot_log2=p)
+    assert est.ratio == folland_stein_ratio(phi, n, samples_log2=m, seed=1,
+                                            pilot_log2=p).ratio
+    assert len(rec.batches) == 2 * 2 ** p // yamabe._CHUNK \
+        + 2 * 2 ** m // yamabe._CHUNK
+    assert sum(shape[0] for shape, *_ in rec.batches) == \
+        2 * 2 ** p + 2 * 2 ** m
+    for shape, f_order, c_order, order in rec.batches:
+        assert shape == (yamabe._CHUNK, d) and order == 1
+        assert f_order and not c_order
+    # the same holds for the base field of functional_estimates, whose
+    # pilot runs at _PILOT_LOG2 and whose main pass also carries the bumps
+    rec = _RecordingField(phi)
+    functional_estimates([rec], [bump_field(n, seed=500)], 0.05, n,
+                         samples_log2=m, seed=1)
+    assert sum(shape[0] for shape, *_ in rec.batches) == \
+        2 * 2 ** yamabe._PILOT_LOG2 + 2 * 2 ** m
+    assert all(f_order and not c_order and order == 1
+               for _, f_order, c_order, order in rec.batches)
 
 
 def test_dilated_field_composes_and_scales():
