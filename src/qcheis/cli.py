@@ -11,25 +11,27 @@ extremality). Every command emits a report with the same shape:
      environment: {python, numpy, blas_threads}}
 
 as JSON (default) or CSV; scan commands dump per-point residuals in CSV
-mode instead. The scans (residual, scal, torsion) share one set-up, which
-evaluates their points in blocks of a fixed number of rows; the CSV dump is
-written block by block once the scan has finished, so the memory they take
-beyond the points and the per-point results does not grow with --points.
-A scan check over per-point residuals also names the point of the largest
-one as worst_point. A functional bump whose support held no node fails the
-extremality check with residual 1.0, as its margin of 0.0 says nothing.
-functional also reports the exact ratio of the extremals as ratio_exact and
-each of its four estimates' deviation from it.
+mode instead. A command takes only the flags it reads (_COMMANDS), and
+config echoes each of them but --out as applied: a base point drawn from
+the seed is echoed as drawn. The scans (residual, scal, torsion) share one
+set-up, which evaluates their points in blocks of a fixed number of rows;
+the CSV dump is written block by block once the scan has finished, so the
+memory they take beyond the points and the per-point results does not grow
+with --points. A scan check over per-point residuals also names the point
+of the largest one as worst_point. A functional bump whose support held no
+node fails the extremality check with residual 1.0, as its margin of 0.0
+says nothing. functional also reports the exact ratio of the extremals as
+ratio_exact and each of its four estimates' deviation from it.
 
 Exit status: 0 all checks pass, 1 a check failed, 2 bad usage or
-configuration; a non-finite --c0, --sigma, --q0 or --w0, a --box that
-is not a finite positive number, a --seed that is not an integer >= 0,
-a --tol-exact or --tol-quad that is not a finite number >= 0 and a
-functional --points that is not a power of two >= 1024 are usage
-errors. A report that would hold a non-finite number, or that cannot be
-written to --out, is not written, and neither is one that needs a size
-the machine cannot hold: exit 2 with a message. With a fixed
-seed the JSON output is byte identical between runs except for wall_ms.
+configuration: a flag the command does not take, or an abbreviated one; a
+value its flag's type refuses (a non-finite real, a --box <= 0, a --seed
+< 0, a --points < 1 or a tolerance < 0); a functional --points that is not
+a power of two >= 1024; an identities --box on which its polynomials
+overflow a float. A report that would hold a non-finite number, or that
+cannot be written to --out, is not written, and neither is one that needs
+a size the machine cannot hold: exit 2 with a message. With a fixed seed
+the JSON output is byte identical between runs except for wall_ms.
 
 Checks that produce a single statistic (exact audits, the spectral
 certificate) report it as both max_residual and mean_residual.
@@ -147,16 +149,21 @@ def _finite(text):
     return value
 
 
-def _seed(text):
-    """argparse type: an integer >= 0, as numpy's generators need."""
+def _count(text, least=1):
+    """argparse type: an integer >= least, by default 1."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") \
             from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be >= {least}, got {text!r}")
     return value
+
+
+def _seed(text):
+    """argparse type: an integer >= 0, as numpy's generators need."""
+    return _count(text, least=0)
 
 
 def _positive(text):
@@ -180,32 +187,9 @@ def _finite_reals(text):
     return [_finite(v) for v in text.split(",")]
 
 
-def _config_echo(args, extra=None):
-    cfg = {
-        "n": args.n,
-        "seed": args.seed,
-        "points": args.points,
-        "box": args.box,
-        "c0": args.c0,
-        "sigma": args.sigma,
-        "q0": args.q0,
-        "w0": args.w0,
-        "tol_exact": args.tol_exact,
-        "tol_quad": args.tol_quad,
-        "format": args.format,
-    }
-    if extra:
-        cfg.update(extra)
-    return cfg
-
-
-def _tol(args, default):
-    """Class default unless the matching override flag was given."""
-    if default == _TOL_QUAD:
-        return args.tol_quad if args.tol_quad is not None else default
-    if args.tol_exact is not None:
-        return args.tol_exact
-    return default
+def _tol(override, default):
+    """The class default unless its override flag was given."""
+    return default if override is None else override
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +213,7 @@ def cmd_residual(args, rng):
 
     consts, pts, out = _scan(args, rng, phi_explicit, per_row)
     checks = [_check("yamabe_pde_relative_residual", out["rel"],
-                     _tol(args, _TOL_JET), pts)]
+                     _tol(args.tol_exact, _TOL_JET), pts)]
     return (checks, {"s_theta": consts.s_theta},
             ("relative_residual", pts, out["rel"]))
 
@@ -242,7 +226,7 @@ def cmd_scal(args, rng):
 
     consts, pts, out = _scan(args, rng, h_explicit, per_row)
     std_over_mean = float(np.std(out["scal"]) / np.mean(out["scal"]))
-    tol = _tol(args, _TOL_JET)
+    tol = _tol(args.tol_exact, _TOL_JET)
     checks = [
         _check("scal_matches_s_theta", out["rel"], tol, pts),
         _check("scal_std_over_mean", std_over_mean, tol),
@@ -258,7 +242,7 @@ def cmd_torsion(args, rng):
                 "ubar_norm": np.sqrt(np.einsum("nab,nab->n", ubar, ubar))}
 
     _, pts, out = _scan(args, rng, h_explicit, per_row)
-    checks = [_check(name, v, _tol(args, _TOL_JET), pts)
+    checks = [_check(name, v, _tol(args.tol_exact, _TOL_JET), pts)
               for name, v in out.items()]
     return checks, None, ("t0bar_norm", pts, out["t0bar_norm"])
 
@@ -266,9 +250,9 @@ def cmd_torsion(args, rng):
 def cmd_identities(args, rng):
     n = args.n
     frame = HorizontalFrame(n)
-    tol_s = _tol(args, _TOL_STRUCT)
-    tol_l = _tol(args, _TOL_TENSOR)
-    tol_j = _tol(args, _TOL_JET)
+    tol_s = _tol(args.tol_exact, _TOL_STRUCT)
+    tol_l = _tol(args.tol_exact, _TOL_TENSOR)
+    tol_j = _tol(args.tol_exact, _TOL_JET)
 
     def torsion_rows(seeds):
         td = random_torsion(n, seeds, frame)
@@ -357,7 +341,7 @@ def cmd_functional(args, rng):
                             base=GroupPoint.identity(n))
     consts = YamabeConstants.from_params(params)
     phi = phi_explicit(params)
-    tol = _tol(args, _TOL_QUAD)
+    tol = _tol(args.tol_quad, _TOL_QUAD)
 
     power = (consts.qdim - 2) / 2.0
     fields = [phi, translated_field(phi, base)] + [
@@ -397,15 +381,52 @@ def cmd_functional(args, rng):
     return checks, extra, None
 
 
+# every flag of the CLI, declared once by its argparse keywords; --points
+# takes its default from the command
+_FLAGS = {
+    "--n": dict(type=int, default=1, choices=(1, 2),
+                help="quaternionic dimension (default 1)"),
+    "--seed": dict(type=_seed, default=0),
+    "--points": dict(type=_count,
+                     help="scan size; for functional the QMC nodes per "
+                          "scramble, a power of two >= 1024"),
+    "--box": dict(type=_positive, default=2.0,
+                  help="half-width of the sampling box"),
+    "--c0": dict(type=_finite, default=1.0),
+    "--sigma": dict(type=_finite, default=1.0),
+    "--q0": dict(type=_finite_reals,
+                 help="4n comma-separated reals; default seeded random"),
+    "--w0": dict(type=_finite_reals,
+                 help="3 comma-separated reals; default seeded random"),
+    "--tol-exact": dict(type=_tolerance,
+                        help="override for the jet/algebraic tolerances"),
+    "--tol-quad": dict(type=_tolerance,
+                       help="override for quadrature-based tolerances"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--out": dict(help="write the report here instead of stdout"),
+    "--tamper-q": dict(action="store_true", help=argparse.SUPPRESS),
+}
+
+# the flags every command takes, those of the extremal family and those of
+# the scans
+_COMMON = ("--n", "--seed", "--points", "--format", "--out")
+_FAMILY = ("--box", "--c0", "--sigma", "--q0", "--w0")
+_SCAN = _FAMILY + ("--tol-exact",)
+
+# each command: its function, its help, its default --points and the flags
+# it reads beyond _COMMON
 _COMMANDS = {
-    "audit": (cmd_audit, "exact frame and contact-form audit", 100),
-    "residual": (cmd_residual, "Yamabe PDE residual scan", 2000),
-    "scal": (cmd_scal, "conformal scalar-curvature constancy scan", 2000),
-    "torsion": (cmd_torsion, "conformal torsion vanishing scan", 2000),
-    "identities": (cmd_identities, "algebraic identity suites", 500),
-    "qmatrix": (cmd_qmatrix, "exact spectral certificate of the 7x7 matrix", 1),
+    "audit": (cmd_audit, "exact frame and contact-form audit", 100, ()),
+    "residual": (cmd_residual, "Yamabe PDE residual scan", 2000, _SCAN),
+    "scal": (cmd_scal, "conformal scalar-curvature constancy scan", 2000,
+             _SCAN),
+    "torsion": (cmd_torsion, "conformal torsion vanishing scan", 2000, _SCAN),
+    "identities": (cmd_identities, "algebraic identity suites", 500,
+                   ("--box", "--tol-exact")),
+    "qmatrix": (cmd_qmatrix, "exact spectral certificate of the 7x7 matrix", 1,
+                ("--tamper-q",)),
     "functional": (cmd_functional, "Folland-Stein invariance and extremality",
-                   2 ** 18),
+                   2 ** 18, _FAMILY + ("--tol-quad",)),
 }
 
 
@@ -415,35 +436,14 @@ def build_parser():
         description="verification suites for qc geometry on the "
                     "quaternionic Heisenberg group")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (fn, help_text, default_points) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--n", type=int, default=1, choices=(1, 2),
-                        help="quaternionic dimension (default 1)")
-        sp.add_argument("--seed", type=_seed, default=0)
-        sp.add_argument("--points", type=int, default=default_points,
-                        help="scan size; for functional the QMC nodes per "
-                             "scramble, a power of two >= 1024")
-        sp.add_argument("--box", type=_positive, default=2.0,
-                        help="half-width of the sampling box")
-        sp.add_argument("--c0", type=_finite, default=1.0)
-        sp.add_argument("--sigma", type=_finite, default=1.0)
-        sp.add_argument("--q0", type=_finite_reals, default=None,
-                        help="4n comma-separated reals; default seeded random")
-        sp.add_argument("--w0", type=_finite_reals, default=None,
-                        help="3 comma-separated reals; default seeded random")
-        sp.add_argument("--tol-exact", type=_tolerance, default=None,
-                        dest="tol_exact",
-                        help="override for the jet/algebraic tolerances")
-        sp.add_argument("--tol-quad", type=_tolerance, default=None,
-                        dest="tol_quad",
-                        help="override for quadrature-based tolerances")
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--out", type=str, default=None,
-                        help="write the report here instead of stdout")
-        if name == "qmatrix":
-            sp.add_argument("--tamper-q", action="store_true",
-                            dest="tamper_q", help=argparse.SUPPRESS)
-        sp.set_defaults(func=fn)
+    for name, (_, help_text, points, own) in _COMMANDS.items():
+        # no abbreviations: a prefix such as --tol would name a different
+        # flag in each command
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for flag, spec in _FLAGS.items():
+            if flag in _COMMON + own:
+                sp.add_argument(flag, **spec)
+        sp.set_defaults(points=points)
     return p
 
 
@@ -485,19 +485,15 @@ def _nonfinite(report, point_dump):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.points < 1:
-        parser.error("--points must be at least 1")
-
+    args = build_parser().parse_args(argv)
+    run = _COMMANDS[args.command][0]
     rng = np.random.default_rng(args.seed)
     started = time.perf_counter()
     try:
         # overflow and NaN in a float scan are reported once, by the
         # non-finite check below, not as numpy warnings on the way
         with np.errstate(all="ignore"):
-            checks, extra, point_dump = args.func(args, rng)
+            checks, extra, point_dump = run(args, rng)
     except (DomainError, ValueError) as exc:
         print(f"qcheis: configuration error: {exc}", file=sys.stderr)
         return 2
@@ -509,7 +505,9 @@ def main(argv=None):
 
     report = {
         "command": args.command,
-        "config": _config_echo(args),
+        # the command's own flags as applied; --out is no setting
+        "config": {key: value for key, value in vars(args).items()
+                   if key not in ("command", "out")},
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
         "wall_ms": wall_ms,

@@ -371,7 +371,14 @@ def random_positive_polynomial(dim, rng, degree=3, terms=10, box=2.0):
             expo[int(rng.integers(0, dim))] += 1
         coef = float(rng.normal())
         raw.append((tuple(expo), coef))
-    worst = sum(abs(c) * box ** sum(e) for e, c in raw)
+    try:
+        worst = sum(abs(c) * box ** sum(e) for e, c in raw)
+    except OverflowError:
+        worst = np.inf
+    if not np.isfinite(worst):
+        # an infinite bound would scale every monomial to zero
+        raise ValueError(f"box {box!r} is too large: the monomials' "
+                         "worst-case sum on it overflows a float")
     scale = budget / worst if worst > 0 else 0.0
     for expo, coef in raw:
         monomials[expo] = monomials.get(expo, 0.0) + coef * scale

@@ -127,13 +127,14 @@ def test_exit_two_on_non_finite_or_empty_scan_flags(flag, value, capsys):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("flag,value", [
-    ("--tol-exact", "nan"), ("--tol-quad", "-1e-4"),
+@pytest.mark.parametrize("command,flag,value", [
+    pytest.param("residual", "--tol-exact", "nan", id="--tol-exact-nan"),
+    pytest.param("functional", "--tol-quad", "-1e-4", id="--tol-quad--1e-4"),
 ])
-def test_exit_two_on_invalid_tolerance(flag, value, capsys):
+def test_exit_two_on_invalid_tolerance(command, flag, value, capsys):
     # a NaN tolerance used to reach the report as NaN, which is not JSON
     with pytest.raises(SystemExit) as exc:
-        main(["residual", "--points", "5", flag, value])
+        main([command, "--points", "5", flag, value])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert f"argument {flag}" in captured.err
@@ -305,6 +306,93 @@ def test_exit_two_on_a_non_finite_report_in_either_format(tmp_path, capsys,
     out = tmp_path / "report"
     assert main(argv + ["--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_exit_two_on_a_box_too_large_for_the_identity_polynomials(capsys):
+    # box ** 3 overflows a float above a box of about 5.6e102; that used to
+    # escape as an OverflowError traceback with exit 1, a failed check
+    assert main(["identities", "--points", "5", "--box", "6e102"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("qcheis: configuration error: box 6e+102")
+
+
+# every (command, flag) pair outside the command table; a flag with a value
+# is given one its type would accept
+_UNREAD = [(command, flag) for command, (_, _, _, own) in cli._COMMANDS.items()
+           for flag in cli._FLAGS if flag not in cli._COMMON + own]
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD)
+def test_exit_two_on_a_flag_the_command_does_not_read(command, flag, capsys):
+    # every command used to take every flag and echo it in config, read or
+    # not: audit --tol-exact 1 echoed 1 while its checks ran at 0.0
+    value = [] if cli._FLAGS[flag].get("action") else ["1"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, *value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["residual", "--tol", "1e-20"], ["functional", "--tol", "0.5"],
+    ["audit", "--s", "3"], ["qmatrix", "--tamper"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_exit_two_on_an_abbreviated_flag(argv, capsys):
+    # a prefix would resolve to --tol-exact in one command and to --tol-quad
+    # in another, so flags are spelled out
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {argv[1]}" in captured.err
+    assert captured.out == ""
+
+
+_FAMILY_KEYS = {"box", "c0", "sigma", "q0", "w0"}
+# each command's own config keys beyond n, seed, points and format, and a
+# tiny size to run it at
+_OWN_KEYS = {
+    "audit": (set(), 2),
+    "residual": (_FAMILY_KEYS | {"tol_exact"}, 5),
+    "scal": (_FAMILY_KEYS | {"tol_exact"}, 5),
+    "torsion": (_FAMILY_KEYS | {"tol_exact"}, 5),
+    "identities": ({"box", "tol_exact"}, 5),
+    "qmatrix": ({"tamper_q"}, 1),
+    "functional": (_FAMILY_KEYS | {"tol_quad"}, 1024),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OWN_KEYS))
+def test_config_echoes_exactly_the_command_flags(tmp_path, command):
+    own, points = _OWN_KEYS[command]
+    code, report = _run_json(tmp_path, [command, "--points", str(points)])
+    assert code in (0, 1)
+    assert set(report["config"]) == {"n", "seed", "points", "format"} | own
+
+
+def test_every_command_takes_the_flags_the_readme_table_lists():
+    # the README's flag-by-command table against the parser; --tamper-q is
+    # suppressed from the help and from the table
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in readme.read_text().splitlines()
+            if line.startswith(("| flag ", "| `--"))]
+    header, *rows = rows
+    listed = {command: {row[0].strip("`") for row in rows
+                        if row[header.index(command)] == "x"}
+              for command in header[2:]}
+    sub = build_parser()._subparsers._group_actions[0]
+    taken = {name: {opt for action in parser._actions
+                    if action.help is not argparse.SUPPRESS
+                    for opt in action.option_strings
+                    if opt not in ("-h", "--help")}
+             for name, parser in sub.choices.items()}
+    assert listed == taken
 
 
 def test_exit_two_on_malformed_base_point():
@@ -653,6 +741,7 @@ _ARG_TYPES = {
     cli._tolerance: lambda v: isinstance(v, float) and math.isfinite(v)
     and v >= 0,
     cli._seed: lambda v: isinstance(v, int) and v >= 0,
+    cli._count: lambda v: isinstance(v, int) and v >= 1,
     cli._finite_reals: lambda v: isinstance(v, list) and len(v) > 0
     and all(isinstance(x, float) and math.isfinite(x) for x in v),
 }

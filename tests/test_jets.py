@@ -1,6 +1,7 @@
 """Second-order jet arithmetic against finite differences and hand values."""
 
 from fractions import Fraction as F
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,18 @@ def test_random_positive_polynomial_positivity_and_determinism():
     assert np.min(f.values(pts)) >= 1.0
     g = random_positive_polynomial(7, np.random.default_rng(8), box=2.0)
     assert _close(f.values(pts[:50]), g.values(pts[:50]))
+
+
+@pytest.mark.parametrize("box", [6e102, 1e200])
+def test_random_positive_polynomial_refuses_a_box_that_overflows(box):
+    # box ** 3 overflows a float above a box of about 5.6e102; that used to
+    # escape as an OverflowError, which the CLI reports as a failed check
+    message = re.escape(f"box {box!r} is too large")
+    with pytest.raises(ValueError, match=message):
+        random_positive_polynomial(7, np.random.default_rng(8), degree=3,
+                                   terms=8, box=box)
+    random_positive_polynomial(7, np.random.default_rng(8), degree=3,
+                               terms=8, box=1e102)
 
 
 def test_jet_field_wraps_custom_builder():
