@@ -29,13 +29,16 @@ shows that no entry reaches 2^62 (ValueError otherwise). No contraction
 touches a Fraction, and each violation is one exact Fraction.
 
 Second-order operators use that the frame is parallel for the flat Biquard
-connection: grad-dh(e_a, e_b) = e_a(e_b h), computed from the ambient jet of
-h plus the (constant) derivatives of the affine frame coefficients. The
-coefficient matrix is C = [I | V(q)]: the identity on the horizontal
-columns and a vertical block V linear in q, so e_b f = d_b f + V_b . d_w f
-needs no dense C at all, and the derivative term C_a . G_b . grad f reduces
-to the constant contraction sum_s G[b, a, s] d_{w_s} f of the vertical
-gradient alone. What remains dense is the batched product C . hess f . C^T.
+connection: grad-dh(e_a, e_b) = e_a(e_b h), computed from the second
+derivatives of h along the frame coefficients plus the (constant)
+derivatives of the affine frame coefficients. The coefficient matrix is
+C = [I | V(q)]: the identity on the horizontal columns and a vertical block
+V linear in q, so e_b f = d_b f + V_b . d_w f needs no dense C at all, and
+the derivative term C_a . G_b . grad f reduces to the constant contraction
+sum_s G[b, a, s] d_{w_s} f of the vertical gradient alone. The second
+derivatives D^2 f[C_a, C_b] come from the field's hessian_along, which
+closed-form fields write without an ambient Hessian; the sub-Laplacian
+reads only their trace.
 """
 
 from __future__ import annotations
@@ -417,21 +420,36 @@ def frame_second_order(field: ScalarField, points, frame: HorizontalFrame):
     frame. With C = [I | V(q)] the frame coefficients and G_b the constant
     gradients of row b of C,
 
-        e_a(e_b f) = sum_s G[b, a, s] d/dw_s f + (C . hess f . C^T)[a, b]:
+        e_a(e_b f) = sum_s G[b, a, s] d/dw_s f + D^2 f[C_a, C_b]:
 
     G is nonzero only on (horizontal derivative, vertical component), and
     C is the identity on its horizontal block, so C_a . G_b . grad f
     contracts only the vertical gradient, with the constant G[b, a, s].
+    The form D^2 f[C_a, C_b] is field.hessian_along(points, C): C hess C^T
+    for a field that only has jets, a closed form for h and Phi.
     """
     points = np.asarray(points, dtype=float)
     nh = frame.nh
-    jf = field.jets(points, order=2)
-    C = frame.coefficients(points)
-    grad_w = jf.grad[:, nh:nh + 3]
-    fg = horizontal_gradient(frame, points, jf.grad)
-    fh = C @ jf.hess @ np.swapaxes(C, 1, 2)
+    value, grad, fh = field.hessian_along(points, frame.coefficients(points))
+    grad_w = grad[:, nh:nh + 3]
+    fg = horizontal_gradient(frame, points, grad)
     # G[b, a, :] holds at most one nonzero, so this BLAS product is exact
     # and row-wise: (a, b) gets one +-2 d/dw_s f or a sum of zeros
     g = frame._vgrads.transpose(2, 1, 0).reshape(3, nh * nh)
     fh += (grad_w @ g).reshape(-1, nh, nh)
-    return jf.value, fg, fh, 2.0 * grad_w
+    return value, fg, fh, 2.0 * grad_w
+
+
+def sublaplacian(frame: HorizontalFrame, field: ScalarField, points):
+    """(value (N,), horizontal gradient (N, 4n), Delta_H field (N,)).
+
+    Delta_H f = sum_a e_a(e_a f) is the trace of frame_second_order's fh,
+    taken along the frame coefficients C by field.hessian_along, so a
+    closed-form field never forms its (N, d, d) Hessian. The constant
+    G-term adds nothing to the trace: no coefficient of e_a depends on e_a's
+    own coordinate, G[a, a, :] = 0.
+    """
+    points = np.asarray(points, dtype=float)
+    value, grad, lap = field.hessian_along(
+        points, frame.coefficients(points), trace=True)
+    return value, horizontal_gradient(frame, points, grad), lap

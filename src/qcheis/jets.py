@@ -4,11 +4,13 @@ A Jet2 carries the truncated Taylor data (value, gradient, Hessian) of a
 scalar function at a batch of points, and the arithmetic below (add, sub,
 mul, pow_real) propagates that data by the chain and Leibniz rules. All
 first and second order differential operators in the toolkit (horizontal
-gradient, sub-Laplacian, frame Hessian) are evaluated from ambient jets, so
-exactness here is what makes the identity checks sharp. A field whose
+gradient, sub-Laplacian, frame Hessian) are evaluated from ambient jets or
+from second derivatives along direction rows (ScalarField.hessian_along),
+so exactness here is what makes the identity checks sharp. A field whose
 derivatives are known in closed form (the extremal h and the bump window in
 yamabe) writes its Jet2 directly instead of composing one from these
-operations.
+operations; h, Phi = F(h) and the affine pullbacks of a field also write
+hessian_along without the (N, d, d) Hessian.
 
 Storage is batched: value (N,), gradient (N, d), Hessian (N, d, d). A
 batch of points may come in either memory order: the functional's node
@@ -156,21 +158,30 @@ class Jet2:
         gradient and Hessian, so for a power of two (exact scaling) the
         result equals (self * scale).pow_real(alpha) bit for bit without
         the scaled copies of both."""
-        base = self.value if scale == 1.0 else scale * self.value
-        if np.any(base <= 0):
-            raise DomainError("pow_real needs a strictly positive base")
-        v = base ** alpha
-        d1 = scale * alpha * base ** (alpha - 1)
+        v, d1, d2 = power_factors(self.value, alpha, scale, self.order)
         grad = scale_rows(self.grad, d1)
         if self.hess is None:
             return Jet2(v, grad, None)
-        d2 = scale * scale * alpha * (alpha - 1) * base ** (alpha - 2)
         # in place: this is the largest array on the order-2 scan path,
         # and d1 H + d2 g g^T out of place would hold two more of its size
         hess = self.grad[:, :, None] * self.grad[:, None, :]
         hess *= d2[:, None, None]
         hess += d1[:, None, None] * self.hess
         return Jet2(v, grad, hess)
+
+
+def power_factors(value, alpha, scale=1.0, order=2):
+    """(scale * value) ** alpha and its first and second derivatives in
+    value, (v, d1, d2); d2 is None at order 1. The chain rule of a real
+    power, shared by Jet2.pow_real and the closed-form second derivatives
+    of a power of a field. Raises DomainError unless scale * value > 0."""
+    base = value if scale == 1.0 else scale * value
+    if np.any(base <= 0):
+        raise DomainError("pow_real needs a strictly positive base")
+    d1 = scale * alpha * base ** (alpha - 1)
+    d2 = (None if order == 1 else
+          scale * scale * alpha * (alpha - 1) * base ** (alpha - 2))
+    return base ** alpha, d1, d2
 
 
 def coordinate_jets(points, order=2):
@@ -191,12 +202,26 @@ def coordinate_jets(points, order=2):
 
 
 class ScalarField:
-    """A map from points of R^d to jets. Subclasses implement jets()."""
+    """A map from points of R^d to jets. Subclasses implement jets(), and
+    may write hessian_along() in closed form."""
 
     dim = None
 
     def jets(self, points, order=2) -> Jet2:
         raise NotImplementedError
+
+    def hessian_along(self, points, X, trace=False):
+        """Second derivatives along direction rows: (value (N,), ambient
+        gradient (N, d), form), where X (N, k, d) holds k directions per
+        point and the form is D^2 u[X_a, X_b] (N, k, k), or with trace
+        only its trace sum_a D^2 u[X_a, X_a] (N,).
+
+        This default contracts the order-2 jet, X hess X^T. A field whose
+        second derivatives are known in closed form overrides it and never
+        forms the (N, d, d) Hessian."""
+        jet = self.jets(points, order=2)
+        form = X @ jet.hess @ np.swapaxes(X, 1, 2)
+        return jet.value, jet.grad, np.einsum("naa->n", form) if trace else form
 
     def values(self, points):
         return self.jets(points, order=1).value
@@ -273,14 +298,21 @@ class PolynomialField(ScalarField):
 
 class JetField(ScalarField):
     """Adapter turning a jet-building callable (points, order) -> Jet2 into
-    a ScalarField."""
+    a ScalarField; an optional callable (points, X, trace) writes its
+    hessian_along, which otherwise contracts the order-2 jet."""
 
-    def __init__(self, dim, builder):
+    def __init__(self, dim, builder, along=None):
         self.dim = dim
         self._builder = builder
+        self._along = along
 
     def jets(self, points, order=2):
         return self._builder(np.asarray(points), order)
+
+    def hessian_along(self, points, X, trace=False):
+        if self._along is None:
+            return super().hessian_along(points, X, trace)
+        return self._along(np.asarray(points), X, trace)
 
 
 class AffineMapField(ScalarField):
@@ -301,24 +333,31 @@ class AffineMapField(ScalarField):
         # transposed view
         self._matrix_t = np.ascontiguousarray(self.matrix.T)
 
-    def jets(self, points, order=2):
-        points = np.asarray(points)
-        # coordinate-major BLAS products: the mapped points A p^T + b as a
-        # (d, N) array, handed to the base field as its (N, d) view, and
-        # A^T (grad u)^T written into the transpose of a gradient in the
-        # input's memory order. A row's jet may move at round-off with its
-        # batch (a single row takes another BLAS path) and with the input's
-        # memory order (a C-ordered input's gradient is no BLAS operand),
-        # so a field reproduces its jets bit for bit only on the same
-        # batches in the same layout (the functional evaluates whole
-        # coordinate-major node chunks)
+    # coordinate-major BLAS products: the mapped points A p^T + b as a
+    # (d, N) array, handed to the base field as its (N, d) view, and
+    # A^T (grad u)^T written into the transpose of a gradient in the input's
+    # memory order. A row's jet may move at round-off with its batch (a
+    # single row takes another BLAS path) and with the input's memory order
+    # (a C-ordered input's gradient is no BLAS operand), so a field
+    # reproduces its jets bit for bit only on the same batches in the same
+    # layout (the functional evaluates whole coordinate-major node chunks)
+
+    def _mapped(self, points):
         mapped = self.matrix @ points.T
         mapped += self.offset[:, None]
-        ju = self.base.jets(mapped.T, order=order)
-        value = self.scale * ju.value
-        grad = np.empty_like(points, dtype=ju.grad.dtype)
-        np.matmul(self._matrix_t, ju.grad.T, out=grad.T)
+        return mapped.T
+
+    def _pulled_back(self, points, grad_u):
+        grad = np.empty_like(points, dtype=grad_u.dtype)
+        np.matmul(self._matrix_t, grad_u.T, out=grad.T)
         grad *= self.scale
+        return grad
+
+    def jets(self, points, order=2):
+        points = np.asarray(points)
+        ju = self.base.jets(self._mapped(points), order=order)
+        value = self.scale * ju.value
+        grad = self._pulled_back(points, ju.grad)
         if ju.hess is None:
             return Jet2(value, grad, None)
         hess = self.scale * np.einsum(
@@ -328,6 +367,16 @@ class AffineMapField(ScalarField):
         # exactly symmetric
         hess = (hess + np.swapaxes(hess, 1, 2)) / 2
         return Jet2(value, grad, hess)
+
+    def hessian_along(self, points, X, trace=False):
+        """D^2 (u o A)[X_a, X_b] = D^2 u[A X_a, A X_b]: the base field's
+        second derivatives along the mapped directions X A^T."""
+        points = np.asarray(points)
+        # a small product per row, not one (N k, d) product (h_explicit)
+        value, grad_u, form = self.base.hessian_along(
+            self._mapped(points), X @ self._matrix_t, trace)
+        return (self.scale * value, self._pulled_back(points, grad_u),
+                self.scale * form)
 
 
 class CombinationField(ScalarField):

@@ -100,10 +100,11 @@ def project_3_m1(P, frame: HorizontalFrame):
 
 
 def trace_free(P, frame: HorizontalFrame):
-    P = np.asarray(P, dtype=float)
-    nh = frame.nh
-    tr = np.trace(P, axis1=-2, axis2=-1)
-    return P - (tr[..., None, None] / nh) * np.eye(nh)
+    """P minus its trace part (tr P / 4n) Id, for one form or a batch."""
+    out = np.array(P, dtype=float)
+    diag = np.arange(frame.nh)
+    out[..., diag, diag] -= np.trace(out, axis1=-2, axis2=-1)[..., None] / frame.nh
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -59,9 +59,9 @@ import numpy as np
 
 from .heis import (GroupPoint, HorizontalFrame, dilation_affine,
                    frame_second_order, horizontal_gradient,
-                   left_translation_affine)
+                   left_translation_affine, sublaplacian)
 from .jets import (AffineMapField, DomainError, Jet2, JetField, ScalarField,
-                   lane_sum)
+                   lane_sum, power_factors, scale_rows)
 from .tensors import project_3_m1, trace_free
 
 
@@ -150,6 +150,7 @@ def h_explicit(params: ExtremalParams) -> ScalarField:
     # at q0 = 0 the twist does not depend on q: T = [0 | Id], so tw = w + w0
     # and T^T tw = [0 | tw]; the sums over T would only add exact zeros
     untwisted = not T[:, :nh].any()
+    Tt = np.ascontiguousarray(T.T)
     # the rows of T and of 2 c0 T, each as a (d, 1) column
     T, twist_grad = T[:, :, None], 2.0 * c0 * T[:, :, None]
 
@@ -196,11 +197,43 @@ def h_explicit(params: ExtremalParams) -> ScalarField:
         hess[:, q_diag, q_diag] += (4.0 * c0 * r)[:, None]
         return Jet2(value, grad, hess)
 
-    return JetField(d, builder)
+    def along(points, X, trace):
+        # hess h restricted to the directions X: with Y = X T^T (N, k, 3),
+        # y = X_q s (N, k) and X_q the q-columns of X,
+        # X hess X^T = 2 c0 Y Y^T + 8 c0 y y^T + 4 c0 r X_q X_q^T
+        points = np.asarray(points, dtype=float)
+        value, grad, s, r = first_order(points)
+        # a product per row: as one (N k, d) BLAS product with threads, it
+        # stalls whenever a thread waits for a busy core
+        Y = X @ Tt
+        Xq = X[:, :, :nh]
+        y = np.einsum("nki,in->nk", Xq, s)
+        if trace:
+            return value, grad, (
+                2.0 * c0 * np.einsum("nkt,nkt->n", Y, Y)
+                + 8.0 * c0 * np.einsum("nk,nk->n", y, y)
+                + 4.0 * c0 * r * np.einsum("nki,nki->n", Xq, Xq))
+        # in place, with one (N, k, k) work array
+        form = Y @ np.swapaxes(Y, 1, 2)
+        form *= 2.0 * c0
+        work = np.multiply(y[:, :, None], y[:, None, :])
+        work *= 8.0 * c0
+        form += work
+        np.matmul(Xq, np.swapaxes(Xq, 1, 2), out=work)
+        work *= (4.0 * c0 * r)[:, None, None]
+        form += work
+        return value, grad, form
+
+    return JetField(d, builder, along)
 
 
 def phi_from_h(h_field: ScalarField, qdim) -> ScalarField:
-    """Phi = (2h)^{-(Q-2)/4}; raises DomainError wherever h <= 0."""
+    """Phi = (2h)^{-(Q-2)/4}; raises DomainError wherever h <= 0.
+
+    Its second derivatives along directions X follow from h's by the chain
+    rule for Phi = F(h): F'(h) D^2 h[X_a, X_b] + F''(h) (X grad h)_a
+    (X grad h)_b, with no Hessian of h unless h_field's own
+    hessian_along forms one."""
     expo = -(qdim - 2) / 4.0
 
     def builder(points, order):
@@ -209,7 +242,21 @@ def phi_from_h(h_field: ScalarField, qdim) -> ScalarField:
         # equal those of (2 h)^expo bit for bit
         return h_field.jets(points, order=order).pow_real(expo, scale=2.0)
 
-    return JetField(h_field.dim, builder)
+    def along(points, X, trace):
+        value, grad, form = h_field.hessian_along(points, X, trace)
+        v, d1, d2 = power_factors(value, expo, scale=2.0)
+        dh = (X @ grad[:, :, None])[:, :, 0]
+        if trace:
+            form = d1 * form + d2 * np.einsum("nk,nk->n", dh, dh)
+        else:
+            form *= d1[:, None, None]
+            work = np.multiply(dh[:, :, None], dh[:, None, :])
+            work *= d2[:, None, None]
+            form += work
+        # the gradient of the order-1 jets, bit for bit
+        return v, scale_rows(grad, d1), form
+
+    return JetField(h_field.dim, builder, along)
 
 
 def phi_explicit(params: ExtremalParams) -> ScalarField:
@@ -227,12 +274,10 @@ def yamabe_residual(phi: ScalarField, s_const, points, frame: HorizontalFrame,
     With return_terms the two summands come back too, so callers can form
     residuals relative to the size of the terms that are cancelling.
     """
-    points = np.asarray(points, dtype=float)
     q, _ = _exponents(frame.n)
-    value, _, fh, _ = frame_second_order(phi, points, frame)
+    value, _, lap = sublaplacian(frame, phi, points)
     if np.any(value <= 0):
         raise DomainError("Phi must be positive at the evaluation points")
-    lap = np.einsum("naa->n", fh)
     t1 = (4.0 * (q + 2) / (q - 2)) * lap
     t2 = s_const * value ** ((q + 2.0) / (q - 2.0))
     r = t1 + t2
@@ -249,13 +294,11 @@ def conformal_scal(h_field: ScalarField, points, frame: HorizontalFrame):
     evaluated with the flat-group operators; the flat structure itself has
     Scal = 0, so the first term drops.
     """
-    points = np.asarray(points, dtype=float)
     n = frame.n
-    h, fg, fh, _ = frame_second_order(h_field, points, frame)
+    h, fg, lap = sublaplacian(frame, h_field, points)
     if np.any(h <= 0):
         raise DomainError("h must be positive at the evaluation points")
     gh2 = np.einsum("na,na->n", fg, fg)
-    lap = np.einsum("naa->n", fh)
     return 8.0 * (n + 2) * lap - 8.0 * (n + 2) ** 2 * gh2 / h
 
 
@@ -280,18 +323,34 @@ def conformal_torsion(h_field: ScalarField, points, frame: HorizontalFrame):
     The antisymmetric part of the raw Hessian is of type [-1] as a 2-form,
     so projecting the symmetrized Hessian changes nothing in the [3]-slot.
     Both vanish identically iff the scaled structure is qc-Einstein.
+
+    The symmetrized Hessian is projected once. The [3]-part of the rank-1
+    form dh o dh is (dh dh^T + sum_s (I_s^T dh)(I_s^T dh)^T) / 4, which is
+    subtracted from its [3]-part in place.
     """
     points = np.asarray(points, dtype=float)
     h, fg, fh, xi = frame_second_order(h_field, points, frame)
     if np.any(h <= 0):
         raise DomainError("h must be positive at the evaluation points")
+    # each (N, 4n, 4n) array is dropped once read: these set the scans'
+    # peak memory
     hsym = symmetrized_hessian(fh, xi, frame)
-    _, minus_part = project_3_m1(hsym, frame)
-    t0bar = minus_part / h[:, None, None]
-    outer = np.einsum("na,nb->nab", fg, fg)
-    shifted = hsym - 2.0 * outer / h[:, None, None]
-    three_part, _ = project_3_m1(shifted, frame)
-    ubar = trace_free(three_part, frame) / (2.0 * h[:, None, None])
+    del fh
+    three_part, t0bar = project_3_m1(hsym, frame)
+    del hsym
+    hh = h[:, None, None]
+    t0bar /= hh
+    # 2 h^{-1} times the [3]-part of dh o dh, one rank-1 term at a time in
+    # one work array; (I_s^T dh) as a row is dh I_s
+    weight = 0.5 / hh
+    work = np.empty_like(three_part)
+    for v in (fg, *(fg @ I for I in frame.Is)):
+        np.multiply(v[:, :, None], v[:, None, :], out=work)
+        work *= weight
+        three_part -= work
+    del work
+    ubar = trace_free(three_part, frame)
+    ubar /= 2.0 * hh
     return t0bar, ubar
 
 

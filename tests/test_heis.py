@@ -11,10 +11,10 @@ from qcheis import heis
 from qcheis.heis import (ContactForm, GroupPoint, HorizontalFrame,
                          dilation_affine, frame_audit, frame_first_order,
                          frame_second_order, left_translation_affine)
-from qcheis.jets import (PolynomialField, fd_oracle,
+from qcheis.jets import (JetField, PolynomialField, fd_oracle,
                          random_positive_polynomial)
 from qcheis.quat import Quaternion, qmul
-from qcheis.yamabe import ExtremalParams, h_explicit
+from qcheis.yamabe import ExtremalParams, h_explicit, phi_explicit
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +405,42 @@ def test_sublaplacian_on_explicit_polynomial():
     pts = np.random.default_rng(0).uniform(-2, 2, size=(40, 7))
     lap = np.trace(frame_second_order(f, pts, frame)[2], axis1=1, axis2=2)
     assert np.max(np.abs(lap - 8.0)) < 1e-12
+    # the trace along the frame: C hess C^T = 2 Id exactly
+    value, fg, lap = heis.sublaplacian(frame, f, pts)
+    assert np.all(lap == 8.0)
+    assert np.array_equal(value, f.values(pts))
+    assert np.array_equal(fg, frame_first_order(f, pts, frame)[0])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_no_frame_coefficient_depends_on_its_own_coordinate(n):
+    # sublaplacian takes sum_a D^2 f[C_a, C_a] alone: the first-order terms
+    # (D_{C_a} C_a) . grad f of sum_a e_a(e_a f) vanish, as the coefficients
+    # of frame field b do not depend on coordinate b
+    frame = HorizontalFrame(n)
+    b = np.arange(frame.nh)
+    assert not frame._vgrads[b, b].any()
+    assert not _dense_coeff_grads(frame)[b, b].any()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sublaplacian_of_h_and_phi_matches_finite_differences(n):
+    # Delta_H = trace of C hess C^T, with the Hessian from fd_oracle
+    d = 4 * n + 3
+    rng = np.random.default_rng(110 + n)
+    base = GroupPoint.from_flat(rng.uniform(-1, 1, size=d).tolist(), n)
+    params = ExtremalParams(n=n, c0=0.7, sigma=1.3, base=base)
+    frame = HorizontalFrame(n)
+    pts = rng.uniform(-1, 1, size=(6, d))
+    C = frame.coefficients(pts)
+    for field in (h_explicit(params), phi_explicit(params)):
+        fd = fd_oracle(field, pts)
+        want = np.einsum("nai,nij,naj->n", C, fd.hess, C)
+        value, fg, lap = heis.sublaplacian(frame, field, pts)
+        assert np.max(np.abs(value - fd.value)) <= 1e-14 * np.max(np.abs(fd.value))
+        assert np.max(np.abs(fg - np.einsum("naj,nj->na", C, fd.grad))) \
+            <= 1e-8 * np.max(np.abs(fg))
+        assert np.max(np.abs(lap - want)) <= 1e-5 * np.max(np.abs(want))
 
 
 def _dense_coeff_grads(frame):
@@ -517,14 +553,16 @@ def test_vertical_coefficients_equal_the_einsum_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_frame_second_order_hessian_equals_the_einsum_bit_for_bit(n):
-    # fh = C hess C^T plus the constant gradient term, whose einsum over
-    # G[b, a, s] frame_second_order replaces by one BLAS product
+    # on the generic path, a field with jets only, fh = C hess C^T plus the
+    # constant gradient term, whose einsum over G[b, a, s]
+    # frame_second_order replaces by one BLAS product; h enters through a
+    # JetField that has only its jets, not its closed-form hessian_along
     frame = HorizontalFrame(n)
     d, nh = 4 * n + 3, 4 * n
     rng = np.random.default_rng(95 + n)
     base = GroupPoint.from_flat(rng.uniform(-1, 1, size=d).tolist(), n)
-    fields = (random_positive_polynomial(d, rng),
-              h_explicit(ExtremalParams(n=n, c0=0.7, sigma=1.3, base=base)))
+    h = h_explicit(ExtremalParams(n=n, c0=0.7, sigma=1.3, base=base))
+    fields = (random_positive_polynomial(d, rng), JetField(d, h.jets))
     for size in (1, 37, 4096, 24_000):
         pts = _heavy_points(rng, size, d)
         for field in fields:

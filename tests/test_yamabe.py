@@ -17,9 +17,11 @@ import pytest
 from scipy.integrate import IntegrationWarning, dblquad
 
 from qcheis import yamabe
-from qcheis.heis import GroupPoint, HorizontalFrame, left_translation_affine
+from qcheis.heis import (GroupPoint, HorizontalFrame, frame_second_order,
+                         left_translation_affine)
 from qcheis.jets import (CombinationField, DomainError, Jet2, JetField,
                          coordinate_jets, fd_oracle, random_positive_polynomial)
+from qcheis.tensors import project_3_m1, trace_free
 from qcheis.yamabe import (BumpField, ExtremalParams, FunctionalEstimate,
                            YamabeConstants, _polar_nodes, _sobol_chunks,
                            bump_field, conformal_scal, conformal_torsion,
@@ -27,7 +29,7 @@ from qcheis.yamabe import (BumpField, ExtremalParams, FunctionalEstimate,
                            functional_estimates, h_explicit, phi_explicit,
                            phi_from_h, translated_field, yamabe_residual)
 
-from test_heis import _assert_same_bits, oracle_multiply
+from test_heis import _assert_same_bits, _heavy_points, oracle_multiply
 
 # frozen from the radial oracle below; R = num / den^{4/5}
 ORACLE_NUM = 0.507339015802
@@ -237,7 +239,7 @@ def test_closed_form_jets_use_no_jet_products(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_every_jet_producer_returns_an_exactly_symmetric_hessian(n):
-    # frame_second_order reads the full (N, d, d) Hessian and
+    # the generic hessian_along reads the full (N, d, d) Hessian and
     # symmetrized_hessian takes its symmetry for granted, so each producer
     # must make H equal to its transpose bit for bit
     d = 4 * n + 3
@@ -264,6 +266,54 @@ def test_every_jet_producer_returns_an_exactly_symmetric_hessian(n):
         assert np.array_equal(H, np.swapaxes(H, 1, 2)), name
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_closed_form_second_derivatives_equal_the_dense_contraction(n):
+    # h, Phi and Phi's transports write hessian_along without an ambient
+    # Hessian; the form and its trace against X hess X^T of their own
+    # order-2 jets, along the frame coefficients and along random rows,
+    # row by row within 1e-13 of the row's largest entry
+    d = 4 * n + 3
+    rng = np.random.default_rng(130 + n)
+    params = ExtremalParams(n=n, c0=0.7, sigma=1.3, base=_point(n, rng))
+    phi = phi_explicit(params)
+    fields = {"h": h_explicit(params), "phi": phi,
+              "translated": translated_field(phi, _point(n, rng)),
+              "dilated": dilated_field(phi, 1.7, n,
+                                       weight_power=(4 * n + 4) / 2)}
+    frame = HorizontalFrame(n)
+    for size in (1, 37, 4096):
+        heavy = _heavy_points(rng, size, d)
+        for pts in (heavy, np.asfortranarray(heavy)):
+            for X in (frame.coefficients(pts), rng.normal(size=(size, 5, d))):
+                for name, field in fields.items():
+                    jet = field.jets(pts, order=2)
+                    dense = X @ jet.hess @ np.swapaxes(X, 1, 2)
+                    scale = np.max(np.abs(dense), axis=(1, 2))
+                    value, grad, form = field.hessian_along(pts, X)
+                    assert np.array_equal(value, jet.value), name
+                    assert np.array_equal(grad, jet.grad), name
+                    err = np.max(np.abs(form - dense), axis=(1, 2))
+                    assert np.all(err <= 1e-13 * scale), name
+                    value, grad, lap = field.hessian_along(pts, X, trace=True)
+                    assert np.array_equal(value, jet.value), name
+                    assert np.array_equal(grad, jet.grad), name
+                    err = np.abs(lap - np.einsum("naa->n", dense))
+                    assert np.all(err <= 1e-13 * scale), name
+
+
+def test_phi_second_derivatives_refuse_nonpositive_h():
+    # hessian_along keeps the jets' DomainError where h <= 0
+    h = JetField(7, lambda p, order: Jet2(p[:, 0], np.ones_like(p),
+                                          np.zeros((len(p), 7, 7))))
+    phi = phi_from_h(h, 10)
+    pts = np.array([[1.0] + [0.0] * 6, [-1.0] + [0.0] * 6])
+    X = np.ones((2, 4, 7))
+    for trace in (False, True):
+        with pytest.raises(DomainError):
+            phi.hessian_along(pts, X, trace=trace)
+        phi.hessian_along(pts[:1], X[:1], trace=trace)
+
+
 def test_phi_order2_jet_holds_few_hessian_sized_arrays():
     # pow_real and phi_from_h keep at most three Hessian-sized arrays alive
     # at once: 2h's, g g^T (which becomes the result) and d1 H. An
@@ -276,16 +326,53 @@ def test_phi_order2_jet_holds_few_hessian_sized_arrays():
                                       base=_point(n, rng)))
     pts = rng.uniform(-2, 2, size=(N, d))
     phi.jets(pts[:8], order=2)
+    jet, peak = _traced_peak(lambda: phi.jets(pts, order=2))
+    assert jet.hess.shape == (N, d, d)
+    assert peak <= 3.75 * N * d * d * 8
+
+
+def _traced_peak(call):
+    """call()'s result and the most memory it held at once, in bytes."""
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        jet = phi.jets(pts, order=2)
+        out = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert jet.hess.shape == (N, d, d)
-    assert peak - before <= 3.75 * N * d * d * 8
+    return out, peak - before
+
+
+def test_scans_hold_no_ambient_hessian():
+    # residual and scal read Delta_H along the frame coefficients C
+    # (N, 4n, d), 8/11 of an (N, d, d) array at n = 2, and beside C hold
+    # h's first-order arrays, under half of one: never the ambient Hessian.
+    # torsion holds at most five (N, 4n, 4n) forms at once: C, the form
+    # along C and its work array while the frame Hessian is formed, then
+    # the projection's parts
+    n, N = 2, 4096
+    d, nh = 4 * n + 3, 4 * n
+    rng = np.random.default_rng(13)
+    params = ExtremalParams(n=n, c0=0.8, sigma=1.2, base=_point(n, rng))
+    s_theta = YamabeConstants.from_params(params).s_theta
+    frame = HorizontalFrame(n)
+    pts = rng.uniform(-2, 2, size=(N, d))
+    h, phi = h_explicit(params), phi_explicit(params)
+    hessian, form = N * d * d * 8, N * nh * nh * 8
+    coefficients = N * nh * d * 8
+    calls = {
+        "residual": lambda: yamabe_residual(phi, s_theta, pts, frame,
+                                            return_terms=True),
+        "scal": lambda: conformal_scal(h, pts, frame),
+        "torsion": lambda: conformal_torsion(h, pts, frame),
+    }
+    for call in calls.values():
+        call()
+    peaks = {name: _traced_peak(call)[1] for name, call in calls.items()}
+    assert peaks["residual"] < coefficients + 0.5 * hessian
+    assert peaks["scal"] < coefficients + 0.5 * hessian
+    assert peaks["torsion"] <= 5 * form
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -351,6 +438,32 @@ def test_conformal_torsion_vanishes_on_family(n):
     t0bar, ubar = conformal_torsion(h_explicit(params), pts, frame)
     assert np.max(np.abs(t0bar)) < 1e-12
     assert np.max(np.abs(ubar)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_conformal_torsion_equals_the_two_projection_formula(n):
+    # off the family the torsion is nonzero; one projection of the
+    # symmetrized Hessian and the [3]-part of dh o dh subtracted from it
+    # agree with projecting Hessian - 2 h^{-1} dh o dh a second time
+    d = 4 * n + 3
+    rng = np.random.default_rng(31 + n)
+    h_field = random_positive_polynomial(d, rng)
+    frame = HorizontalFrame(n)
+    pts = rng.uniform(-1.5, 1.5, size=(300, d))
+    t0bar, ubar = conformal_torsion(h_field, pts, frame)
+    h, fg, fh, xi = frame_second_order(h_field, pts, frame)
+    hsym = yamabe.symmetrized_hessian(fh, xi, frame)
+    hh = h[:, None, None]
+    shifted = hsym - 2.0 * np.einsum("na,nb->nab", fg, fg) / hh
+    want_t0 = project_3_m1(hsym, frame)[1] / hh
+    want_u = trace_free(project_3_m1(shifted, frame)[0], frame) / (2.0 * hh)
+    # each row within 1e-13 of the largest entry of the form it projects;
+    # at n = 1 the trace-free [3]-part is zero up to round-off
+    for got, want, projected in ((t0bar, want_t0, hsym / hh),
+                                 (ubar, want_u, shifted / (2.0 * hh))):
+        scale = np.max(np.abs(projected), axis=(1, 2))
+        assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 1e-13 * scale)
+    assert n == 1 or np.min(np.max(np.abs(ubar), axis=(1, 2))) > 1e-3
 
 
 def test_perturbed_field_breaks_pde_on_support():
