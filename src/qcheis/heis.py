@@ -29,16 +29,18 @@ shows that no entry reaches 2^62 (ValueError otherwise). No contraction
 touches a Fraction, and each violation is one exact Fraction.
 
 Second-order operators use that the frame is parallel for the flat Biquard
-connection: grad-dh(e_a, e_b) = e_a(e_b h), computed from the second
-derivatives of h along the frame coefficients plus the (constant)
-derivatives of the affine frame coefficients. The coefficient matrix is
+connection: grad-dh(e_a, e_b) = e_a(e_b h). The coefficient matrix is
 C = [I | V(q)]: the identity on the horizontal columns and a vertical block
-V linear in q, so e_b f = d_b f + V_b . d_w f needs no dense C at all, and
-the derivative term C_a . G_b . grad f reduces to the constant contraction
-sum_s G[b, a, s] d_{w_s} f of the vertical gradient alone. The second
-derivatives D^2 f[C_a, C_b] come from the field's hessian_along, which
-closed-form fields write without an ambient Hessian; the sub-Laplacian
-reads only their trace.
+V linear in q, so e_b f = d_b f + V_b . d_w f needs no dense C at all.
+Along e_a, each entry v_s of V_b has the constant derivative
+-2 omega_s(e_a, e_b), with omega_s(e_a, e_b) = g(I_s e_a, e_b), so
+
+    e_a(e_b f) = D^2 f[C_a, C_b] - sum_s xi_s f omega_s(e_a, e_b).
+
+The bracket term, half of [e_a, e_b] f, is antisymmetric with a zero
+diagonal, so the sub-Laplacian and the symmetric part read the form alone,
+exactly: the field's hessian_along, which closed-form fields write
+without an ambient Hessian.
 """
 
 from __future__ import annotations
@@ -221,12 +223,11 @@ class HorizontalFrame:
         self._vterms = [[(int(c), bool(vrows[m, c, s] < 0)) for s in range(3)
                          for c in np.flatnonzero(vrows[m, :, s])]
                         for m in range(4)]
-        # d_a v_s of frame field b as (b, a, s): the only nonzero block of
-        # the coefficient gradients, the block vrows in every slot; each
-        # (b, a) holds at most one nonzero s
-        self._vgrads = np.zeros((self.nh, self.nh, 3))
-        for a in range(n):
-            self._vgrads[4 * a:4 * a + 4, 4 * a:4 * a + 4] = vrows
+        # d_a v_s of frame field b is -2 omega_s(e_a, e_b): the bracket
+        # term of frame_second_order as (s, (a, b)), for one product with
+        # the vertical gradient; each column holds at most one +-2
+        self._bracket = (-2 * self.Is.transpose(0, 2, 1)).reshape(
+            3, self.nh * self.nh).astype(float)
 
     def vertical_coefficients(self, points):
         """The vertical block V = v(q_a) of every frame field: (N, 4n, 3).
@@ -417,26 +418,26 @@ def frame_second_order(field: ScalarField, points, frame: HorizontalFrame):
 
     Returns (value (N,), fg (N,4n), fh (N,4n,4n), xi (N,3)) where
     fh[., a, b] = e_a(e_b field) = grad-d(field)(e_a, e_b) in the parallel
-    frame. With C = [I | V(q)] the frame coefficients and G_b the constant
-    gradients of row b of C,
+    frame. With C = [I | V(q)] the frame coefficients,
 
-        e_a(e_b f) = sum_s G[b, a, s] d/dw_s f + D^2 f[C_a, C_b]:
+        e_a(e_b f) = D^2 f[C_a, C_b] - sum_s xi_s f omega_s(e_a, e_b).
 
-    G is nonzero only on (horizontal derivative, vertical component), and
-    C is the identity on its horizontal block, so C_a . G_b . grad f
-    contracts only the vertical gradient, with the constant G[b, a, s].
     The form D^2 f[C_a, C_b] is field.hessian_along(points, C): C hess C^T
-    for a field that only has jets, a closed form for h and Phi.
+    for a field that only has jets, a closed form for h and Phi. The
+    bracket term, d_a v_s = -2 omega_s(e_a, e_b) times d/dw_s f, is one
+    product of the vertical gradient with a constant table built from the
+    I_s. Being antisymmetric, it leaves the symmetric part of fh to the
+    form alone, which conformal_torsion reads from hessian_along.
     """
     points = np.asarray(points, dtype=float)
     nh = frame.nh
     value, grad, fh = field.hessian_along(points, frame.coefficients(points))
     grad_w = grad[:, nh:nh + 3]
     fg = horizontal_gradient(frame, points, grad)
-    # G[b, a, :] holds at most one nonzero, so this BLAS product is exact
-    # and row-wise: (a, b) gets one +-2 d/dw_s f or a sum of zeros
-    g = frame._vgrads.transpose(2, 1, 0).reshape(3, nh * nh)
-    fh += (grad_w @ g).reshape(-1, nh, nh)
+    # each (a, b) column of the table holds at most one nonzero, so this
+    # BLAS product is exact and row-wise: (a, b) gets one +-2 d/dw_s f or a
+    # sum of zeros
+    fh += (grad_w @ frame._bracket).reshape(-1, nh, nh)
     return value, fg, fh, 2.0 * grad_w
 
 
@@ -445,9 +446,9 @@ def sublaplacian(frame: HorizontalFrame, field: ScalarField, points):
 
     Delta_H f = sum_a e_a(e_a f) is the trace of frame_second_order's fh,
     taken along the frame coefficients C by field.hessian_along, so a
-    closed-form field never forms its (N, d, d) Hessian. The constant
-    G-term adds nothing to the trace: no coefficient of e_a depends on e_a's
-    own coordinate, G[a, a, :] = 0.
+    closed-form field never forms its (N, d, d) Hessian. The bracket term
+    of fh adds nothing to the trace: omega_s(e_a, e_a) = g(I_s e_a, e_a)
+    is 0, as no coefficient of e_a depends on e_a's own coordinate.
     """
     points = np.asarray(points, dtype=float)
     value, grad, lap = field.hessian_along(

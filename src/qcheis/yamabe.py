@@ -58,8 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heis import (GroupPoint, HorizontalFrame, dilation_affine,
-                   frame_second_order, horizontal_gradient,
-                   left_translation_affine, sublaplacian)
+                   horizontal_gradient, left_translation_affine, sublaplacian)
 from .jets import (AffineMapField, DomainError, Jet2, JetField, ScalarField,
                    lane_sum, power_factors, scale_rows)
 from .tensors import project_3_m1, trace_free
@@ -303,15 +302,10 @@ def conformal_scal(h_field: ScalarField, points, frame: HorizontalFrame):
 
 
 def symmetrized_hessian(fh, xi, frame: HorizontalFrame):
-    """The symmetric part of the frame Hessian.
-
-    The antisymmetric part of e_a(e_b h) is -sum_s dh(xi_s) omega_s(e_a,e_b),
-    so adding sum_s dh(xi_s) omega_s symmetrizes exactly.
-    """
-    out = fh.copy()
-    for s in range(3):
-        out += xi[:, s, None, None] * frame.omega(s)[None, :, :]
-    return out
+    """(fh + fh^T) / 2: D^2 f[C_a, C_b] up to round-off, as the bracket term
+    of fh is antisymmetric. Only bench/layers.py calls it; xi and frame are
+    unused, kept for that caller's signature."""
+    return (fh + np.swapaxes(fh, 1, 2)) / 2.0
 
 
 def conformal_torsion(h_field: ScalarField, points, frame: HorizontalFrame):
@@ -324,18 +318,19 @@ def conformal_torsion(h_field: ScalarField, points, frame: HorizontalFrame):
     so projecting the symmetrized Hessian changes nothing in the [3]-slot.
     Both vanish identically iff the scaled structure is qc-Einstein.
 
-    The symmetrized Hessian is projected once. The [3]-part of the rank-1
-    form dh o dh is (dh dh^T + sum_s (I_s^T dh)(I_s^T dh)^T) / 4, which is
-    subtracted from its [3]-part in place.
+    The symmetrized Hessian is D^2 h[C_a, C_b] from hessian_along, as the
+    bracket term is all of e_a(e_b h)'s antisymmetric part, and is
+    projected once. The [3]-part of the rank-1 form dh o dh is
+    (dh dh^T + sum_s (I_s^T dh)(I_s^T dh)^T) / 4, subtracted in place.
     """
     points = np.asarray(points, dtype=float)
-    h, fg, fh, xi = frame_second_order(h_field, points, frame)
+    h, grad, hsym = h_field.hessian_along(points, frame.coefficients(points))
     if np.any(h <= 0):
         raise DomainError("h must be positive at the evaluation points")
-    # each (N, 4n, 4n) array is dropped once read: these set the scans'
-    # peak memory
-    hsym = symmetrized_hessian(fh, xi, frame)
-    del fh
+    fg = horizontal_gradient(frame, points, grad)
+    # each array is dropped once read: the (N, 4n, 4n) ones set the scans'
+    # peak memory, and the gradient would add to it
+    del grad
     three_part, t0bar = project_3_m1(hsym, frame)
     del hsym
     hh = h[:, None, None]

@@ -390,6 +390,12 @@ def test_hessian_antisymmetric_part_is_vertical(n):
         expect -= xi[:, s, None, None] * (frame.omega(s)[None, :, :]
                                           - frame.omega(s).T[None, :, :])
     assert np.max(np.abs(anti - expect)) < 1e-10
+    # so the symmetric part is the form along the frame alone, the one
+    # conformal_torsion projects, each row within 1e-13 of its largest entry
+    form = field.hessian_along(pts, frame.coefficients(pts))[2]
+    sym = (fh + np.swapaxes(fh, 1, 2)) / 2.0
+    scale = np.max(np.abs(form), axis=(1, 2))
+    assert np.all(np.max(np.abs(sym - form), axis=(1, 2)) <= 1e-13 * scale)
 
 
 def test_sublaplacian_on_explicit_polynomial():
@@ -416,10 +422,12 @@ def test_sublaplacian_on_explicit_polynomial():
 def test_no_frame_coefficient_depends_on_its_own_coordinate(n):
     # sublaplacian takes sum_a D^2 f[C_a, C_a] alone: the first-order terms
     # (D_{C_a} C_a) . grad f of sum_a e_a(e_a f) vanish, as the coefficients
-    # of frame field b do not depend on coordinate b
+    # of frame field b do not depend on coordinate b; that term is the
+    # bracket term -2 omega_s(e_a, e_a) d/dw_s f, on omega_s's zero diagonal
     frame = HorizontalFrame(n)
     b = np.arange(frame.nh)
-    assert not frame._vgrads[b, b].any()
+    for s in range(3):
+        assert not frame.omega(s)[b, b].any()
     assert not _dense_coeff_grads(frame)[b, b].any()
 
 
@@ -494,11 +502,17 @@ def test_frame_tables_hold_one_nonzero_per_output(n):
     # with BLAS: each output picks up a single coefficient 0 or +-2, so the
     # product is exact in any order of summation, whatever the batch
     frame = HorizontalFrame(n)
+    nh = frame.nh
     assert (np.count_nonzero(frame._vmap, axis=0) == 1).all()
-    assert (np.count_nonzero(frame._vgrads, axis=2) <= 1).all()
-    assert np.count_nonzero(frame._vgrads) == 12 * n
-    for table in (frame._vmap, frame._vgrads):
+    assert (np.count_nonzero(frame._bracket, axis=0) <= 1).all()
+    assert np.count_nonzero(frame._bracket) == 12 * n
+    for table in (frame._vmap, frame._bracket):
         assert set(np.abs(table[table != 0]).tolist()) == {2}
+    # the bracket table, built from the I_s, is d_a v_s of frame field b
+    # read off the exact coefficient map, as (s, (a, b)), zeros included
+    dense = _dense_coeff_grads(frame)[:, :nh, nh:]
+    _assert_same_bits(frame._bracket,
+                      dense.transpose(2, 1, 0).reshape(3, nh * nh))
 
 
 def _einsum_vertical(frame, points):
@@ -554,12 +568,14 @@ def test_vertical_coefficients_equal_the_einsum_bit_for_bit(n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_frame_second_order_hessian_equals_the_einsum_bit_for_bit(n):
     # on the generic path, a field with jets only, fh = C hess C^T plus the
-    # constant gradient term, whose einsum over G[b, a, s]
-    # frame_second_order replaces by one BLAS product; h enters through a
-    # JetField that has only its jets, not its closed-form hessian_along
+    # constant bracket term, whose einsum over the exact coefficient
+    # derivatives G[b, a, s] = d_a v_s of frame field b frame_second_order
+    # replaces by one BLAS product; h enters through a JetField that has
+    # only its jets, not its closed-form hessian_along
     frame = HorizontalFrame(n)
     d, nh = 4 * n + 3, 4 * n
     rng = np.random.default_rng(95 + n)
+    G = _dense_coeff_grads(frame)[:, :nh, nh:]
     base = GroupPoint.from_flat(rng.uniform(-1, 1, size=d).tolist(), n)
     h = h_explicit(ExtremalParams(n=n, c0=0.7, sigma=1.3, base=base))
     fields = (random_positive_polynomial(d, rng), JetField(d, h.jets))
@@ -569,5 +585,5 @@ def test_frame_second_order_hessian_equals_the_einsum_bit_for_bit(n):
             jf = field.jets(pts, order=2)
             C = frame.coefficients(pts)
             want = C @ jf.hess @ np.swapaxes(C, 1, 2)
-            want += np.einsum("bas,ns->nab", frame._vgrads, jf.grad[:, nh:])
+            want += np.einsum("bas,ns->nab", G, jf.grad[:, nh:])
             _assert_same_bits(frame_second_order(field, pts, frame)[2], want)

@@ -240,8 +240,8 @@ def test_closed_form_jets_use_no_jet_products(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2])
 def test_every_jet_producer_returns_an_exactly_symmetric_hessian(n):
     # the generic hessian_along reads the full (N, d, d) Hessian and
-    # symmetrized_hessian takes its symmetry for granted, so each producer
-    # must make H equal to its transpose bit for bit
+    # conformal_torsion projects its form as a symmetric one, so each
+    # producer must make H equal to its transpose bit for bit
     d = 4 * n + 3
     rng = np.random.default_rng(60 + n)
     params = ExtremalParams(n=n, c0=0.7, sigma=1.3, base=_point(n, rng))
@@ -442,28 +442,37 @@ def test_conformal_torsion_vanishes_on_family(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_conformal_torsion_equals_the_two_projection_formula(n):
-    # off the family the torsion is nonzero; one projection of the
-    # symmetrized Hessian and the [3]-part of dh o dh subtracted from it
-    # agree with projecting Hessian - 2 h^{-1} dh o dh a second time
+    # off the family the torsion is nonzero; one projection of the form
+    # along the frame and the [3]-part of dh o dh subtracted from it agree
+    # with projecting Hessian - 2 h^{-1} dh o dh a second time, the
+    # symmetrized Hessian taken as the symmetric part of
+    # frame_second_order's fh; on the family both are round-off
     d = 4 * n + 3
     rng = np.random.default_rng(31 + n)
-    h_field = random_positive_polynomial(d, rng)
+    poly = random_positive_polynomial(d, rng)
     frame = HorizontalFrame(n)
     pts = rng.uniform(-1.5, 1.5, size=(300, d))
-    t0bar, ubar = conformal_torsion(h_field, pts, frame)
-    h, fg, fh, xi = frame_second_order(h_field, pts, frame)
-    hsym = yamabe.symmetrized_hessian(fh, xi, frame)
-    hh = h[:, None, None]
-    shifted = hsym - 2.0 * np.einsum("na,nb->nab", fg, fg) / hh
-    want_t0 = project_3_m1(hsym, frame)[1] / hh
-    want_u = trace_free(project_3_m1(shifted, frame)[0], frame) / (2.0 * hh)
-    # each row within 1e-13 of the largest entry of the form it projects;
-    # at n = 1 the trace-free [3]-part is zero up to round-off
-    for got, want, projected in ((t0bar, want_t0, hsym / hh),
-                                 (ubar, want_u, shifted / (2.0 * hh))):
-        scale = np.max(np.abs(projected), axis=(1, 2))
-        assert np.all(np.max(np.abs(got - want), axis=(1, 2)) <= 1e-13 * scale)
-    assert n == 1 or np.min(np.max(np.abs(ubar), axis=(1, 2))) > 1e-3
+    params = ExtremalParams(n=n, c0=0.7, sigma=1.3, base=_point(n, rng))
+    for h_field in (poly, h_explicit(params)):
+        t0bar, ubar = conformal_torsion(h_field, pts, frame)
+        h, fg, fh, _ = frame_second_order(h_field, pts, frame)
+        hsym = (fh + np.swapaxes(fh, 1, 2)) / 2.0
+        hh = h[:, None, None]
+        shifted = hsym - 2.0 * np.einsum("na,nb->nab", fg, fg) / hh
+        want_t0 = project_3_m1(hsym, frame)[1] / hh
+        want_u = trace_free(project_3_m1(shifted, frame)[0], frame) \
+            / (2.0 * hh)
+        # each row within 1e-13 of the largest entry of the form it
+        # projects
+        for got, want, projected in ((t0bar, want_t0, hsym / hh),
+                                     (ubar, want_u, shifted / (2.0 * hh))):
+            scale = np.max(np.abs(projected), axis=(1, 2))
+            assert np.all(np.max(np.abs(got - want), axis=(1, 2))
+                          <= 1e-13 * scale)
+        # at n = 1 the trace-free [3]-part is zero up to round-off even off
+        # the family
+        assert h_field is not poly or n == 1 \
+            or np.min(np.max(np.abs(ubar), axis=(1, 2))) > 1e-3
 
 
 def test_perturbed_field_breaks_pde_on_support():
