@@ -39,8 +39,8 @@ Along e_a, each entry v_s of V_b has the constant derivative
 
 The bracket term, half of [e_a, e_b] f, is antisymmetric with a zero
 diagonal, so the sub-Laplacian and the symmetric part read the form alone,
-exactly: the field's hessian_along, which closed-form fields write
-without an ambient Hessian.
+exactly: the field's hessian_along of V, which closed-form fields write
+without an ambient Hessian and without C.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from fractions import Fraction
 import numpy as np
 
 from .quat import Quaternion, qmul
-from .jets import ScalarField
+from .jets import ScalarField, frame_directions
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +246,8 @@ class HorizontalFrame:
         return (q @ self._vmap.astype(points.dtype)).reshape(-1, self.nh, 3)
 
     def coefficients(self, points):
-        """Frame coefficients C = [I | V]: (N, 4n, dim)."""
-        V = self.vertical_coefficients(points)
-        C = np.zeros((V.shape[0], self.nh, self.dim), dtype=V.dtype)
-        idx = np.arange(self.nh)
-        C[:, idx, idx] = 1
-        C[:, :, self.nh:] = V
-        return C
+        """Frame coefficients C = [I | V]: (N, 4n, dim), for frame_audit."""
+        return frame_directions(self.vertical_coefficients(points))
 
     def omega(self, s):
         """Matrix of the fundamental 2-form, omega_s[a, b] = g(I_s e_a, e_b)."""
@@ -422,8 +417,9 @@ def frame_second_order(field: ScalarField, points, frame: HorizontalFrame):
 
         e_a(e_b f) = D^2 f[C_a, C_b] - sum_s xi_s f omega_s(e_a, e_b).
 
-    The form D^2 f[C_a, C_b] is field.hessian_along(points, C): C hess C^T
-    for a field that only has jets, a closed form for h and Phi. The
+    The form D^2 f[C_a, C_b] is field.hessian_along(points, V): C hess C^T
+    for a field that only has jets, a closed form without C for h, Phi and
+    their transports. The
     bracket term, d_a v_s = -2 omega_s(e_a, e_b) times d/dw_s f, is one
     product of the vertical gradient with a constant table built from the
     I_s. Being antisymmetric, it leaves the symmetric part of fh to the
@@ -431,7 +427,8 @@ def frame_second_order(field: ScalarField, points, frame: HorizontalFrame):
     """
     points = np.asarray(points, dtype=float)
     nh = frame.nh
-    value, grad, fh = field.hessian_along(points, frame.coefficients(points))
+    value, grad, fh = field.hessian_along(
+        points, frame.vertical_coefficients(points))
     grad_w = grad[:, nh:nh + 3]
     fg = horizontal_gradient(frame, points, grad)
     # each (a, b) column of the table holds at most one nonzero, so this
@@ -445,12 +442,12 @@ def sublaplacian(frame: HorizontalFrame, field: ScalarField, points):
     """(value (N,), horizontal gradient (N, 4n), Delta_H field (N,)).
 
     Delta_H f = sum_a e_a(e_a f) is the trace of frame_second_order's fh,
-    taken along the frame coefficients C by field.hessian_along, so a
-    closed-form field never forms its (N, d, d) Hessian. The bracket term
-    of fh adds nothing to the trace: omega_s(e_a, e_a) = g(I_s e_a, e_a)
-    is 0, as no coefficient of e_a depends on e_a's own coordinate.
+    taken by field.hessian_along from V alone, so a closed-form field
+    forms neither its (N, d, d) Hessian nor C. The bracket term of fh adds
+    nothing to the trace: omega_s(e_a, e_a) = g(I_s e_a, e_a) is 0, as no
+    coefficient of e_a depends on e_a's own coordinate.
     """
     points = np.asarray(points, dtype=float)
     value, grad, lap = field.hessian_along(
-        points, frame.coefficients(points), trace=True)
+        points, frame.vertical_coefficients(points), trace=True)
     return value, horizontal_gradient(frame, points, grad), lap

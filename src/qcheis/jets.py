@@ -5,12 +5,12 @@ scalar function at a batch of points, and the arithmetic below (add, sub,
 mul, pow_real) propagates that data by the chain and Leibniz rules. All
 first and second order differential operators in the toolkit (horizontal
 gradient, sub-Laplacian, frame Hessian) are evaluated from ambient jets or
-from second derivatives along direction rows (ScalarField.hessian_along),
-so exactness here is what makes the identity checks sharp. A field whose
-derivatives are known in closed form (the extremal h and the bump window in
-yamabe) writes its Jet2 directly instead of composing one from these
-operations; h, Phi = F(h) and the affine pullbacks of a field also write
-hessian_along without the (N, d, d) Hessian.
+from second derivatives along frame-shaped directions [I | V]
+(ScalarField.hessian_along), so exactness here is what makes the identity
+checks sharp. A field whose derivatives are known in closed form (the
+extremal h and the bump window in yamabe) writes its Jet2 directly instead
+of composing one from these operations; h, Phi = F(h) and the affine
+pullbacks of a field also write hessian_along from V alone.
 
 Storage is batched: value (N,), gradient (N, d), Hessian (N, d, d). A
 batch of points may come in either memory order: the functional's node
@@ -197,6 +197,17 @@ def coordinate_jets(points, order=2):
     return out
 
 
+def frame_directions(V):
+    """The direction rows [I | V] (N, k, k + m) of a block V (N, k, m), in
+    V's scalar type."""
+    N, k, m = V.shape
+    X = np.zeros((N, k, k + m), dtype=V.dtype)
+    idx = np.arange(k)
+    X[:, idx, idx] = 1
+    X[:, :, k:] = V
+    return X
+
+
 # ---------------------------------------------------------------------------
 # scalar fields
 
@@ -210,16 +221,17 @@ class ScalarField:
     def jets(self, points, order=2) -> Jet2:
         raise NotImplementedError
 
-    def hessian_along(self, points, X, trace=False):
-        """Second derivatives along direction rows: (value (N,), ambient
-        gradient (N, d), form), where X (N, k, d) holds k directions per
-        point and the form is D^2 u[X_a, X_b] (N, k, k), or with trace
-        only its trace sum_a D^2 u[X_a, X_a] (N,).
+    def hessian_along(self, points, V, trace=False):
+        """Second derivatives along the directions X = [I | V] (N, k, d),
+        given V (N, k, d - k): (value (N,), ambient gradient (N, d), form),
+        where the form is D^2 u[X_a, X_b] (N, k, k), or with trace only its
+        trace sum_a D^2 u[X_a, X_a] (N,).
 
-        This default contracts the order-2 jet, X hess X^T. A field whose
-        second derivatives are known in closed form overrides it and never
-        forms the (N, d, d) Hessian."""
+        This default builds X and contracts the order-2 jet, X hess X^T. A
+        field whose second derivatives are known in closed form overrides
+        it and forms neither the (N, d, d) Hessian nor X."""
         jet = self.jets(points, order=2)
+        X = frame_directions(V)
         form = X @ jet.hess @ np.swapaxes(X, 1, 2)
         return jet.value, jet.grad, np.einsum("naa->n", form) if trace else form
 
@@ -298,7 +310,7 @@ class PolynomialField(ScalarField):
 
 class JetField(ScalarField):
     """Adapter turning a jet-building callable (points, order) -> Jet2 into
-    a ScalarField; an optional callable (points, X, trace) writes its
+    a ScalarField; an optional callable (points, V, trace) writes its
     hessian_along, which otherwise contracts the order-2 jet."""
 
     def __init__(self, dim, builder, along=None):
@@ -309,10 +321,10 @@ class JetField(ScalarField):
     def jets(self, points, order=2):
         return self._builder(np.asarray(points), order)
 
-    def hessian_along(self, points, X, trace=False):
+    def hessian_along(self, points, V, trace=False):
         if self._along is None:
-            return super().hessian_along(points, X, trace)
-        return self._along(np.asarray(points), X, trace)
+            return super().hessian_along(points, V, trace)
+        return self._along(np.asarray(points), V, trace)
 
 
 class AffineMapField(ScalarField):
@@ -368,15 +380,25 @@ class AffineMapField(ScalarField):
         hess = (hess + np.swapaxes(hess, 1, 2)) / 2
         return Jet2(value, grad, hess)
 
-    def hessian_along(self, points, X, trace=False):
-        """D^2 (u o A)[X_a, X_b] = D^2 u[A X_a, A X_b]: the base field's
-        second derivatives along the mapped directions X A^T."""
+    def hessian_along(self, points, V, trace=False):
+        """D^2 (u o A)[X_a, X_b] = D^2 u[A X_a, A X_b]. For A = [[l I, 0],
+        [M, W]] (left translations, dilations), X A^T = l [I | V'] with
+        V' = (M^T + V W^T) / l, so the form is l^2 times the base field's
+        along V': V is pulled back through A, never read at the mapped
+        points. Any other matrix raises ValueError."""
+        k, A = V.shape[1], self.matrix
+        lam = A[0, 0]
+        if lam == 0 or A[:k, k:].any() or (A[:k, :k] != lam * np.eye(k)).any():
+            raise ValueError("hessian_along needs A = [[l I, 0], [M, W]]")
+        # a small product per row: one (N k, m) BLAS product stalls when a
+        # second BLAS thread waits for a busy core
+        V_mapped = V @ (A[k:, k:].T / lam)
+        V_mapped += A[k:, :k].T / lam
         points = np.asarray(points)
-        # a small product per row, not one (N k, d) product (h_explicit)
         value, grad_u, form = self.base.hessian_along(
-            self._mapped(points), X @ self._matrix_t, trace)
-        return (self.scale * value, self._pulled_back(points, grad_u),
-                self.scale * form)
+            self._mapped(points), V_mapped, trace)
+        form *= self.scale * lam * lam
+        return self.scale * value, self._pulled_back(points, grad_u), form
 
 
 class CombinationField(ScalarField):

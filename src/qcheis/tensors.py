@@ -79,8 +79,15 @@ class ResidualReport:
 
 def _casimir_sum(P, Is):
     """sum_s P(I_s., I_s.) for a single (4n, 4n) P or a batch (N, 4n, 4n);
-    the matmuls broadcast the constant I_s over the batch."""
-    return sum(I.T @ P @ I for I in Is)
+    the matmuls broadcast the constant I_s over the batch. Each term is
+    formed in two work arrays and added into S, from zero, as sum() adds."""
+    S = np.zeros(np.shape(P), np.result_type(P, Is))
+    left = term = None
+    for I in Is:
+        left = np.matmul(I.T, P, out=left)
+        term = np.matmul(left, I, out=term)
+        S += term
+    return S
 
 
 def project_3_m1(P, frame: HorizontalFrame):
@@ -96,7 +103,12 @@ def project_3_m1(P, frame: HorizontalFrame):
     if asym > 1e-12 * max(1.0, np.max(np.abs(P))):
         raise ValueError("projection input must be symmetric")
     S = _casimir_sum(P, frame.Is)
-    return (P + S) / 4.0, (3.0 * P - S) / 4.0
+    minus_one = np.multiply(P, 3.0)
+    minus_one -= S
+    minus_one /= 4.0
+    S += P
+    S /= 4.0
+    return S, minus_one
 
 
 def trace_free(P, frame: HorizontalFrame):

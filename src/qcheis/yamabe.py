@@ -149,16 +149,17 @@ def h_explicit(params: ExtremalParams) -> ScalarField:
     # at q0 = 0 the twist does not depend on q: T = [0 | Id], so tw = w + w0
     # and T^T tw = [0 | tw]; the sums over T would only add exact zeros
     untwisted = not T[:, :nh].any()
-    Tt = np.ascontiguousarray(T.T)
+    Tq_t = np.ascontiguousarray(T[:, :nh].T)
     # the rows of T and of 2 c0 T, each as a (d, 1) column
     T, twist_grad = T[:, :, None], 2.0 * c0 * T[:, :, None]
 
     def first_order(points):
-        """value, gradient, s (4n, N) and r; the coordinate-major working
-        arrays are freed on return, before any Hessian-sized array."""
+        """value, gradient, s (4n, N), |s|^2 and r; the coordinate-major
+        working arrays are freed on return, before any Hessian-sized one."""
         P = np.ascontiguousarray(points.T)
         s = P[:nh] + q0
-        r = sigma + lane_sum(s * s)
+        s2 = lane_sum(s * s)
+        r = sigma + s2
         grad = np.empty_like(points)
         G = grad.T
         if untwisted:
@@ -180,11 +181,11 @@ def h_explicit(params: ExtremalParams) -> ScalarField:
             G += np.multiply(tw[1], twist_grad[1], out=work)
             G += np.multiply(tw[2], twist_grad[2], out=work)
             G[:nh] += np.multiply(4.0 * c0 * r, s, out=work[:nh])
-        return value, grad, s, r
+        return value, grad, s, s2, r
 
     def builder(points, order):
         points = np.asarray(points, dtype=float)
-        value, grad, s, r = first_order(points)
+        value, grad, s, _, r = first_order(points)
         if order == 1:
             return Jet2(value, grad, None)
         hess = np.empty((points.shape[0], d, d))
@@ -196,31 +197,25 @@ def h_explicit(params: ExtremalParams) -> ScalarField:
         hess[:, q_diag, q_diag] += (4.0 * c0 * r)[:, None]
         return Jet2(value, grad, hess)
 
-    def along(points, X, trace):
-        # hess h restricted to the directions X: with Y = X T^T (N, k, 3),
-        # y = X_q s (N, k) and X_q the q-columns of X,
-        # X hess X^T = 2 c0 Y Y^T + 8 c0 y y^T + 4 c0 r X_q X_q^T
+    def along(points, V, trace):
+        # hess h along the frame-shaped directions X = [I | V]: T's w-block
+        # is the identity, so with Y = X T^T = V + T_q^T (N, 4n, 3), the rows
+        # X_q s = s and X_q X_q^T = I,
+        # X hess X^T = 2 c0 Y Y^T + 8 c0 s s^T + 4 c0 r I
         points = np.asarray(points, dtype=float)
-        value, grad, s, r = first_order(points)
-        # a product per row: as one (N k, d) BLAS product with threads, it
-        # stalls whenever a thread waits for a busy core
-        Y = X @ Tt
-        Xq = X[:, :, :nh]
-        y = np.einsum("nki,in->nk", Xq, s)
+        value, grad, s, s2, r = first_order(points)
+        Y = V if untwisted else V + Tq_t
         if trace:
-            return value, grad, (
-                2.0 * c0 * np.einsum("nkt,nkt->n", Y, Y)
-                + 8.0 * c0 * np.einsum("nk,nk->n", y, y)
-                + 4.0 * c0 * r * np.einsum("nki,nki->n", Xq, Xq))
-        # in place, with one (N, k, k) work array
+            return value, grad, (2.0 * c0 * np.einsum("nkt,nkt->n", Y, Y)
+                                 + 8.0 * c0 * s2 + 4.0 * c0 * r * nh)
+        # in place, with one (N, 4n, 4n) work array
         form = Y @ np.swapaxes(Y, 1, 2)
         form *= 2.0 * c0
-        work = np.multiply(y[:, :, None], y[:, None, :])
+        s = s.T
+        work = np.multiply(s[:, :, None], s[:, None, :])
         work *= 8.0 * c0
         form += work
-        np.matmul(Xq, np.swapaxes(Xq, 1, 2), out=work)
-        work *= (4.0 * c0 * r)[:, None, None]
-        form += work
+        form[:, q_diag, q_diag] += (4.0 * c0 * r)[:, None]
         return value, grad, form
 
     return JetField(d, builder, along)
@@ -229,9 +224,9 @@ def h_explicit(params: ExtremalParams) -> ScalarField:
 def phi_from_h(h_field: ScalarField, qdim) -> ScalarField:
     """Phi = (2h)^{-(Q-2)/4}; raises DomainError wherever h <= 0.
 
-    Its second derivatives along directions X follow from h's by the chain
-    rule for Phi = F(h): F'(h) D^2 h[X_a, X_b] + F''(h) (X grad h)_a
-    (X grad h)_b, with no Hessian of h unless h_field's own
+    Its second derivatives along X = [I | V] follow from h's by the chain
+    rule for Phi = F(h): F'(h) D^2 h[X_a, X_b] + F''(h) dh_a dh_b, with
+    dh = grad_q h + V grad_w h and no Hessian of h unless h_field's own
     hessian_along forms one."""
     expo = -(qdim - 2) / 4.0
 
@@ -241,10 +236,11 @@ def phi_from_h(h_field: ScalarField, qdim) -> ScalarField:
         # equal those of (2 h)^expo bit for bit
         return h_field.jets(points, order=order).pow_real(expo, scale=2.0)
 
-    def along(points, X, trace):
-        value, grad, form = h_field.hessian_along(points, X, trace)
+    def along(points, V, trace):
+        value, grad, form = h_field.hessian_along(points, V, trace)
         v, d1, d2 = power_factors(value, expo, scale=2.0)
-        dh = (X @ grad[:, :, None])[:, :, 0]
+        k = V.shape[1]
+        dh = (V @ grad[:, k:, None])[:, :, 0] + grad[:, :k]
         if trace:
             form = d1 * form + d2 * np.einsum("nk,nk->n", dh, dh)
         else:
@@ -324,7 +320,8 @@ def conformal_torsion(h_field: ScalarField, points, frame: HorizontalFrame):
     (dh dh^T + sum_s (I_s^T dh)(I_s^T dh)^T) / 4, subtracted in place.
     """
     points = np.asarray(points, dtype=float)
-    h, grad, hsym = h_field.hessian_along(points, frame.coefficients(points))
+    h, grad, hsym = h_field.hessian_along(
+        points, frame.vertical_coefficients(points))
     if np.any(h <= 0):
         raise DomainError("h must be positive at the evaluation points")
     fg = horizontal_gradient(frame, points, grad)

@@ -392,7 +392,7 @@ def test_hessian_antisymmetric_part_is_vertical(n):
     assert np.max(np.abs(anti - expect)) < 1e-10
     # so the symmetric part is the form along the frame alone, the one
     # conformal_torsion projects, each row within 1e-13 of its largest entry
-    form = field.hessian_along(pts, frame.coefficients(pts))[2]
+    form = field.hessian_along(pts, frame.vertical_coefficients(pts))[2]
     sym = (fh + np.swapaxes(fh, 1, 2)) / 2.0
     scale = np.max(np.abs(form), axis=(1, 2))
     assert np.all(np.max(np.abs(sym - form), axis=(1, 2)) <= 1e-13 * scale)
@@ -567,7 +567,8 @@ def test_vertical_coefficients_equal_the_einsum_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_frame_second_order_hessian_equals_the_einsum_bit_for_bit(n):
-    # on the generic path, a field with jets only, fh = C hess C^T plus the
+    # on the generic path, a field with jets only, fh = C hess C^T, with
+    # C = [I | V] assembled here from the frame's vertical block, plus the
     # constant bracket term, whose einsum over the exact coefficient
     # derivatives G[b, a, s] = d_a v_s of frame field b frame_second_order
     # replaces by one BLAS product; h enters through a JetField that has
@@ -583,7 +584,9 @@ def test_frame_second_order_hessian_equals_the_einsum_bit_for_bit(n):
         pts = _heavy_points(rng, size, d)
         for field in fields:
             jf = field.jets(pts, order=2)
-            C = frame.coefficients(pts)
+            V = frame.vertical_coefficients(pts)
+            C = np.concatenate(
+                (np.broadcast_to(np.eye(nh), (size, nh, nh)), V), axis=2)
             want = C @ jf.hess @ np.swapaxes(C, 1, 2)
             want += np.einsum("bas,ns->nab", G, jf.grad[:, nh:])
             _assert_same_bits(frame_second_order(field, pts, frame)[2], want)

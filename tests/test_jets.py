@@ -221,6 +221,21 @@ def test_affine_map_field_jets_in_either_memory_order():
                 assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(a))
 
 
+def test_affine_map_field_second_derivatives_need_a_frame_shaped_matrix():
+    # hessian_along pulls the vertical block V back through a matrix
+    # [[l I, 0], [M, W]]; a general matrix mixes the directions' identity
+    # block and raises, while its jets stay defined
+    rng = np.random.default_rng(63)
+    inner = random_positive_polynomial(7, rng)
+    pts = rng.uniform(-1, 1, size=(5, 7))
+    V = rng.normal(size=(5, 4, 3))
+    mapped = AffineMapField(inner, rng.normal(size=(7, 7)), rng.normal(size=7))
+    assert mapped.jets(pts, order=2).order == 2
+    for trace in (False, True):
+        with pytest.raises(ValueError):
+            mapped.hessian_along(pts, V, trace=trace)
+
+
 def test_order_one_jets_have_no_hessian():
     rng = np.random.default_rng(7)
     f = random_positive_polynomial(3, rng)

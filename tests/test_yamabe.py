@@ -19,8 +19,9 @@ from scipy.integrate import IntegrationWarning, dblquad
 from qcheis import yamabe
 from qcheis.heis import (GroupPoint, HorizontalFrame, frame_second_order,
                          left_translation_affine)
-from qcheis.jets import (CombinationField, DomainError, Jet2, JetField,
-                         coordinate_jets, fd_oracle, random_positive_polynomial)
+from qcheis.jets import (AffineMapField, CombinationField, DomainError, Jet2,
+                         JetField, coordinate_jets, fd_oracle,
+                         random_positive_polynomial)
 from qcheis.tensors import project_3_m1, trace_free
 from qcheis.yamabe import (BumpField, ExtremalParams, FunctionalEstimate,
                            YamabeConstants, _polar_nodes, _sobol_chunks,
@@ -266,35 +267,51 @@ def test_every_jet_producer_returns_an_exactly_symmetric_hessian(n):
         assert np.array_equal(H, np.swapaxes(H, 1, 2)), name
 
 
+def _right_translated(u, p0):
+    """u o R_{p0}, p -> p . p0: the left-translation matrix of p0 with its
+    twist block negated, as Im(q conj(q0)) = -Im(q0 conj(q)). Not a
+    symmetry of the left-invariant frame."""
+    A, b = left_translation_affine(p0)
+    A = np.array(A, dtype=float)
+    nh = 4 * p0.n
+    A[nh:, :nh] *= -1
+    return AffineMapField(u, A, np.array(b, dtype=float))
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_closed_form_second_derivatives_equal_the_dense_contraction(n):
-    # h, Phi and Phi's transports write hessian_along without an ambient
-    # Hessian; the form and its trace against X hess X^T of their own
-    # order-2 jets, along the frame coefficients and along random rows,
-    # row by row within 1e-13 of the row's largest entry
-    d = 4 * n + 3
+    # h, Phi and Phi's transports write hessian_along from the vertical
+    # block V alone; the form and its trace against X hess X^T of their own
+    # order-2 jets, X = [I | V], along the frame's V and along random V
+    # rows, row by row within 1e-13 of the row's largest entry. The right
+    # translate fails wherever V is read at the mapped points
+    d, nh = 4 * n + 3, 4 * n
     rng = np.random.default_rng(130 + n)
     params = ExtremalParams(n=n, c0=0.7, sigma=1.3, base=_point(n, rng))
     phi = phi_explicit(params)
     fields = {"h": h_explicit(params), "phi": phi,
               "translated": translated_field(phi, _point(n, rng)),
+              "right_translated": _right_translated(phi, _point(n, rng)),
               "dilated": dilated_field(phi, 1.7, n,
                                        weight_power=(4 * n + 4) / 2)}
     frame = HorizontalFrame(n)
     for size in (1, 37, 4096):
         heavy = _heavy_points(rng, size, d)
         for pts in (heavy, np.asfortranarray(heavy)):
-            for X in (frame.coefficients(pts), rng.normal(size=(size, 5, d))):
+            for V in (frame.vertical_coefficients(pts),
+                      rng.normal(size=(size, nh, 3))):
+                X = np.concatenate(
+                    (np.broadcast_to(np.eye(nh), (size, nh, nh)), V), axis=2)
                 for name, field in fields.items():
                     jet = field.jets(pts, order=2)
                     dense = X @ jet.hess @ np.swapaxes(X, 1, 2)
                     scale = np.max(np.abs(dense), axis=(1, 2))
-                    value, grad, form = field.hessian_along(pts, X)
+                    value, grad, form = field.hessian_along(pts, V)
                     assert np.array_equal(value, jet.value), name
                     assert np.array_equal(grad, jet.grad), name
                     err = np.max(np.abs(form - dense), axis=(1, 2))
                     assert np.all(err <= 1e-13 * scale), name
-                    value, grad, lap = field.hessian_along(pts, X, trace=True)
+                    value, grad, lap = field.hessian_along(pts, V, trace=True)
                     assert np.array_equal(value, jet.value), name
                     assert np.array_equal(grad, jet.grad), name
                     err = np.abs(lap - np.einsum("naa->n", dense))
@@ -307,11 +324,11 @@ def test_phi_second_derivatives_refuse_nonpositive_h():
                                           np.zeros((len(p), 7, 7))))
     phi = phi_from_h(h, 10)
     pts = np.array([[1.0] + [0.0] * 6, [-1.0] + [0.0] * 6])
-    X = np.ones((2, 4, 7))
+    V = np.ones((2, 4, 3))
     for trace in (False, True):
         with pytest.raises(DomainError):
-            phi.hessian_along(pts, X, trace=trace)
-        phi.hessian_along(pts[:1], X[:1], trace=trace)
+            phi.hessian_along(pts, V, trace=trace)
+        phi.hessian_along(pts[:1], V[:1], trace=trace)
 
 
 def test_phi_order2_jet_holds_few_hessian_sized_arrays():
@@ -345,12 +362,11 @@ def _traced_peak(call):
 
 
 def test_scans_hold_no_ambient_hessian():
-    # residual and scal read Delta_H along the frame coefficients C
-    # (N, 4n, d), 8/11 of an (N, d, d) array at n = 2, and beside C hold
-    # h's first-order arrays, under half of one: never the ambient Hessian.
-    # torsion holds at most five (N, 4n, 4n) forms at once: C, the form
-    # along C and its work array while the frame Hessian is formed, then
-    # the projection's parts
+    # residual and scal read Delta_H from the vertical block V (N, 4n, 3)
+    # and never build the frame coefficients C (N, 4n, d), 8/11 of an
+    # (N, d, d) array at n = 2: V, its twisted copy and h's first-order
+    # arrays stay below 0.75 of one. torsion holds at most 4.5 (N, 4n, 4n)
+    # forms at once: the form along V and the projection's three buffers
     n, N = 2, 4096
     d, nh = 4 * n + 3, 4 * n
     rng = np.random.default_rng(13)
@@ -360,7 +376,6 @@ def test_scans_hold_no_ambient_hessian():
     pts = rng.uniform(-2, 2, size=(N, d))
     h, phi = h_explicit(params), phi_explicit(params)
     hessian, form = N * d * d * 8, N * nh * nh * 8
-    coefficients = N * nh * d * 8
     calls = {
         "residual": lambda: yamabe_residual(phi, s_theta, pts, frame,
                                             return_terms=True),
@@ -370,9 +385,9 @@ def test_scans_hold_no_ambient_hessian():
     for call in calls.values():
         call()
     peaks = {name: _traced_peak(call)[1] for name, call in calls.items()}
-    assert peaks["residual"] < coefficients + 0.5 * hessian
-    assert peaks["scal"] < coefficients + 0.5 * hessian
-    assert peaks["torsion"] <= 5 * form
+    assert peaks["residual"] < 0.75 * hessian
+    assert peaks["scal"] < 0.75 * hessian
+    assert peaks["torsion"] <= 4.5 * form
 
 
 @pytest.mark.parametrize("n", [1, 2])
