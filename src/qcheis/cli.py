@@ -17,8 +17,9 @@ the seed is echoed as drawn. The scans (residual, scal, torsion) share one
 set-up, which evaluates their points in blocks of a fixed number of rows;
 the CSV dump is written block by block once the scan has finished, so the
 memory they take beyond the points and the per-point results does not grow
-with --points. A scan check over per-point residuals also names the point
-of the largest one as worst_point. A functional bump whose support held no
+with --points; its numbers are repr's text, computed a block at a time by
+floatrepr. A scan check over per-point residuals also names the point of
+the largest one as worst_point. A functional bump whose support held no
 node fails the extremality check with residual 1.0, as its margin of 0.0
 says nothing. functional also reports the exact ratio of the extremals as
 ratio_exact and each of its four estimates' deviation from it.
@@ -29,9 +30,10 @@ value its flag's type refuses (a non-finite real, a --box <= 0, a --seed
 < 0, a --points < 1 or a tolerance < 0); a functional --points that is not
 a power of two >= 1024; an identities --box on which its polynomials
 overflow a float. A report that would hold a non-finite number, or that
-cannot be written to --out, is not written, and neither is one that needs
-a size the machine cannot hold: exit 2 with a message. With a fixed seed
-the JSON output is byte identical between runs except for wall_ms.
+cannot be written to --out or stdout, is not written, and neither is one
+that needs a size the machine cannot hold: exit 2 with a message. With a
+fixed seed the JSON output is byte identical between runs except for
+wall_ms.
 
 Checks that produce a single statistic (exact audits, the spectral
 certificate) report it as both max_residual and mean_residual.
@@ -72,8 +74,12 @@ _TOL_ZERO = 0.0
 # torsion samples per batch in `identities`
 _TORSION_BATCH = 128
 
-# scan points per block in `residual`, `scal` and `torsion`
+# scan points per block in `residual`, `scal` and `torsion`, and rows per
+# piece of their CSV dump
 _SCAN_CHUNK = 4096
+
+# the CSV line end as a little-endian 64-bit word
+_CRLF = np.uint64(int.from_bytes(b"\r\n", "little"))
 
 # the dilation factors under which `functional` checks invariance, and the
 # names of its estimates in the report
@@ -464,10 +470,27 @@ def _render_csv(report, point_dump):
     yield ",".join(["index"] + [f"p{i}" for i in range(pts.shape[1])]
                    + [label]) + "\r\n"
     for lo in range(0, len(pts), _SCAN_CHUNK):
-        block = zip(pts[lo:lo + _SCAN_CHUNK].tolist(),
-                    vals[lo:lo + _SCAN_CHUNK].tolist())
-        yield "".join(f"{i},{','.join(map(repr, row))},{v!r}\r\n"
-                      for i, (row, v) in enumerate(block, lo))
+        hi = lo + _SCAN_CHUNK
+        yield _csv_rows(lo, pts[lo:hi], vals[lo:hi])
+
+
+def _csv_rows(lo, pts, vals):
+    """Rows lo, lo + 1, ... of the point dump as text. Each row is laid out
+    in 64-bit words, the index and each value's repr from floatrepr with PAD
+    bytes among them; the PAD bytes then go. The words are freed on return,
+    before the next block's are made."""
+    # imported here, so a command that dumps no points does not load it
+    from .floatrepr import PAD, SLOT, float_slots, int_slots
+    rows = len(pts)
+    index = int_slots(np.arange(lo, lo + rows))
+    words = np.hstack([index,
+                       float_slots(np.column_stack((pts, vals))).reshape(
+                           rows, -1),
+                       np.full((rows, 1), _CRLF)])
+    # a comma in each value's free first byte
+    words[:, index.shape[1]:-1:SLOT // 8] |= np.uint64(ord(","))
+    text = words.astype("<u8", copy=False).view(np.uint8).ravel()
+    return text[text != PAD].tobytes().decode("ascii")
 
 
 def _nonfinite(report, point_dump):
@@ -482,6 +505,18 @@ def _nonfinite(report, point_dump):
         if not (np.isfinite(pts).all() and np.isfinite(vals).all()):
             return f"point dump {label}"
     return None
+
+
+def _stdout_to_devnull():
+    """Point the file descriptor under sys.stdout at os.devnull, where it
+    has one, so the interpreter's last flush writes nowhere."""
+    try:
+        fd = sys.stdout.fileno()
+    except (OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main(argv=None):
@@ -543,7 +578,15 @@ def main(argv=None):
             print(f"qcheis: cannot write the report: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.writelines(pieces)
+        try:
+            sys.stdout.writelines(pieces)
+            sys.stdout.flush()
+        except OSError as exc:
+            # a closed pipe or a full disk; what stdout still holds must not
+            # fail again at exit
+            _stdout_to_devnull()
+            print(f"qcheis: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     return 0 if report["pass"] else 1
 
 

@@ -656,6 +656,95 @@ def test_csv_render_memory_is_flat_in_points():
     assert growth <= chunk * 16
 
 
+def _csv_writer_dump(label, pts, vals):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["index"] + [f"p{i}" for i in range(pts.shape[1])]
+                    + [label])
+    for i in range(pts.shape[0]):
+        writer.writerow([i] + [repr(float(v)) for v in pts[i]]
+                        + [repr(float(vals[i]))])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("d", [7, 11])
+def test_csv_point_dump_rows_match_csv_writer_across_blocks(d):
+    # 10 050 rows: the index widens inside the first block (9 -> 10,
+    # 99 -> 100, 999 -> 1000) and inside the third (9999 -> 10000), which
+    # ends partial; values of every sign and size, zeros and integers
+    chunk = cli._SCAN_CHUNK
+    rows = 2 * chunk + 1858
+    rng = np.random.default_rng(d)
+    pts = rng.normal(size=(rows, d)) * 10.0 ** rng.integers(-30, 30,
+                                                           (rows, d))
+    pts[::97] = 0.0
+    pts[5::89] = np.round(pts[5::89])
+    vals = rng.uniform(size=rows) * 10.0 ** rng.integers(-20, 3, rows)
+    pieces = list(_render_csv(None, ("relative_residual", pts, vals)))
+    assert len(pieces) == 1 + 3
+    assert "".join(pieces) == _csv_writer_dump("relative_residual", pts,
+                                               vals)
+
+
+class _FailingStdout(io.StringIO):
+    # a stdout whose every write fails, as on a closed pipe or a full
+    # disk; it has no file descriptor
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+@pytest.mark.parametrize("exc", [BrokenPipeError(32, "Broken pipe"),
+                                 OSError(28, "No space left on device")],
+                         ids=["pipe", "full"])
+@pytest.mark.parametrize("argv", [["qmatrix"],
+                                  ["residual", "--points", "5000",
+                                   "--format", "csv"]], ids=["json", "csv"])
+def test_exit_two_when_stdout_cannot_be_written(argv, exc, capsys,
+                                                monkeypatch):
+    # exit 1 means a check failed; a report that does not reach stdout is
+    # the exit-2 error an unwritable --out already is
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(exc))
+    assert main(argv) == 2
+    assert "qcheis: cannot write the report" in capsys.readouterr().err
+
+
+def _cli_process(args, **kwargs):
+    src = str(Path(qcheis.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen([sys.executable, "-m", "qcheis.cli"] + args,
+                            env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full here")
+def test_exit_two_writing_to_a_full_device():
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(["audit"], stdout=full)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err.decode().splitlines() == [
+        "qcheis: cannot write the report: [Errno 28] No space left on device"]
+
+
+def test_exit_two_on_a_closed_pipe():
+    # as `qcheis residual ... | head -c 100`: the dump outgrows the pipe's
+    # buffer, the reader leaves, and no traceback or "Exception ignored"
+    # line follows the one message. Three blocks: the write of a piece
+    # the pipe cut short returns without an error, and the next one fails
+    proc = _cli_process(["residual", "--points", "9000", "--format", "csv"],
+                        stdout=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert err.splitlines() == [
+        "qcheis: cannot write the report: [Errno 32] Broken pipe"]
+
+
 def test_csv_checks_table_for_exact_commands(tmp_path):
     out = tmp_path / "audit.csv"
     assert main(["audit", "--format", "csv", "--out", str(out)]) == 0
