@@ -54,15 +54,6 @@ import numpy as np
 
 from .heis import ContactForm, GroupPoint, HorizontalFrame, frame_audit
 from .jets import DomainError, random_positive_polynomial
-from .qmatrix import (CLAIMED_FACTORS, QMatrix, build_q, certify, poly_eval,
-                      poly_mod_quadratic, spectral_certificate)
-from .tensors import (aux_forms_from_torsion, f_alternative_from_ds,
-                      dd_ee_identity_check, random_torsion, relative_residual,
-                      universal_identity_suite)
-from .yamabe import (ExtremalParams, YamabeConstants, bump_field,
-                     conformal_scal, conformal_torsion, dilated_field,
-                     extremal_ratio, functional_estimates, h_explicit,
-                     phi_explicit, translated_field, yamabe_residual)
 
 # per-class default tolerances; --tol-exact / --tol-quad override whole classes
 _TOL_JET = 1e-9
@@ -132,6 +123,7 @@ def _scan(args, rng, make_field, per_row):
     base point, --points points drawn in the box, and the per-point arrays
     per_row(field, rows, frame, consts) returns for field = make_field(params),
     in blocks of _SCAN_CHUNK rows. Returns (consts, points, arrays)."""
+    from .yamabe import ExtremalParams, YamabeConstants
     base = _resolve_base(args, rng)
     params = ExtremalParams(n=args.n, c0=args.c0, sigma=args.sigma, base=base)
     consts = YamabeConstants.from_params(params)
@@ -212,6 +204,9 @@ def cmd_audit(args, rng):
 
 
 def cmd_residual(args, rng):
+    from .tensors import relative_residual
+    from .yamabe import phi_explicit, yamabe_residual
+
     def per_row(phi, rows, frame, consts):
         _, t1, t2 = yamabe_residual(phi, consts.s_theta, rows, frame,
                                     return_terms=True)
@@ -225,6 +220,8 @@ def cmd_residual(args, rng):
 
 
 def cmd_scal(args, rng):
+    from .yamabe import conformal_scal, h_explicit
+
     def per_row(h, rows, frame, consts):
         scal = conformal_scal(h, rows, frame)
         return {"scal": scal,
@@ -242,6 +239,8 @@ def cmd_scal(args, rng):
 
 
 def cmd_torsion(args, rng):
+    from .yamabe import conformal_torsion, h_explicit
+
     def per_row(h, rows, frame, consts):
         t0bar, ubar = conformal_torsion(h, rows, frame)
         return {"t0bar_norm": np.sqrt(np.einsum("nab,nab->n", t0bar, t0bar)),
@@ -254,6 +253,9 @@ def cmd_torsion(args, rng):
 
 
 def cmd_identities(args, rng):
+    from .tensors import (aux_forms_from_torsion, dd_ee_identity_check,
+                          f_alternative_from_ds, random_torsion,
+                          relative_residual, universal_identity_suite)
     n = args.n
     frame = HorizontalFrame(n)
     tol_s = _tol(args.tol_exact, _TOL_STRUCT)
@@ -300,6 +302,8 @@ def cmd_identities(args, rng):
 
 
 def cmd_qmatrix(args, rng):
+    from .qmatrix import (CLAIMED_FACTORS, QMatrix, build_q, certify,
+                          poly_eval, poly_mod_quadratic, spectral_certificate)
     q = build_q()
     if args.tamper_q:
         rows = [list(r) for r in q.entries]
@@ -335,6 +339,9 @@ def cmd_qmatrix(args, rng):
 
 
 def cmd_functional(args, rng):
+    from .yamabe import (ExtremalParams, YamabeConstants, bump_field,
+                         dilated_field, extremal_ratio, functional_estimates,
+                         phi_explicit, translated_field)
     n = args.n
     # the QMC pass draws 2^m nodes per scramble, so --points must name that
     # count exactly rather than be rounded to it
@@ -579,7 +586,16 @@ def main(argv=None):
             return 2
     else:
         try:
-            sys.stdout.writelines(pieces)
+            # a closed pipe cuts a write short with no error; the rest raises
+            out = getattr(sys.stdout, "buffer", None)
+            if out is None:
+                sys.stdout.writelines(pieces)
+            else:
+                sys.stdout.flush()
+                for piece in pieces:
+                    data = memoryview(piece.encode())
+                    while data:
+                        data = data[out.write(data):]
             sys.stdout.flush()
         except OSError as exc:
             # a closed pipe or a full disk; what stdout still holds must not

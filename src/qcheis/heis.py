@@ -16,17 +16,12 @@ Theta = (1/2)(dw - q d(conj q) + dq conj(q)), whose constant d(Theta) is
 read off the same coefficients; left multiplication by i, j, k gives the
 complex structures I_s. The coefficient maps are affine in the point and
 keep its scalar type: float points give float coefficients, exact points
-(Fraction or int) exact ones. So the float scans and the exact frame_audit
-run the same code. frame_audit certifies exactly the facts that pin every
-convention: Theta_s annihilates the frame, Theta_s(xi_k) = delta_sk for
-the Reeb normalization xi_s = 2 d/dw_s, d(Theta_s)(e_a, e_b) =
-2 g(I_s e_a, e_b), and the I_s satisfy the quaternion relations. It
-evaluates the maps at integer points K and at the origin and reads the
-coefficients at its rational points K/16 off 16 f(K/16) = f(K) + 15 f(0).
-Every contraction then runs on int64 numerators over one common
-denominator, once a bound from the largest numerators and the dimensions
-shows that no entry reaches 2^62 (ValueError otherwise). No contraction
-touches a Fraction, and each violation is one exact Fraction.
+(Fraction or int) exact ones. frame_audit certifies exactly the facts that
+pin every convention: Theta_s annihilates the frame, Theta_s(xi_k) =
+delta_sk for the Reeb normalization xi_s = 2 d/dw_s, d(Theta_s)(e_a, e_b) =
+2 g(I_s e_a, e_b), and the I_s satisfy the quaternion relations. It runs
+the scans' float code at dyadic points, where every step is exact, and
+contracts int64 numerators; each violation is one exact Fraction.
 
 Second-order operators use that the frame is parallel for the flat Biquard
 connection: grad-dh(e_a, e_b) = e_a(e_b h). The coefficient matrix is
@@ -68,6 +63,7 @@ def _hamilton_table():
 _HAMILTON = _hamilton_table()
 # Im(x conj(y)) = sum_{k, c} x_k y_c _IM_CONJ[k, c, :], as conj(unit_c) = +-unit_c
 _IM_CONJ = (_HAMILTON * np.array([1, -1, -1, -1])[None, :, None])[:, :, 1:]
+_AUDIT_BLOCK = 2048     # points per block of frame_audit's contractions
 
 
 def _scalars(x):
@@ -283,7 +279,7 @@ def _int64(a, scale):
     every denominator of a."""
     a = np.asarray(a, dtype=object)
     try:
-        return (a * scale if scale != 1 else a).astype(np.int64)
+        return (a * scale).astype(np.int64)
     except OverflowError:
         raise ValueError("an audit numerator does not fit in int64") from None
 
@@ -299,19 +295,18 @@ def frame_audit(frame: HorizontalFrame, contact: ContactForm = None,
 
     Checks, at n_points random rational points (entries k/16, |k| <= 32):
     Theta_s(e_b) = 0; Theta_s(xi_k) = delta_sk; d(Theta_s)(e_a, e_b) =
-    2 g(I_s e_a, e_b); and the quaternion relations of the I_s. The frame
-    and the contact form are evaluated by their coefficient methods at the
-    integer points K and at the origin, exactly; as the maps are affine,
-    16 f(K/16) = f(K) + 15 f(0) gives the coefficients at the audited
-    points K/16 from evaluations on Python ints. The reeb and Is arguments
-    (lists of lists of int or Fraction) exist so tests can audit
-    deliberately broken frames; by default the frame's own arrays are used.
-
-    Every table becomes an int64 numerator array over one common
-    denominator, and the contractions and maxima run in int64. Before
-    them, a bound on every entry from the largest numerators and the
-    dimensions must stay below 2^62, else ValueError: nothing can wrap.
-    Each violation is one exact Fraction, zero means zero.
+    2 g(I_s e_a, e_b); and the quaternion relations of the I_s. The reeb
+    and Is arguments (lists of lists of int or Fraction) exist so tests can
+    audit deliberately broken frames; by default the frame's own are used.
+    Both coefficient maps run on the points K/16 in float64, the scans'
+    own path; with inputs k/16, |k| <= 32, and small integer tables every
+    float step is exact. Scaled by the common denominator of 16 and of the
+    exact tables W, reeb and Is, each coefficient must be an integer below
+    2^53, else ValueError: nothing rounded is reported. The int64
+    contractions run on blocks of _AUDIT_BLOCK points, so memory grows
+    with n_points only through K, each under a bound from its largest
+    numerators that keeps every entry below 2^62 (ValueError otherwise).
+    Each violation, the maximum over the blocks, is one exact Fraction.
     """
     if n_points < 1:
         raise ValueError("the audit needs at least one point")
@@ -320,39 +315,42 @@ def frame_audit(frame: HorizontalFrame, contact: ContactForm = None,
     reeb = np.asarray(frame.reeb if reeb is None else reeb)
     Is = np.asarray(frame.Is if Is is None else Is)
     W = np.array([contact.dtheta(s) for s in range(3)])
+    den = math.lcm(16, _denominator(W, reeb, Is))
+    W, reeb, Is = (_int64(a, den) for a in (W, reeb, Is))
+    mW, mr, mI = map(_peak, (W, reeb, Is))
 
     rng = np.random.default_rng(seed)
     K = rng.integers(-32, 33, size=n_points * d).reshape(n_points, d)
-    origin = np.zeros((1, d), dtype=int)
-    # 16 f(K/16) of both coefficient maps, exact, as the maps are affine
-    theta16, C16 = (f(K) + 15 * f(origin)
+    peaks = [0, 0, 0]
+    for lo in range(0, n_points, _AUDIT_BLOCK):
+        theta, C = (f(K[lo:lo + _AUDIT_BLOCK] / 16) * den
                     for f in (contact.coefficients, frame.coefficients))
-    den = math.lcm(16 * _denominator(theta16, C16), _denominator(W, reeb, Is))
-    theta, C = (_int64(a, den // 16) for a in (theta16, C16))
-    W, reeb, Is = (_int64(a, den) for a in (W, reeb, Is))
-
-    # a bound on |entry| of every product and difference below: under
-    # 2^62, none can wrap
-    mt, mC, mW, mr, mI = map(_peak, (theta, C, W, reeb, Is))
-    bound = max(d * mt * mC, d * mt * mr + den ** 2,
-                d * d * mC * mW * mC + 2 * den ** 2 * mI,
-                nh * mI * mI + den * mI + den ** 2)
-    if bound >= 2 ** 62:
-        raise ValueError("the audit's numerators could overflow int64")
-
-    Ct = np.swapaxes(C, 1, 2)
+        if not all(((abs(a) < 2 ** 53) & (a == np.rint(a))).all()
+                   for a in (theta, C)):
+            raise ValueError(f"an audit coefficient x {den} is no integer "
+                             "below 2^53")
+        theta, C = theta.astype(np.int64), C.astype(np.int64)
+        # under 2^62, no product or difference below can wrap
+        mt, mC = _peak(theta), _peak(C)
+        bound = max(d * mt * mC, d * mt * mr + den ** 2,
+                    d * d * mC * mW * mC + 2 * den ** 2 * mI,
+                    nh * mI * mI + den * mI + den ** 2)
+        if bound >= 2 ** 62:
+            raise ValueError("the audit's numerators could overflow int64")
+        Ct = np.swapaxes(C, 1, 2)
+        # Theta_s(e_b) is theta C^T over den^2; d(Theta_s)(e_a, e_b) is
+        # C W_s C^T over den^3, and g(I_s e_a, e_b) = (I_s)_{ba}
+        peaks = [max(peak, _peak(v)) for peak, v in zip(peaks, (
+            theta @ Ct,
+            theta @ reeb.T - den ** 2 * np.eye(3, dtype=np.int64),
+            C[:, None] @ W @ Ct[:, None]
+            - 2 * den ** 2 * np.swapaxes(Is, 1, 2)))]
     ident = den ** 2 * np.eye(nh, dtype=np.int64)
     cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
     return AuditReport(n=n, points=n_points, violations={
-        # Theta_s(e_b) is theta C^T over den^2
-        "theta_on_frame": Fraction(_peak(theta @ Ct), den ** 2),
-        "reeb_normalization": Fraction(_peak(
-            theta @ reeb.T - den ** 2 * np.eye(3, dtype=np.int64)), den ** 2),
-        # d(Theta_s)(e_a, e_b) is C W_s C^T over den^3, and
-        # g(I_s e_a, e_b) = (I_s)_{ba}
-        "compatibility_2g": Fraction(_peak(
-            C[:, None] @ W @ Ct[:, None]
-            - 2 * den ** 2 * np.swapaxes(Is, 1, 2)), den ** 3),
+        "theta_on_frame": Fraction(peaks[0], den ** 2),
+        "reeb_normalization": Fraction(peaks[1], den ** 2),
+        "compatibility_2g": Fraction(peaks[2], den ** 3),
         "quaternion_relations": Fraction(_peak(
             *(Is[i] @ Is[j] - den * Is[k] for i, j, k in cyclic),
             *(I @ I + ident for I in Is), *(I.T @ I - ident for I in Is)),

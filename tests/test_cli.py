@@ -247,6 +247,22 @@ def test_no_subcommand_loads_scipy():
     assert out.strip() == "[]"
 
 
+def test_audit_and_import_load_no_scan_modules():
+    # each command imports the modules it runs: a bare import and the exact
+    # audit load neither the scans' modules nor the 7x7 algebra
+    src = str(Path(qcheis.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import os, sys\n"
+            "import qcheis.cli\n"
+            "names = ('qcheis.yamabe', 'qcheis.tensors', 'qcheis.qmatrix')\n"
+            "print([m for m in names if m in sys.modules])\n"
+            "assert qcheis.cli.main(['audit', '--out', os.devnull]) == 0\n"
+            "print([m for m in names if m in sys.modules])\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "[]"]
+
+
 def test_json_report_names_its_environment(tmp_path):
     # in process, numpy loaded before qcheis, so the report echoes whatever
     # OPENBLAS_NUM_THREADS this process has; a fresh CLI process pins it
@@ -730,19 +746,40 @@ def test_exit_two_writing_to_a_full_device():
         "qcheis: cannot write the report: [Errno 28] No space left on device"]
 
 
+def _read_100_bytes_and_leave(points):
+    """(exit status, stderr lines) of a CSV dump of --points rows whose
+    reader closes the pipe after 100 bytes."""
+    proc = _cli_process(["residual", "--points", points, "--format", "csv"],
+                        stdout=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    return proc.wait(timeout=60), err.splitlines()
+
+
 def test_exit_two_on_a_closed_pipe():
     # as `qcheis residual ... | head -c 100`: the dump outgrows the pipe's
     # buffer, the reader leaves, and no traceback or "Exception ignored"
     # line follows the one message. Three blocks: the write of a piece
     # the pipe cut short returns without an error, and the next one fails
-    proc = _cli_process(["residual", "--points", "9000", "--format", "csv"],
-                        stdout=subprocess.PIPE)
-    assert len(proc.stdout.read(100)) == 100
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 2
-    assert err.splitlines() == [
-        "qcheis: cannot write the report: [Errno 32] Broken pipe"]
+    assert _read_100_bytes_and_leave("9000") == (2, [
+        "qcheis: cannot write the report: [Errno 32] Broken pipe"])
+
+
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered", "buffered"])
+def test_exit_two_on_a_pipe_closed_during_the_last_piece(unbuffered,
+                                                         monkeypatch):
+    # one block of 4 000 rows: the reader cuts the last write short. On an
+    # unbuffered stdout (python -u, PYTHONUNBUFFERED) that write returns a
+    # short count without an error, which alone tells that the output was
+    # cut; a buffered one raises the error itself
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    assert _read_100_bytes_and_leave("4000") == (2, [
+        "qcheis: cannot write the report: [Errno 32] Broken pipe"])
 
 
 def test_csv_checks_table_for_exact_commands(tmp_path):
@@ -811,11 +848,12 @@ def test_exit_two_when_a_size_cannot_be_held(command, callee, monkeypatch,
     # numpy raises MemoryError for an array the machine cannot allocate,
     # for instance residual --points 10^12; that is a configuration error,
     # not a failed check and not a traceback. The callee is replaced, so
-    # no test ever asks for a huge array.
+    # no test ever asks for a huge array. functional imports its callee
+    # from yamabe when it runs, so the patch goes where the command looks.
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 52.2 TiB for an array")
 
-    monkeypatch.setattr(cli, callee, refuse)
+    monkeypatch.setattr(cli if callee == "_scan" else yamabe, callee, refuse)
     assert main([command, "--points", "1024"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -289,10 +290,97 @@ def test_frame_audit_matches_the_reference_on_a_tampered_vmap(n):
     _assert_audit_matches_reference(frame, 30, 6)
 
 
+class _OnePointFrame(HorizontalFrame):
+    """A frame whose first field has a vertical coefficient off by 1 at one
+    point only, for exact (Fraction) and float points alike."""
+
+    def __init__(self, n, point):
+        super().__init__(n)
+        self.point = point
+
+    def coefficients(self, points):
+        C = super().coefficients(points)
+        hit = np.asarray(points == self.point, dtype=bool).all(axis=1)
+        C[hit, 0, self.nh] += 1
+        return C
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_frame_audit_blocks_equal_the_reference(n, monkeypatch):
+    # blocks of 7 points: 1 point is one partial block, 30 and 100 points
+    # end in partial blocks; every maximum is taken across the blocks
+    monkeypatch.setattr(heis, "_AUDIT_BLOCK", 7)
+    vmap = copy.deepcopy(HorizontalFrame(n))
+    vmap._vmap[1, 0] += 1
+    for n_points in (1, 30, 100):
+        _assert_audit_matches_reference(HorizontalFrame(n), n_points, 5)
+        _assert_audit_matches_reference(vmap, n_points, 6)
+        for tamper in _tampers(n):
+            _assert_audit_matches_reference(HorizontalFrame(n), n_points, 5,
+                                            **tamper)
+    # a violation whose only witness is point 62, the last of block 9 of 15
+    d = 4 * n + 3
+    K = np.random.default_rng(7).integers(-32, 33, size=(100, d))
+    frame = _OnePointFrame(n, K[62] / 16)
+    _assert_audit_matches_reference(frame, 100, 7)
+    assert frame_audit(frame, n_points=100, seed=7).violations[
+        "theta_on_frame"] == Fraction(1, 2)
+    assert frame_audit(frame, n_points=62, seed=7).all_zero
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_frame_audit_refuses_coefficients_that_are_not_dyadic(n):
+    # with a table entry 1/3 the coefficients at k/16 are no multiples of
+    # 1/16, and their floats are rounded: the audit reports nothing
+    frame = copy.deepcopy(HorizontalFrame(n))
+    frame._vmap = frame._vmap.astype(float)
+    frame._vmap[1, 0] = 1 / 3
+    with pytest.raises(ValueError, match="x 16 is no integer below 2"):
+        frame_audit(frame, n_points=30, seed=6)
+
+
+class _LargeContact(ContactForm):
+    """A contact form whose dw_1 coefficient in Theta_1 is 2^49 + 1/16,
+    exactly on exact points; float64 rounds it to 2^49."""
+
+    def coefficients(self, points):
+        out = super().coefficients(points)
+        out[:, 0, -3] = Fraction(2 ** 53 + 1, 16)
+        return out
+
+
+def test_frame_audit_refuses_coefficients_float64_cannot_hold():
+    # 16 (2^49 + 1/16) = 2^53 + 1 is no float: the float coefficient is
+    # 2^49, an exact multiple of 1/16, and at n=1 the 2^62 bound admits its
+    # numerator 2^53, so only the limit 2^53 keeps it from being reported
+    with pytest.raises(ValueError, match="x 16 is no integer below 2"):
+        frame_audit(HorizontalFrame(1), _LargeContact(1), n_points=10)
+
+
+def test_frame_audit_memory_is_flat_in_points():
+    # the contractions run on fixed blocks of points, so the peak grows
+    # only by the drawn K: 8 bytes per coordinate of each further point
+    def traced_peak(n_points):
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            assert frame_audit(HorizontalFrame(2), n_points=n_points).all_zero
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - before
+
+    traced_peak(10)
+    growth = traced_peak(40960) - traced_peak(4096)
+    assert growth <= (40960 - 4096) * 11 * 8 + 64 * 1024
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_coefficient_maps_are_affine_at_the_audit_points(n):
-    # frame_audit reads the coefficients at K/16 off 16 f(K/16) = f(K) +
-    # 15 f(0); this holds exactly only because both maps are affine
+    # both maps are affine in the point, exactly: frame_audit no longer
+    # relies on it, as it evaluates them at K/16 directly, but the
+    # derivatives d(Theta_s) are read off the same maps this way
     rng = np.random.default_rng(60 + n)
     K = rng.integers(-32, 33, size=(200, 4 * n + 3))
     scaled = np.vectorize(lambda k: Fraction(int(k), 16), otypes=[object])(K)
