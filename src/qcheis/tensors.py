@@ -147,8 +147,8 @@ class TorsionData:
         checks["T0_symmetric"] = np.max(np.abs(T0 - np.swapaxes(T0, -1, -2)))
         checks["U_symmetric"] = np.max(np.abs(U - np.swapaxes(U, -1, -2)))
         checks["T0_minus_one_type"] = np.max(np.abs(T0 + _casimir_sum(T0, Is)))
-        checks["U_three_type"] = max(
-            np.max(np.abs(I.T @ U @ I - U)) for I in Is)
+        # Casimir eigenvalue 3 is invariance under each I_s
+        checks["U_three_type"] = np.max(np.abs(_casimir_sum(U, Is) - 3.0 * U))
         checks["U_trace_free"] = np.max(np.abs(
             np.trace(U, axis1=-2, axis2=-1)))
         bad = {k: v for k, v in checks.items() if v > tol}
@@ -239,8 +239,9 @@ def aux_forms_from_torsion(td: TorsionData, frame: HorizontalFrame = None) -> Au
     Is = frame.Is
     dh, T0 = td.dh, td.T0
     h = np.asarray(td.h)[..., None]
-    Ds = [-(_apply(T0, dh) + _apply(I.T @ T0, _apply(I, dh))) / (2.0 * h)
-          for I in Is]
+    # I_s^T T0 I_s dh as three products on vectors
+    Ds = [-(_apply(T0, dh) + _apply(I.T, _apply(T0, _apply(I, dh))))
+          / (2.0 * h) for I in Is]
     D = Ds[0] + Ds[1] + Ds[2]
     E = _apply(ebold_from_u(td.U), dh) / h
     Fs = [-_apply(T0, _apply(I, dh)) / h for I in Is]
@@ -352,33 +353,26 @@ def dd_ee_identity_check(td: TorsionData, frame: HorizontalFrame = None) -> Resi
 # consequences, which are jet-level algebraic identities.
 
 
+def _twist(xi, v, Is):
+    """sum_s xi_s I_s^T v row by row; for v = dh, sum_s dh(xi_s) dh(I_s .)."""
+    return sum(xi[..., s, None] * _apply(I.T, v) for s, I in enumerate(Is))
+
+
 def d_from_h_jet(fg, fh, xi, h, frame: HorizontalFrame):
     """D(e_a) = (1/4)h^-2 (3 Hdh(e_a, gh) - sum_s Hdh(I_s e_a, I_s gh))
     + h^-2 sum_s dh(xi_s) dh(I_s e_a), with Hdh the frame Hessian."""
-    h = np.asarray(h, dtype=float)
     hinv2 = 1.0 / (h * h)
-    # the integer I_s as floats: einsum over mixed dtypes runs a slower
-    # buffered loop
-    Is = frame.Is.astype(float)
-    main = 3.0 * np.einsum("nab,nb->na", fh, fg)
-    for I in Is:
-        main -= np.einsum("nad,nd->na", I.T @ fh @ I, fg)
-    vert = np.zeros_like(fg)
-    for s, I in enumerate(Is):
-        vert += xi[:, s:s + 1] * np.einsum("ba,nb->na", I, fg)
-    return 0.25 * hinv2[:, None] * main + hinv2[:, None] * vert
+    main = 3.0 * _apply(fh, fg) - _apply(_casimir_sum(fh, frame.Is), fg)
+    return (0.25 * hinv2[:, None] * main
+            + hinv2[:, None] * _twist(xi, fg, frame.Is))
 
 
 def e_from_h_jet(fg, fh, xi, h, frame: HorizontalFrame):
     """E(e_a) = (1/4)h^-2 [Hdh(e_a, gh) + sum_s Hdh(I_s e_a, I_s gh)
     + (-2 + 4h - 3 h^-1 |gh|^2) dh(e_a)]."""
-    h = np.asarray(h, dtype=float)
     hinv2 = 1.0 / (h * h)
-    main = np.einsum("nab,nb->na", fh, fg)
-    for I in frame.Is.astype(float):
-        main += np.einsum("nad,nd->na", I.T @ fh @ I, fg)
-    gh2 = np.einsum("na,na->n", fg, fg)
-    coef = -2.0 + 4.0 * h - 3.0 * gh2 / h
+    main = _apply(fh, fg) + _apply(_casimir_sum(fh, frame.Is), fg)
+    coef = -2.0 + 4.0 * h - 3.0 * _dot(fg, fg) / h
     return 0.25 * hinv2[:, None] * (main + coef[:, None] * fg)
 
 
@@ -404,9 +398,6 @@ def universal_identity_suite(h_field: ScalarField, points,
     Hessian. Both must hold for any h > 0, whatever the curvature of the
     ambient structure; they certify sign and slot conventions end to end.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[None, :]
     h, fg, fh, xi = frame_second_order(h_field, points, frame)
     if np.any(h <= 0):
         raise DomainError("h must be positive on the evaluation points")
@@ -416,11 +407,9 @@ def universal_identity_suite(h_field: ScalarField, points,
 
     hinv = 1.0 / h
     hinv2 = hinv * hinv
-    gh2 = np.einsum("na,na->n", fg, fg)
-    hess_gh = np.einsum("nab,nb->na", fh, fg)
-    twist = np.zeros_like(fg)
-    for s, I in enumerate(frame.Is.astype(float)):
-        twist += xi[:, s:s + 1] * np.einsum("ba,nb->na", I, fg)
+    gh2 = _dot(fg, fg)
+    hess_gh = _apply(fh, fg)
+    twist = _twist(xi, fg, frame.Is)
 
     rhs1 = hinv2[:, None] * hess_gh + hinv2[:, None] * twist \
         + 0.25 * (hinv2 * (-2.0 + 4.0 * h - 3.0 * gh2 * hinv))[:, None] * fg

@@ -4,7 +4,7 @@ identity suites they must satisfy."""
 import numpy as np
 import pytest
 
-from qcheis.heis import HorizontalFrame, frame_second_order
+from qcheis.heis import GroupPoint, HorizontalFrame, frame_second_order
 from qcheis.jets import random_positive_polynomial
 from qcheis.tensors import (TorsionData, _casimir_sum, aux_forms_from_torsion,
                             dd_ee_tensors,
@@ -195,26 +195,44 @@ def test_universal_identities_for_random_fields(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_d_and_e_from_h_jet_match_four_operand_einsum(n):
-    # the I_s^T Hdh I_s terms are batched matmuls now; the reference is the
-    # one-step contraction sum_{b,c,d} I[b,a] Hdh[b,c] I[c,d] dh[d]
+    # the I_s^T Hdh I_s terms go through _casimir_sum and the twist through
+    # _twist; the reference is the one-step contraction
+    # sum_{b,c,d} I[b,a] Hdh[b,c] I[c,d] dh[d]. The fields are a random
+    # polynomial, whose Hessian comes from its jets, and h_explicit at a
+    # random base point, whose Hessian along the frame is a closed form
     d = 4 * n + 3
     frame = HorizontalFrame(n)
     rng = np.random.default_rng(50 + n)
-    h_field = random_positive_polynomial(d, rng)
-    h, fg, fh, xi = frame_second_order(h_field, rng.uniform(-2, 2, (40, d)),
-                                       frame)
+    poly = random_positive_polynomial(d, rng)
+    poly_pts = rng.uniform(-2, 2, (40, d))
+    base = GroupPoint.from_flat(rng.uniform(-1, 1, size=d).tolist(), n)
+    # D of h_explicit vanishes, as the family is qc-Einstein, so its bound
+    # is relative to the terms that cancel rather than to itself
+    cases = ((poly, poly_pts, False),
+             (h_explicit(ExtremalParams(n=n, c0=0.7, sigma=1.3, base=base)),
+              rng.uniform(-2, 2, (40, d)), True))
     Is = frame.Is.astype(float)
-    twisted = sum(np.einsum("ba,nbc,cd,nd->na", I, fh, I, fg) for I in Is)
-    hess_gh = np.einsum("nab,nb->na", fh, fg)
-    vert = sum(xi[:, s:s + 1] * np.einsum("ba,nb->na", I, fg)
-               for s, I in enumerate(Is))
-    hinv2 = (1.0 / (h * h))[:, None]
-    coef = (-2.0 + 4.0 * h - 3.0 * np.einsum("na,na->n", fg, fg) / h)[:, None]
-    d_ref = 0.25 * hinv2 * (3.0 * hess_gh - twisted) + hinv2 * vert
-    e_ref = 0.25 * hinv2 * (hess_gh + twisted + coef * fg)
-    for got, ref in ((d_from_h_jet(fg, fh, xi, h, frame), d_ref),
-                     (e_from_h_jet(fg, fh, xi, h, frame), e_ref)):
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    for h_field, pts, d_vanishes in cases:
+        h, fg, fh, xi = frame_second_order(h_field, pts, frame)
+        twisted = sum(np.einsum("ba,nbc,cd,nd->na", I, fh, I, fg) for I in Is)
+        hess_gh = np.einsum("nab,nb->na", fh, fg)
+        vert = sum(xi[:, s:s + 1] * np.einsum("ba,nb->na", I, fg)
+                   for s, I in enumerate(Is))
+        hinv2 = (1.0 / (h * h))[:, None]
+        coef = (-2.0 + 4.0 * h
+                - 3.0 * np.einsum("na,na->n", fg, fg) / h)[:, None]
+        d_ref = 0.25 * hinv2 * (3.0 * hess_gh - twisted) + hinv2 * vert
+        e_ref = 0.25 * hinv2 * (hess_gh + twisted + coef * fg)
+        d_scale = np.max(np.abs(d_ref))
+        if d_vanishes:
+            assert d_scale < 1e-13
+            d_scale = max(np.max(np.abs(hinv2 * t))
+                          for t in (hess_gh, twisted, vert))
+        for got, ref, scale in (
+                (d_from_h_jet(fg, fh, xi, h, frame), d_ref, d_scale),
+                (e_from_h_jet(fg, fh, xi, h, frame), e_ref,
+                 np.max(np.abs(e_ref)))):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n", [1, 2])
