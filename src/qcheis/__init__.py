@@ -1,6 +1,6 @@
 """Verification toolkit for quaternionic contact geometry on the
 quaternionic Heisenberg group; callers import the modules (quat, jets,
-heis, tensors, yamabe, qmatrix, cli). See README.
+heis, tensors, qmc, yamabe, qmatrix, floatrepr, cli). See README.
 
 Importing the package before numpy pins OpenBLAS to one thread, unless
 OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set: every product here is thin,

@@ -18,11 +18,13 @@ set-up, which evaluates their points in blocks of a fixed number of rows;
 the CSV dump is written block by block once the scan has finished, so the
 memory they take beyond the points and the per-point results does not grow
 with --points; its numbers are repr's text, computed a block at a time by
-floatrepr. A scan check over per-point residuals also names the point of
-the largest one as worst_point. A functional bump whose support held no
-node fails the extremality check with residual 1.0, as its margin of 0.0
-says nothing. functional also reports the exact ratio of the extremals as
-ratio_exact and each of its four estimates' deviation from it.
+floatrepr. Each command imports the modules it runs, so `import qcheis.cli`
+loads none of yamabe, qmc, tensors and qmatrix. A scan check over
+per-point residuals also names the point of the largest one as
+worst_point. A functional bump whose support held no node fails the
+extremality check with residual 1.0, as its margin of 0.0 says nothing.
+functional also reports the exact ratio of the extremals as ratio_exact
+and each of its four estimates' deviation from it.
 
 Exit status: 0 all checks pass, 1 a check failed, 2 bad usage or
 configuration: a flag the command does not take, or an abbreviated one; a

@@ -397,6 +397,9 @@ def universal_identity_suite(h_field: ScalarField, points,
     where df is computed independently by the chain rule through the frame
     Hessian. Both must hold for any h > 0, whatever the curvature of the
     ambient structure; they certify sign and slot conventions end to end.
+    Their twist sum_s dh(xi_s) dh(I_s .) comes from the frame bracket,
+    -(antisymmetric part of Hdh)(., gh), not from D's _twist, so a wrong
+    twist in D shows.
     """
     h, fg, fh, xi = frame_second_order(h_field, points, frame)
     if np.any(h <= 0):
@@ -409,7 +412,7 @@ def universal_identity_suite(h_field: ScalarField, points,
     hinv2 = hinv * hinv
     gh2 = _dot(fg, fg)
     hess_gh = _apply(fh, fg)
-    twist = _twist(xi, fg, frame.Is)
+    twist = -_apply((fh - np.swapaxes(fh, 1, 2)) / 2.0, fg)
 
     rhs1 = hinv2[:, None] * hess_gh + hinv2[:, None] * twist \
         + 0.25 * (hinv2 * (-2.0 + 4.0 * h - 3.0 * gh2 * hinv))[:, None] * fg

@@ -18,36 +18,15 @@ The Folland-Stein ratio
 
     R(u) = integral |grad_H u|^2  /  (integral |u|^{2*})^{2/2*}
 
-over the whole group (Lebesgue measure) is estimated by quasi-Monte Carlo:
-scrambled Sobol points mapped through independent Cauchy quantile
-transforms per axis, which turns the improper integral into a weighted
-average over the unit cube. Two independent scrambles give the value and a
-difference-based error bar. The ratio is invariant under left translations
-and under u -> lam^{(Q-2)/2} u o delta_lam, and the extremal Phi minimizes
-it; the scans in the test-suite and CLI exercise exactly those statements.
-
-The nodes are streamed: each scramble's Sobol points are drawn in chunks
-of 2^12 and mapped to polar nodes once, so no full node set is ever held,
-and each field maps them through its own fitted affine map, B z^T + c.
-Chunks of that size keep every working array small enough for the
-allocator to reuse it from one chunk to the next instead of mapping and
-faulting in fresh pages. A chunk is held coordinate-major, one contiguous
-row of 2^12 values per coordinate: each field sees the (N, d) view of the
-(d, N) array, and the jets, the horizontal gradients and the integrands
-are computed row by row, so each numpy call loops over a whole chunk.
-R(Phi), its translate, its two dilates and R(Phi + eps b) for the
-compactly supported bumps b of the extremality test all share one draw
-per scramble. The bumps are evaluated together, once per chunk, and each
-only at the nodes inside its support: one screen of all bumps turns the
-chunk into (bump, node) pairs, and the exact support test, the bump jets
-and the horizontal gradients run once over those pairs. Every integrand is
-reduced exactly as for a single field, so each result equals the separate
-estimate of its field bit for bit. The exact R(Phi) is extremal_ratio(n).
-
-The scrambled Sobol nodes are generated here in numpy, from the Joe-Kuo
-direction numbers with a linear-matrix scramble and a digital shift; they
-equal scipy.stats.qmc.Sobol's points for the same seed bit for bit, which
-the tests check against scipy.
+over the whole group (Lebesgue measure) is estimated by quasi-Monte Carlo
+on the nodes of qmc, from two independent scrambles, which give the value
+and a difference-based error bar. The ratio is invariant under left
+translations and under u -> lam^{(Q-2)/2} u o delta_lam, and the extremal
+Phi minimizes it; the scans in the test-suite and CLI exercise exactly
+those statements. R(Phi), its translate, its two dilates and R(Phi + eps b)
+for the compactly supported bumps b of the extremality test all share one
+draw per scramble, and each result equals the separate estimate of its
+field bit for bit. The exact R(Phi) is extremal_ratio(n).
 """
 
 from __future__ import annotations
@@ -61,6 +40,7 @@ from .heis import (GroupPoint, HorizontalFrame, dilation_affine,
                    horizontal_gradient, left_translation_affine, sublaplacian)
 from .jets import (AffineMapField, DomainError, Jet2, JetField, ScalarField,
                    lane_sum, power_factors, scale_rows)
+from .qmc import _PILOT_LOG2, adapted_map, scramble_sums
 from .tensors import project_3_m1, trace_free
 
 
@@ -486,7 +466,8 @@ def _support_screen(bumps, points):
     1 + _SUPPORT_SLACK, so its exact rho^2 is below
     1 + _SUPPORT_SLACK + 1e-14, and its computed difference is below
     -_SUPPORT_SLACK + 2e-14 - (R - 1e-14) (a + b) < 0: it is kept. The mask
-    is a screen only: the support test on its points is the exact one.
+    is a screen only: it also keeps a few points outside the support, where
+    the bump's value and gradient are exactly 0.
     """
     centers = np.stack([bump.center for bump in bumps])
     ir = np.stack([bump._inv_r2 for bump in bumps])
@@ -572,283 +553,11 @@ def extremal_ratio(n):
     return kappa * den ** (2.0 / q)
 
 
-# Joe-Kuo direction numbers (new-joe-kuo-6.21201) for the first 11
-# dimensions: each dimension's primitive polynomial as an integer (bit k is
-# the coefficient of x^k) and its initial odd direction integers, one per
-# degree. Dimension 0 is the van der Corput sequence, every direction
-# integer 1.
-_SOBOL_POLY = (1, 3, 7, 11, 13, 19, 25, 37, 41, 47, 55)
-_SOBOL_VINIT = ((), (1,), (1, 3), (1, 3, 1), (1, 1, 1), (1, 1, 3, 3),
-                (1, 3, 5, 13), (1, 1, 5, 5, 17), (1, 1, 5, 5, 5),
-                (1, 1, 7, 11, 19), (1, 1, 5, 1, 1))
-_SOBOL_BITS = 30
-
-
-def _sobol_directions(d):
-    """The (d, 30) unscrambled direction numbers, column j scaled to bit
-    29 - j, by the Bratley-Fox recurrence."""
-    bits = _SOBOL_BITS
-    rows = [[1] * bits]
-    for p, vinit in zip(_SOBOL_POLY[1:d], _SOBOL_VINIT[1:d]):
-        deg = p.bit_length() - 1
-        v = list(vinit)
-        for j in range(deg, bits):
-            new = v[j - deg]
-            for k in range(1, deg + 1):
-                if (p >> (deg - k)) & 1:
-                    new ^= v[j - k] << k
-            v.append(new)
-        rows.append(v)
-    return np.array([[x << (bits - 1 - j) for j, x in enumerate(v)]
-                     for v in rows], dtype=np.uint32)
-
-
-def _sobol_scrambled(d, seed):
-    """Direction numbers under a random linear-matrix scramble, and the
-    digital shift, both drawn from default_rng(seed) in the order
-    scipy.stats.qmc.Sobol draws them."""
-    bits = _SOBOL_BITS
-    rng = np.random.default_rng(seed)
-    weights = np.uint32(1) << np.arange(bits, dtype=np.uint32)
-    shift = rng.integers(0, 2, size=(d, bits), dtype=np.uint32) @ weights
-    ltm = np.tril(rng.integers(0, 2, size=(d, bits, bits), dtype=np.uint32))
-    ltm[:, np.arange(bits), np.arange(bits)] = 1
-    # bit i of a direction number counted from the top (i = 0 is 2^29);
-    # the scramble is the GF(2) product of each lower-triangular matrix with
-    # those bit vectors
-    msb = weights[::-1]
-    v_bits = (_sobol_directions(d)[:, :, None] & msb) != 0
-    mixed = np.einsum("dpi,dji->djp", ltm, v_bits.astype(np.uint32)) & 1
-    return mixed @ msb, shift
-
-
-def _sobol_chunks(d, m, seed, chunk):
-    """One scramble's 2^m Sobol points in the unit cube, drawn `chunk`
-    rows at a time; the chunks concatenate to exactly the points of one
-    2^m draw.
-
-    The sequence is Sobol's with the Joe-Kuo direction numbers (Joe & Kuo,
-    SIAM J. Sci. Comput. 30, 2008), scrambled by a random lower-triangular
-    linear matrix and a digital shift (Matousek 1998), in Gray-code order:
-    point k is shift ^ XOR of the direction numbers at the set bits of
-    k ^ (k >> 1), scaled by 2^-30. Those are the points of
-    scipy.stats.qmc.Sobol(d, scramble=True, seed=seed), bit for bit.
-    Each chunk is two gathers from XOR tables over the low and the high
-    half of the index bits, one XOR and one multiply, made one coordinate
-    row at a time: a chunk is the (N, d) view of a (d, N) array.
-    """
-    if d > len(_SOBOL_POLY) or m > _SOBOL_BITS:
-        raise ValueError(f"Sobol nodes support d <= {len(_SOBOL_POLY)} and "
-                         f"at most 2^{_SOBOL_BITS} points")
-    sv, shift = _sobol_scrambled(d, seed)
-    low = (m + 1) // 2
-
-    def xor_table(cols, start):
-        table = start[None, :]
-        for col in cols:
-            table = np.concatenate([table, table ^ col])
-        return table
-
-    t_low = xor_table(sv.T[:low], np.zeros(d, dtype=np.uint32)).T.copy()
-    t_high = xor_table(sv.T[low:m], shift).T.copy()
-    total = 2 ** m
-    for lo in range(0, total, chunk):
-        k = np.arange(lo, min(lo + chunk, total))
-        gray = k ^ (k >> 1)
-        yield ((np.take(t_low, gray & (2 ** low - 1), axis=1)
-                ^ np.take(t_high, gray >> low, axis=1))
-               * 2.0 ** -_SOBOL_BITS).T
-
-
-def _polar_nodes(u, n):
-    """Unit-cube points u (N, 4n+3) mapped through group-adapted polar
-    coordinates.
-
-    Each quaternion slot is sampled as a radius times a uniform point of the
-    3-sphere in Hopf coordinates (sqrt(t) e^{i phi1}, sqrt(1-t) e^{i phi2}),
-    whose area element is the constant (1/2) dphi1 dphi2 dt; the vertical
-    part as a radius times a uniform point of the 2-sphere via the
-    cylinder map. Radii go through half-Cauchy quantiles, so only the n+1
-    radial axes carry unbounded weight factors and the integrand decays
-    against them. Returns (points (N, 4n+3), weights (N,)) with
-
-        integral of F over R^{4n+3} = E_uniform[ F(x(u)) * weight(u) ];
-
-    the points are the (N, d) view of a coordinate-major (d, N) array. The
-    map acts point by point, so a chunk maps to the same values as it does
-    inside a larger draw.
-    """
-    d = 4 * n + 3
-    u = np.clip(u.T, 1e-12, 1.0 - 1e-12, order="C")
-    N = u.shape[1]
-    x = np.empty((d, N))
-    w = np.ones(N)
-    for a in range(n):
-        p1 = 2.0 * np.pi * u[4 * a]
-        p2 = 2.0 * np.pi * u[4 * a + 1]
-        t = u[4 * a + 2]
-        r = np.tan(0.5 * np.pi * u[4 * a + 3])
-        rst, rct = r * np.sqrt(t), r * np.sqrt(1.0 - t)
-        np.multiply(rst, np.cos(p1), out=x[4 * a + 0])
-        np.multiply(rst, np.sin(p1), out=x[4 * a + 1])
-        np.multiply(rct, np.cos(p2), out=x[4 * a + 2])
-        np.multiply(rct, np.sin(p2), out=x[4 * a + 3])
-        jac_r = 0.5 * np.pi * (1.0 + r ** 2)
-        # (v * 2) * pi^2 == v * (2 pi^2): doubling is exact
-        w *= r ** 3 * jac_r * (2.0 * np.pi ** 2)
-    phi = 2.0 * np.pi * u[4 * n]
-    z = 2.0 * u[4 * n + 1] - 1.0
-    rho = np.tan(0.5 * np.pi * u[4 * n + 2])
-    rs = rho * np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    np.multiply(rs, np.cos(phi), out=x[4 * n + 0])
-    np.multiply(rs, np.sin(phi), out=x[4 * n + 1])
-    np.multiply(rho, z, out=x[4 * n + 2])
-    jac_rho = 0.5 * np.pi * (1.0 + rho ** 2)
-    w *= rho ** 2 * jac_rho * (4.0 * np.pi)
-    return x.T, w
-
-
-# Calibration of the affine adaptation: for a reference centered density
-# the per-axis node scale that works best is very close to 2 sqrt(2) times
-# the density's standard deviation, and the same constant comes out for the
-# horizontal and the vertical block, so one number rescales the pilot
-# covariance into the node map.
-_KAPPA = 2.0 * math.sqrt(2.0)
-
-# rows of nodes generated and integrated at once. The working arrays of a
-# 2^12-row chunk are reused by the allocator from one chunk to the next;
-# larger ones are handed back to the system and faulted in afresh each time
-# (functional --n 1 took 48 k minor faults at 2^13 and 170 k at 2^14, with
-# a sixth of its time in the kernel, against 15 k at 2^12), and at 2^11 the
-# per-chunk Python overhead costs more than it saves
-_CHUNK = 2 ** 12
-
-# log2 of the node count of each of the two pilot passes
-_PILOT_LOG2 = 14
-
-
-def _mapped_nodes(B, z, center):
-    """The nodes center + B z of a chunk of polar nodes z (N, d), as a
-    coordinate-major (d, N) array."""
-    x = B @ z.T
-    x += center[:, None]
-    return x
-
-
-def _pilot_moments(u, two_star, n, m, seed, center, B):
-    """Weighted mean and covariance of the density |u|^{2*} under the node
-    map center + B z; the constant det(B) cancels in the moments. u sees
-    coordinate-major chunks; the moments sum over a node-major copy of the
-    nodes, node by node in the order of their draw."""
-    x = np.empty((2 ** m, 4 * n + 3))
-    vals = np.empty(2 ** m)
-    lo = 0
-    for unit in _sobol_chunks(4 * n + 3, m, seed, _CHUNK):
-        z, w = _polar_nodes(unit, n)
-        nodes = _mapped_nodes(B, z, center).T
-        hi = lo + len(nodes)
-        x[lo:hi] = nodes
-        vals[lo:hi] = np.abs(u.jets(nodes, order=1).value) ** two_star * w
-        lo = hi
-    tot = float(np.sum(vals))
-    if tot <= 0:
-        raise DomainError("field has no mass under the pilot nodes")
-    # one weighted copy of the nodes, reused, and x centred in place: every
-    # array of this size is freshly mapped and faulted in
-    weighted = vals[:, None] * x
-    c = weighted.sum(axis=0) / tot
-    x -= c
-    np.multiply(vals[:, None], x, out=weighted)
-    cov = weighted.T @ x / tot
-    return c, (cov + cov.T) / 2.0
-
-
-def _adapted_map(u, n, seed, pilot_log2):
-    """Two pilot stages: locate the mass, then refine mean and shape."""
-    _, two_star = _exponents(n)
-    B0 = np.diag([1.0] * (4 * n) + [2.0] * 3)
-    c, cov = _pilot_moments(u, two_star, n, pilot_log2, seed + 17,
-                            np.zeros(4 * n + 3), B0)
-    c, cov = _pilot_moments(u, two_star, n, pilot_log2, seed + 18,
-                            c, _KAPPA * np.linalg.cholesky(cov))
-    return c, _KAPPA * np.linalg.cholesky(cov)
-
-
-def _stacked(bumps):
-    """The bumps' parameters one column per bump: center, inverse squared
-    radii and lin (d, K), and const (K,)."""
-    return tuple(np.ascontiguousarray(
-        np.array([getattr(bump, k) for bump in bumps], dtype=float).T)
-        for k in ("center", "_inv_r2", "lin", "const"))
-
-
-def _chunk_sums(target, z, wts, frame, two_star, eps):
-    """One chunk's sums on the target's nodes center + B z, as a
-    (1 + len(bumps), 3) array: a row for u and then one for each u + eps * b
-    with b in bumps, holding the sums of |grad_H u|^2 w and |u|^{2*} w and
-    the number of nodes where b is nonzero (0 for u).
-
-    The nodes are a coordinate-major (d, N) array, and u sees its (N, d)
-    view; every integrand is computed on whole coordinate rows. u's jets
-    are evaluated once. _support_screen screens all bumps at once, and its
-    mask becomes (bump, node) pairs; the exact support test, the bump jets
-    on the pairs' stacked parameters and the horizontal gradient then run
-    once over all pairs. Elsewhere u + eps * b = u. Each field's integrands
-    fill one row of a (1 + len(bumps), N) array, u's values with its
-    pairs' written over them, and every row is summed alike, so a bump's
-    sums equal those of u + eps * b evaluated at every node, and a bump
-    that holds no node reproduces u's sums exactly.
-    """
-    u, center, B, bumps, (centers, inv_r2, lin, const), work = target
-    P = _mapped_nodes(B, z, center)
-    N = P.shape[1]
-    ju = u.jets(P.T, order=1)
-    fg = horizontal_gradient(frame, P.T, ju.grad).T
-    K = len(bumps)
-    num, den = work[:2 * (1 + K) * N].reshape(2, 1 + K, -1)
-    num[:] = lane_sum(fg * fg) * wts
-    den[:] = np.abs(ju.value) ** two_star * wts
-    out = np.zeros((1 + K, 3))
-    if K:
-        ks, rows = np.divmod(np.flatnonzero(_support_screen(bumps, P.T).T), N)
-        dx = P[:, rows] - centers[:, ks]
-        rho2 = _rho2(dx, inv_r2[:, ks])
-        inside = rho2 < 1.0 + _SUPPORT_SLACK
-        rows, ks, rho2 = rows[inside], ks[inside], rho2[inside]
-        dx, at = dx[:, inside], P[:, rows]
-        jb = _bump_jets(at, dx, rho2, inv_r2[:, ks], lin[:, ks], const[ks],
-                        order=1)
-        out[1:, 2] = np.bincount(ks[jb.value != 0], minlength=K)
-        value = ju.value[rows] + jb.value * eps
-        grad = ju.grad.T[:, rows] + jb.grad.T * eps
-        fg_b = horizontal_gradient(frame, at.T, grad.T).T
-        num[1 + ks, rows] = lane_sum(fg_b * fg_b) * wts[rows]
-        den[1 + ks, rows] = np.abs(value) ** two_star * wts[rows]
-    out[:, 0], out[:, 1] = num.sum(axis=1), den.sum(axis=1)
-    return out
-
-
-def _qmc_integrals(targets, n, two_star, m, seed, eps):
-    """One scramble's chunk sums for every prepared target (u, center, B,
-    bumps, stacked bumps, work), from one pass over its 2^m nodes: each
-    chunk of Sobol points is drawn and mapped to polar nodes z once, and
-    every target maps z its own way. Per target, _chunk_sums' results as an
-    array indexed (field, one of num, den and nodes, chunk)."""
-    frame = HorizontalFrame(n)
-    sums = [[] for _ in targets]
-    for unit in _sobol_chunks(4 * n + 3, m, seed, _CHUNK):
-        z, wts = _polar_nodes(unit, n)
-        for target, s in zip(targets, sums):
-            s.append(_chunk_sums(target, z, wts, frame, two_star, eps))
-    return [np.array(s).transpose(1, 2, 0) for s in sums]
-
-
-def _estimate(scrambles, two_star, center, B, m, of_bump):
-    """One field's FunctionalEstimate from its chunk sums in each of the
-    two scrambles of 2^m nodes."""
+def _estimate(sums, two_star, center, B, m, of_bump):
+    """One field's FunctionalEstimate from its [num, den, nodes] sums in
+    each of the two scrambles of 2^m nodes (qmc.scramble_sums)."""
     detB = abs(float(np.linalg.det(B)))
-    nums, dens = ([detB * math.fsum(sums[i]) / 2 ** m for sums in scrambles]
-                  for i in (0, 1))
+    nums, dens = ([detB * s[i] / 2 ** m for s in sums] for i in (0, 1))
     if min(dens) <= 0:
         raise DomainError("vanishing denominator in the functional")
     ratios = [num / den ** (2.0 / two_star) for num, den in zip(nums, dens)]
@@ -857,28 +566,7 @@ def _estimate(scrambles, two_star, center, B, m, of_bump):
         numerator=0.5 * (nums[0] + nums[1]),
         denominator=0.5 * (dens[0] + dens[1]), per_scramble=tuple(ratios),
         center=center, transform=B,
-        support_nodes=int(sum(s[2].sum() for s in scrambles)) if of_bump
-        else None)
-
-
-def _estimates(targets, n, eps, samples_log2, seed):
-    """FunctionalEstimates for every target (u, center, B, bumps): one list
-    [u's, then one per u + eps * b] per target, from two scrambles (seed
-    and seed + 1), each drawn once for all targets."""
-    _, two_star = _exponents(n)
-    # per target, once for both scrambles: the bumps' parameters, and the
-    # room for _chunk_sums' (1 + K, chunk) num and den arrays, which every
-    # chunk reuses, as arrays of that size allocated afresh are handed back
-    # to the system and faulted in again on every chunk
-    rows = min(_CHUNK, 2 ** samples_log2)
-    prepared = [(u, center, B, bumps, _stacked(bumps),
-                 np.empty(2 * (1 + len(bumps)) * rows))
-                for u, center, B, bumps in targets]
-    passes = [_qmc_integrals(prepared, n, two_star, samples_log2, s, eps)
-              for s in (seed, seed + 1)]
-    return [[_estimate(field, two_star, center, B, samples_log2, k > 0)
-             for k, field in enumerate(zip(*pair))]
-            for (_, center, B, _), *pair in zip(targets, *passes)]
+        support_nodes=int(sums[0][2] + sums[1][2]) if of_bump else None)
 
 
 def folland_stein_ratio(u: ScalarField, n, samples_log2=18, seed=0,
@@ -897,11 +585,14 @@ def folland_stein_ratio(u: ScalarField, n, samples_log2=18, seed=0,
     two fields on identical nodes, which makes their ratio difference far
     more accurate than the individual error bars.
     """
+    _, two_star = _exponents(n)
     if node_map is None:
-        center, B = _adapted_map(u, n, seed, pilot_log2)
+        center, B = adapted_map(u, n, two_star, seed, pilot_log2)
     else:
         center, B = (np.asarray(a, dtype=float) for a in node_map)
-    return _estimates([(u, center, B, ())], n, 0.0, samples_log2, seed)[0][0]
+    (sums,), = scramble_sums([(u, center, B)], n, two_star, samples_log2,
+                             seed)
+    return _estimate(sums, two_star, center, B, samples_log2, False)
 
 
 def functional_estimates(fields, bumps, eps, n, samples_log2=18, seed=0):
@@ -915,14 +606,38 @@ def functional_estimates(fields, bumps, eps, n, samples_log2=18, seed=0):
     b], [1.0, eps]), ..., node_map=estimates[0].map): the shared nodes
     cancel the quadrature noise common to R(u) and R(u + eps * b) in their
     difference. Its support_nodes counts the nodes, over both scrambles,
-    where b is nonzero; with none, it is R(u) and says nothing. The bumps
-    are BumpFields: the screen reads their ellipsoids, and each chunk
-    evaluates all of them in one pass over its (node, bump) pairs, from
-    the formulas of BumpField.jets on their stacked parameters.
+    where b is nonzero; with none, it is R(u) and says nothing.
+
+    The bumps are BumpFields. Per chunk, _support_screen turns all of them
+    into (bump, node) pairs, and the formulas of BumpField.jets run once
+    over the pairs on the bumps' parameters, stacked one column per bump.
+    At a screened node outside b's support the window max(1 - rho^2, 0)
+    gives b a value and gradient of exactly 0, so u + eps * b reproduces
+    u's integrand there and the nonzero mask leaves the node uncounted.
     """
-    targets = [(u, *_adapted_map(u, n, seed, _PILOT_LOG2),
-                tuple(bumps) if k == 0 else ())
-               for k, u in enumerate(fields)]
-    (base, *perturbed), *others = _estimates(targets, n, eps, samples_log2,
-                                             seed)
-    return [base] + [ests[0] for ests in others], perturbed
+    _, two_star = _exponents(n)
+    targets = [(u, *adapted_map(u, n, two_star, seed, _PILOT_LOG2))
+               for u in fields]
+    bumps = list(bumps)
+    centers, inv_r2, lin, const = (np.ascontiguousarray(
+        np.array([getattr(bump, k) for bump in bumps], dtype=float).T)
+        for k in ("center", "_inv_r2", "lin", "const"))
+
+    def pairs(P, ju):
+        ks, rows = np.divmod(np.flatnonzero(_support_screen(bumps, P.T).T),
+                             P.shape[1])
+        at = P[:, rows]
+        dx = at - centers[:, ks]
+        ir = inv_r2[:, ks]
+        jb = _bump_jets(at, dx, _rho2(dx, ir), ir, lin[:, ks], const[ks],
+                        order=1)
+        return (ks, rows, at, ju.value[rows] + jb.value * eps,
+                ju.grad.T[:, rows] + jb.grad.T * eps, jb.value != 0)
+
+    sums = scramble_sums(targets, n, two_star, samples_log2, seed, pairs,
+                         len(bumps))
+    estimates = [_estimate(rows[0], two_star, center, B, samples_log2, False)
+                 for rows, (_, center, B) in zip(sums, targets)]
+    _, center, B = targets[0]
+    return estimates, [_estimate(row, two_star, center, B, samples_log2, True)
+                       for row in sums[0][1:]]

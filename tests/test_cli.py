@@ -22,9 +22,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcheis
-from qcheis import cli, yamabe
+from qcheis import cli, qmc, tensors, yamabe
 from qcheis.cli import _render_csv, build_parser, main
 from qcheis.heis import GroupPoint, HorizontalFrame
+from qcheis.tensors import _apply
 from qcheis.yamabe import (ExtremalParams, YamabeConstants, conformal_scal,
                            conformal_torsion, h_explicit, phi_explicit,
                            yamabe_residual)
@@ -177,13 +178,13 @@ def test_functional_draws_each_main_scramble_once(tmp_path, monkeypatch):
     # one draw of each main scramble; each of the four fields fits its own
     # pilot, so each pilot scramble is drawn once per field
     draws = {}
-    inner = yamabe._sobol_chunks
+    inner = qmc._sobol_chunks
 
     def counted(d, m, seed, chunk):
         draws[m, seed] = draws.get((m, seed), 0) + 1
         return inner(d, m, seed, chunk)
 
-    monkeypatch.setattr(yamabe, "_sobol_chunks", counted)
+    monkeypatch.setattr(qmc, "_sobol_chunks", counted)
     code, report = _run_json(
         tmp_path, ["functional", "--points", "4096", "--seed", "3"])
     assert code in (0, 1)
@@ -209,7 +210,7 @@ def test_functional_evaluates_bump_jets_once_per_chunk(tmp_path,
         tmp_path, ["functional", "--points", "8192", "--seed", "3"])
     assert code in (0, 1)
     assert report["samples_log2"] == 13
-    assert len(calls) == 2 * 2 ** 13 // yamabe._CHUNK == 4
+    assert len(calls) == 2 * 2 ** 13 // qmc._CHUNK == 4
     # one parameter row per pair, and more pairs than any one bump holds
     assert sum(shape[0] for shape in calls) >= sum(report["bump_nodes"]) > \
         max(report["bump_nodes"])
@@ -249,18 +250,27 @@ def test_no_subcommand_loads_scipy():
 
 def test_audit_and_import_load_no_scan_modules():
     # each command imports the modules it runs: a bare import and the exact
-    # audit load neither the scans' modules nor the 7x7 algebra
+    # audit load neither the scans' modules, nor the node pass, nor the 7x7
+    # algebra; and the node pass loads neither the family nor the tensors
     src = str(Path(qcheis.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import os, sys\n"
             "import qcheis.cli\n"
-            "names = ('qcheis.yamabe', 'qcheis.tensors', 'qcheis.qmatrix')\n"
+            "names = ('qcheis.yamabe', 'qcheis.tensors', 'qcheis.qmatrix',\n"
+            "         'qcheis.qmc')\n"
             "print([m for m in names if m in sys.modules])\n"
             "assert qcheis.cli.main(['audit', '--out', os.devnull]) == 0\n"
             "print([m for m in names if m in sys.modules])\n")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines() == ["[]", "[]"]
+    code = ("import sys\n"
+            "import qcheis.qmc\n"
+            "print([m for m in ('qcheis.yamabe', 'qcheis.tensors')\n"
+            "       if m in sys.modules])\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["[]"]
 
 
 def test_json_report_names_its_environment(tmp_path):
@@ -495,6 +505,25 @@ def test_identities_torsion_checks_equal_the_per_sample_loop(tmp_path, n):
     got = {c["name"]: (c["max_residual"], c["mean_residual"])
            for c in report["checks"] if not c["name"].startswith("jet_")}
     assert got == _torsion_checks_by_loop(n, 4, 300)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_identities_fail_on_a_twist_missing_one_complex_structure(
+        tmp_path, monkeypatch, n):
+    # D takes its twist sum_s dh(xi_s) dh(I_s .) from _twist, and the jet
+    # identities take theirs from the frame bracket, so a _twist that drops
+    # s = 2 fails the report at defaults, in the jet rows alone, by far more
+    # than their 1e-9 tolerance (0.2-0.8 at seed 0)
+    def without_s2(xi, v, Is):
+        return sum(xi[..., s, None] * _apply(Is[s].T, v) for s in (0, 1))
+
+    monkeypatch.setattr(tensors, "_twist", without_s2)
+    code, report = _run_json(tmp_path, ["identities", "--n", str(n)])
+    assert code == 1
+    failed = [c["name"] for c in report["checks"] if not c["pass"]]
+    assert failed == ["jet_sum_identity", "jet_f_differential"]
+    assert all(c["max_residual"] > 0.1 for c in report["checks"]
+               if c["name"] in failed)
 
 
 def test_csv_point_dump_for_scan_commands(tmp_path):

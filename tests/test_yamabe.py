@@ -16,19 +16,20 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, dblquad
 
-from qcheis import yamabe
+from qcheis import qmc, yamabe
 from qcheis.heis import (GroupPoint, HorizontalFrame, frame_second_order,
                          left_translation_affine)
 from qcheis.jets import (AffineMapField, CombinationField, DomainError, Jet2,
                          JetField, coordinate_jets, fd_oracle,
                          random_positive_polynomial)
+from qcheis.qmc import _polar_nodes, _sobol_chunks
 from qcheis.tensors import project_3_m1, trace_free
 from qcheis.yamabe import (BumpField, ExtremalParams, FunctionalEstimate,
-                           YamabeConstants, _polar_nodes, _sobol_chunks,
-                           bump_field, conformal_scal, conformal_torsion,
-                           dilated_field, extremal_ratio, folland_stein_ratio,
-                           functional_estimates, h_explicit, phi_explicit,
-                           phi_from_h, translated_field, yamabe_residual)
+                           YamabeConstants, bump_field, conformal_scal,
+                           conformal_torsion, dilated_field, extremal_ratio,
+                           folland_stein_ratio, functional_estimates,
+                           h_explicit, phi_explicit, phi_from_h,
+                           translated_field, yamabe_residual)
 
 from test_heis import _assert_same_bits, _heavy_points, oracle_multiply
 
@@ -716,12 +717,12 @@ def test_node_pass_hands_fields_coordinate_major_batches(n):
     est = folland_stein_ratio(rec, n, samples_log2=m, seed=1, pilot_log2=p)
     assert est.ratio == folland_stein_ratio(phi, n, samples_log2=m, seed=1,
                                             pilot_log2=p).ratio
-    assert len(rec.batches) == 2 * 2 ** p // yamabe._CHUNK \
-        + 2 * 2 ** m // yamabe._CHUNK
+    assert len(rec.batches) == 2 * 2 ** p // qmc._CHUNK \
+        + 2 * 2 ** m // qmc._CHUNK
     assert sum(shape[0] for shape, *_ in rec.batches) == \
         2 * 2 ** p + 2 * 2 ** m
     for shape, f_order, c_order, order in rec.batches:
-        assert shape == (yamabe._CHUNK, d) and order == 1
+        assert shape == (qmc._CHUNK, d) and order == 1
         assert f_order and not c_order
     # the same holds for the base field of functional_estimates, whose
     # pilot runs at _PILOT_LOG2 and whose main pass also carries the bumps
@@ -729,7 +730,7 @@ def test_node_pass_hands_fields_coordinate_major_batches(n):
     functional_estimates([rec], [bump_field(n, seed=500)], 0.05, n,
                          samples_log2=m, seed=1)
     assert sum(shape[0] for shape, *_ in rec.batches) == \
-        2 * 2 ** yamabe._PILOT_LOG2 + 2 * 2 ** m
+        2 * 2 ** qmc._PILOT_LOG2 + 2 * 2 ** m
     assert all(f_order and not c_order and order == 1
                for _, f_order, c_order, order in rec.batches)
 
@@ -806,9 +807,9 @@ def test_functional_estimate_node_map_reuse_is_deterministic():
 
 @pytest.mark.parametrize("m,chunk", [(10, 2 ** 8), (10, 2 ** 12)])
 def test_streamed_nodes_equal_one_draw(m, chunk):
-    from scipy.stats import qmc
+    from scipy.stats import qmc as scipy_qmc
     d = 7
-    whole = qmc.Sobol(d=d, scramble=True, seed=4).random(2 ** m)
+    whole = scipy_qmc.Sobol(d=d, scramble=True, seed=4).random(2 ** m)
     parts = list(_sobol_chunks(d, m, 4, chunk))
     assert len(parts) == max(1, 2 ** m // chunk)
     assert np.array_equal(np.concatenate(parts), whole)
@@ -826,11 +827,12 @@ def test_sobol_chunks_equal_scipy_scrambled_sobol(d, m, seed):
     # the in-tree generator against scipy's, at the four seeds one functional
     # scramble pass and its pilots use, in chunks below, equal to and above
     # 2^m (1000 rows straddles every power-of-two boundary)
-    from scipy.stats import qmc
+    from scipy.stats import qmc as scipy_qmc
     for s in (seed, seed + 1, seed + 17, seed + 18):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")     # m = 0: not a power of 2 > 1
-            whole = qmc.Sobol(d=d, scramble=True, seed=s).random(2 ** m)
+            whole = scipy_qmc.Sobol(d=d, scramble=True,
+                                    seed=s).random(2 ** m)
         for chunk in (1000, 2 ** max(m - 2, 0), 2 ** m, 2 ** (m + 1)):
             got = np.concatenate(list(_sobol_chunks(d, m, s, chunk)))
             assert got.dtype == np.float64
@@ -859,7 +861,7 @@ def test_functional_estimates_equal_separate_ratios(monkeypatch, n, m, chunk):
     # apart. With a smaller chunk the pilots and the main nodes span
     # several chunks each
     if chunk is not None:
-        monkeypatch.setattr(yamabe, "_CHUNK", chunk)
+        monkeypatch.setattr(qmc, "_CHUNK", chunk)
     d = 4 * n + 3
     phi = phi_explicit(ExtremalParams.centered(n))
     fields = [phi, translated_field(phi, _point(n, np.random.default_rng(2))),
