@@ -30,12 +30,12 @@ Exit status: 0 all checks pass, 1 a check failed, 2 bad usage or
 configuration: a flag the command does not take, or an abbreviated one; a
 value its flag's type refuses (a non-finite real, a --box <= 0, a --seed
 < 0, a --points < 1 or a tolerance < 0); a functional --points that is not
-a power of two >= 1024; an identities --box on which its polynomials
-overflow a float. A report that would hold a non-finite number, or that
-cannot be written to --out or stdout, is not written, and neither is one
-that needs a size the machine cannot hold: exit 2 with a message. With a
-fixed seed the JSON output is byte identical between runs except for
-wall_ms.
+a power of two from 1024 to 2^30; an identities --box on which its
+polynomials overflow a float. A report that would hold a non-finite
+number, or that cannot be written to --out or stdout, is not written, and
+neither is one that needs a size the machine cannot hold: exit 2 with a
+message. With a fixed seed the JSON output is byte identical between runs
+except for wall_ms.
 
 Checks that produce a single statistic (exact audits, the spectral
 certificate) report it as both max_residual and mean_residual.
@@ -123,18 +123,19 @@ def _in_blocks(per_block, items, size):
 def _scan(args, rng, make_field, per_row):
     """The set-up of residual, scal and torsion: the family at the resolved
     base point, --points points drawn in the box, and the per-point arrays
-    per_row(field, rows, frame, consts) returns for field = make_field(params),
-    in blocks of _SCAN_CHUNK rows. Returns (consts, points, arrays)."""
-    from .yamabe import ExtremalParams, YamabeConstants
+    per_row(field, rows, frame, s_theta) returns for
+    field = make_field(params), in blocks of _SCAN_CHUNK rows. Returns
+    (s_theta, points, arrays)."""
+    from .yamabe import ExtremalParams
     base = _resolve_base(args, rng)
     params = ExtremalParams(n=args.n, c0=args.c0, sigma=args.sigma, base=base)
-    consts = YamabeConstants.from_params(params)
     frame = HorizontalFrame(args.n)
     pts = rng.uniform(-args.box, args.box, size=(args.points, 4 * args.n + 3))
     field = make_field(params)
-    arrays = _in_blocks(lambda rows: per_row(field, rows, frame, consts),
+    s_theta = params.s_theta
+    arrays = _in_blocks(lambda rows: per_row(field, rows, frame, s_theta),
                         pts, _SCAN_CHUNK)
-    return consts, pts, arrays
+    return s_theta, pts, arrays
 
 
 def _finite(text):
@@ -209,41 +210,40 @@ def cmd_residual(args, rng):
     from .tensors import relative_residual
     from .yamabe import phi_explicit, yamabe_residual
 
-    def per_row(phi, rows, frame, consts):
-        _, t1, t2 = yamabe_residual(phi, consts.s_theta, rows, frame,
+    def per_row(phi, rows, frame, s_theta):
+        _, t1, t2 = yamabe_residual(phi, s_theta, rows, frame,
                                     return_terms=True)
         return {"rel": relative_residual(t1[:, None], -t2[:, None])}
 
-    consts, pts, out = _scan(args, rng, phi_explicit, per_row)
+    s_theta, pts, out = _scan(args, rng, phi_explicit, per_row)
     checks = [_check("yamabe_pde_relative_residual", out["rel"],
                      _tol(args.tol_exact, _TOL_JET), pts)]
-    return (checks, {"s_theta": consts.s_theta},
+    return (checks, {"s_theta": s_theta},
             ("relative_residual", pts, out["rel"]))
 
 
 def cmd_scal(args, rng):
     from .yamabe import conformal_scal, h_explicit
 
-    def per_row(h, rows, frame, consts):
+    def per_row(h, rows, frame, s_theta):
         scal = conformal_scal(h, rows, frame)
-        return {"scal": scal,
-                "rel": np.abs(scal - consts.s_theta) / consts.s_theta}
+        return {"scal": scal, "rel": np.abs(scal - s_theta) / s_theta}
 
-    consts, pts, out = _scan(args, rng, h_explicit, per_row)
+    s_theta, pts, out = _scan(args, rng, h_explicit, per_row)
     std_over_mean = float(np.std(out["scal"]) / np.mean(out["scal"]))
     tol = _tol(args.tol_exact, _TOL_JET)
     checks = [
         _check("scal_matches_s_theta", out["rel"], tol, pts),
         _check("scal_std_over_mean", std_over_mean, tol),
     ]
-    return (checks, {"s_theta": consts.s_theta},
+    return (checks, {"s_theta": s_theta},
             ("scal_rel_deviation", pts, out["rel"]))
 
 
 def cmd_torsion(args, rng):
     from .yamabe import conformal_torsion, h_explicit
 
-    def per_row(h, rows, frame, consts):
+    def per_row(h, rows, frame, s_theta):
         t0bar, ubar = conformal_torsion(h, rows, frame)
         return {"t0bar_norm": np.sqrt(np.einsum("nab,nab->n", t0bar, t0bar)),
                 "ubar_norm": np.sqrt(np.einsum("nab,nab->n", ubar, ubar))}
@@ -304,14 +304,13 @@ def cmd_identities(args, rng):
 
 
 def cmd_qmatrix(args, rng):
-    from .qmatrix import (CLAIMED_FACTORS, QMatrix, build_q, certify,
-                          poly_eval, poly_mod_quadratic, spectral_certificate)
+    from .qmatrix import (CLAIMED_FACTORS, build_q, certify, poly_eval,
+                          poly_mod_quadratic, spectral_certificate)
     q = build_q()
     if args.tamper_q:
-        rows = [list(r) for r in q.entries]
-        rows[0][1] += Fraction(1, 100)
-        rows[1][0] += Fraction(1, 100)
-        q = QMatrix(entries=tuple(tuple(r) for r in rows))
+        q = [list(r) for r in q]
+        q[0][1] += Fraction(1, 100)
+        q[1][0] += Fraction(1, 100)
 
     # the tampered matrix fails certify's claims, so it is only reported
     cert = spectral_certificate(q) if args.tamper_q else certify(q)
@@ -325,7 +324,7 @@ def cmd_qmatrix(args, rng):
 
     claimed = sorted(v for _, mult, roots in CLAIMED_FACTORS
                      for v, _ in roots for _ in range(mult))
-    floats = np.sort(np.linalg.eigvalsh(np.array(q.entries, dtype=float)))
+    floats = np.sort(np.linalg.eigvalsh(np.array(q, dtype=float)))
     eig_dev = float(np.max(np.abs(floats - np.array(claimed))))
 
     checks = [
@@ -341,9 +340,9 @@ def cmd_qmatrix(args, rng):
 
 
 def cmd_functional(args, rng):
-    from .yamabe import (ExtremalParams, YamabeConstants, bump_field,
-                         dilated_field, extremal_ratio, functional_estimates,
-                         phi_explicit, translated_field)
+    from .yamabe import (ExtremalParams, bump_field, dilated_field,
+                         extremal_ratio, functional_estimates, phi_explicit,
+                         translated_field)
     n = args.n
     # the QMC pass draws 2^m nodes per scramble, so --points must name that
     # count exactly rather than be rounded to it
@@ -354,13 +353,11 @@ def cmd_functional(args, rng):
     base = _resolve_base(args, rng)
     params = ExtremalParams(n=n, c0=args.c0, sigma=args.sigma,
                             base=GroupPoint.identity(n))
-    consts = YamabeConstants.from_params(params)
     phi = phi_explicit(params)
     tol = _tol(args.tol_quad, _TOL_QUAD)
 
-    power = (consts.qdim - 2) / 2.0
     fields = [phi, translated_field(phi, base)] + [
-        dilated_field(phi, lam, n, weight_power=power) for lam in _DILATIONS]
+        dilated_field(phi, lam) for lam in _DILATIONS]
     bumps = [bump_field(n, seed=args.seed + 500 + k, box=args.box)
              for k in range(20)]
     # every estimate shares one draw per scramble, and the bumps share Phi's
@@ -404,7 +401,7 @@ _FLAGS = {
     "--seed": dict(type=_seed, default=0),
     "--points": dict(type=_count,
                      help="scan size; for functional the QMC nodes per "
-                          "scramble, a power of two >= 1024"),
+                          "scramble, a power of two from 1024 to 2^30"),
     "--box": dict(type=_positive, default=2.0,
                   help="half-width of the sampling box"),
     "--c0": dict(type=_finite, default=1.0),

@@ -2,7 +2,9 @@
 
 The group is H^n x Im(H) with product
 (q0, w0) . (q, w) = (q0 + q, w + w0 + 2 Im(q0 conj(q))) and homogeneous
-dimension Q = 4n + 6 under the parabolic dilations (q, w) -> (l q, l^2 w).
+dimension Q = 4n + 6 under the parabolic dilations (q, w) -> (l q, l^2 w);
+exponents(n) gives Q and the critical Sobolev exponent 2* = 2Q/(Q-2), the
+one place either is computed.
 Points are coordinatized as (t^1, x^1, y^1, z^1, ..., t^n, x^n, y^n, z^n,
 w_1, w_2, w_3) in R^{4n+3}.
 
@@ -137,6 +139,13 @@ def dilation_affine(lam, n):
     diag = [lam] * (4 * n) + [lam * lam] * 3
     A = [[diag[i] if i == j else 0 for j in range(d)] for i in range(d)]
     return A, [0] * d
+
+
+def exponents(n):
+    """The homogeneous dimension Q = 4n + 6 and the critical Sobolev
+    exponent 2* = 2Q/(Q-2)."""
+    q = 4 * n + 6
+    return q, 2.0 * q / (q - 2)
 
 
 # ---------------------------------------------------------------------------

@@ -53,47 +53,32 @@ CLAIMED_FACTORS = (
 )
 
 
-@dataclass(frozen=True)
-class QMatrix:
-    entries: tuple
-
-    def __getitem__(self, idx):
-        r, c = idx
-        return self.entries[r][c]
-
-    @property
-    def size(self):
-        return len(self.entries)
-
-    def is_symmetric(self):
-        m = self.entries
-        return all(m[i][j] == m[j][i] for i in range(7) for j in range(7))
-
-
-def build_q() -> QMatrix:
-    return QMatrix(entries=_Q_ROWS)
+def build_q():
+    """Q as its tuple of rows of Fractions; every function here takes a
+    square matrix as a sequence of rows."""
+    return _Q_ROWS
 
 
 # ---------------------------------------------------------------------------
 # exact linear algebra helpers
 
 
-def char_poly(q: QMatrix):
+def char_poly(rows):
     """Monic characteristic polynomial det(xI - Q), exact, descending.
 
     Faddeev-LeVerrier: M_1 = Q, c_1 = -tr M_1, M_{k+1} = Q (M_k + c_k I),
     c_{k+1} = -tr M_{k+1} / (k+1); the c_k are the coefficients after the
     leading 1.
     """
-    n = q.size
-    M = [[q[i, j] for j in range(n)] for i in range(n)]
+    n = len(rows)
+    M = [list(row) for row in rows]
     coeffs = [F(1)]
     c = -sum(M[i][i] for i in range(n))
     coeffs.append(c)
     for k in range(2, n + 1):
         for i in range(n):
             M[i][i] += coeffs[-1]
-        M = [[sum(q[i, l] * M[l][j] for l in range(n)) for j in range(n)]
+        M = [[sum(rows[i][l] * M[l][j] for l in range(n)) for j in range(n)]
              for i in range(n)]
         c = -sum(M[i][i] for i in range(n)) / k
         coeffs.append(c)
@@ -188,7 +173,7 @@ def poly_mod_quadratic(poly, quad):
 
 @dataclass
 class SpectralCertificate:
-    matrix: QMatrix
+    matrix: tuple               # the rows
     char_coeffs: tuple
     factors: tuple              # ((coeffs, multiplicity), ...)
     unfactored: tuple           # what the claimed factors leave; (1,) if none
@@ -210,7 +195,7 @@ class SpectralCertificate:
 
     def to_dict(self):
         return {
-            "matrix": [[str(v) for v in row] for row in self.matrix.entries],
+            "matrix": [[str(v) for v in row] for row in self.matrix],
             "char_poly_descending": [str(c) for c in self.char_coeffs],
             "factors": [
                 {"coeffs": [str(c) for c in f], "multiplicity": m}
@@ -228,39 +213,40 @@ class SpectralCertificate:
         }
 
 
-def spectral_certificate(q: QMatrix) -> SpectralCertificate:
-    """Factorization, minors and eigenvalues of q as found: a matrix that
-    fails the claims is reported here, and certify() raises on it."""
-    poly = rest = char_poly(q)
+def spectral_certificate(rows) -> SpectralCertificate:
+    """Factorization, minors and eigenvalues of the matrix as found: one
+    that fails the claims is reported here, and certify() raises on it."""
+    poly = rest = char_poly(rows)
     factors, eigenvalues = [], []
     for factor, _, roots in CLAIMED_FACTORS:
         found, rest = factor_multiplicity(rest, factor)
         factors.append((factor, found))
         eigenvalues += [(v, found, label) for v, label in roots]
-    shifted = [[q[i, j] - (1 if i == j else 0) for j in range(7)]
-               for i in range(7)]
+    shifted = [[v - (1 if i == j else 0) for j, v in enumerate(row)]
+               for i, row in enumerate(rows)]
     return SpectralCertificate(
-        matrix=q,
+        matrix=rows,
         char_coeffs=poly,
         factors=tuple(factors),
         unfactored=rest,
         eigenvalues=tuple(eigenvalues),
-        minors=leading_minors(q.entries),
+        minors=leading_minors(rows),
         minors_shifted=leading_minors(shifted),
     )
 
 
-def certify(q: QMatrix = None) -> SpectralCertificate:
+def certify(rows=None) -> SpectralCertificate:
     """Full exact certificate: factorization, minors, sharp lower bound.
 
     Raises if the matrix fails symmetry, if the claimed factors do not
     exhaust the characteristic polynomial, or if any leading minor of Q is
     not positive.
     """
-    q = q or build_q()
-    if not q.is_symmetric():
+    rows = build_q() if rows is None else rows
+    if any(row[j] != rows[j][i] for i, row in enumerate(rows)
+           for j in range(len(rows))):
         raise ValueError("matrix is not symmetric")
-    cert = spectral_certificate(q)
+    cert = spectral_certificate(rows)
     if cert.unfactored != (F(1),):
         raise ValueError("claimed factors do not exhaust the spectrum")
     if not cert.positive_definite:

@@ -7,7 +7,9 @@ quaternion slot: each slot is a radius times a uniform point of the
 (cylinder map), and only the n + 1 radii, through half-Cauchy quantiles,
 carry unbounded weight factors. Each field moves these polar nodes z by
 its own map center + B z, which a two-stage pilot fits to the mean and
-covariance of its density |u|^{2*} (adapted_map).
+covariance of its density |u|^{2*} (adapted_map). The exponent 2* is never
+passed in: each function takes it from n, or from the frame's n, through
+heis.exponents.
 
 The nodes are streamed (scramble_sums): each scramble's Sobol points, bit
 for bit scipy.stats.qmc.Sobol's, are drawn _CHUNK rows at a time and mapped
@@ -22,7 +24,7 @@ import math
 
 import numpy as np
 
-from .heis import HorizontalFrame, horizontal_gradient
+from .heis import HorizontalFrame, exponents, horizontal_gradient
 from .jets import DomainError, lane_sum
 
 # Joe-Kuo direction numbers (new-joe-kuo-6.21201) for the first 11
@@ -179,11 +181,12 @@ def _mapped_nodes(B, z, center):
     return x
 
 
-def _pilot_moments(u, two_star, n, m, seed, center, B):
+def _pilot_moments(u, n, m, seed, center, B):
     """Weighted mean and covariance of the density |u|^{2*} under the node
     map center + B z; the constant det(B) cancels in the moments. u sees
     coordinate-major chunks; the moments sum over a node-major copy of the
     nodes, node by node in the order of their draw."""
+    _, two_star = exponents(n)
     x = np.empty((2 ** m, 4 * n + 3))
     vals = np.empty(2 ** m)
     lo = 0
@@ -207,19 +210,19 @@ def _pilot_moments(u, two_star, n, m, seed, center, B):
     return c, (cov + cov.T) / 2.0
 
 
-def adapted_map(u, n, two_star, seed, pilot_log2):
+def adapted_map(u, n, seed, pilot_log2):
     """The node map (center, B) of u: two pilot stages of 2^pilot_log2
     nodes each, the first from the origin to locate the mass of |u|^{2*},
     the second from its moments to refine mean and shape."""
     B0 = np.diag([1.0] * (4 * n) + [2.0] * 3)
-    c, cov = _pilot_moments(u, two_star, n, pilot_log2, seed + 17,
+    c, cov = _pilot_moments(u, n, pilot_log2, seed + 17,
                             np.zeros(4 * n + 3), B0)
-    c, cov = _pilot_moments(u, two_star, n, pilot_log2, seed + 18,
+    c, cov = _pilot_moments(u, n, pilot_log2, seed + 18,
                             c, _KAPPA * np.linalg.cholesky(cov))
     return c, _KAPPA * np.linalg.cholesky(cov)
 
 
-def _chunk_sums(target, work, z, wts, frame, two_star, pairs, k):
+def _chunk_sums(target, work, z, wts, frame, pairs, k):
     """One chunk's sums on the target (u, center, B)'s nodes center + B z,
     as a (1 + k, 3) array: a row for u, then one per perturbed field, each
     holding the sums of |grad_H f|^2 w and |f|^{2*} w and the number of
@@ -233,6 +236,7 @@ def _chunk_sums(target, work, z, wts, frame, two_star, pairs, k):
     equals that of its field evaluated at every node.
     """
     u, center, B = target
+    _, two_star = exponents(frame.n)
     P = _mapped_nodes(B, z, center)
     N = P.shape[1]
     ju = u.jets(P.T, order=1)
@@ -251,7 +255,7 @@ def _chunk_sums(target, work, z, wts, frame, two_star, pairs, k):
     return out
 
 
-def scramble_sums(targets, n, two_star, m, seed, pairs=None, k=0):
+def scramble_sums(targets, n, m, seed, pairs=None, k=0):
     """The sums of every target (u, center, B) over two scrambles, seed and
     seed + 1, of 2^m nodes each; only the first target carries the k
     perturbations of pairs (_chunk_sums). Per target, one row per field (u,
@@ -270,7 +274,7 @@ def scramble_sums(targets, n, two_star, m, seed, pairs=None, k=0):
             z, wts = _polar_nodes(unit, n)
             for j, (target, buf) in enumerate(zip(targets, work)):
                 sums[j].append(_chunk_sums(target, buf, z, wts, frame,
-                                           two_star, pairs, 0 if j else k))
+                                           pairs, 0 if j else k))
         passes.append([[[math.fsum(c) for c in field]
                         for field in np.array(chunks).transpose(1, 2, 0)]
                        for chunks in sums])

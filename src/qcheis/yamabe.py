@@ -10,7 +10,8 @@ Phi = (2h)^{-(Q-2)/4} then solves
 
     (4(Q+2)/(Q-2)) Lap(Phi) + S Phi^{2*-1} = 0,    S = 128 n (n+2) c0 sigma,
 
-with Q = 4n + 6 and 2* = 2Q/(Q-2), and the conformally changed structure
+with Q = 4n + 6 and 2* = 2Q/(Q-2) from heis.exponents(n) and S the
+ExtremalParams' s_theta, and the conformally changed structure
 has constant scalar curvature S and vanishing torsion tensors. All of this
 is checked pointwise through exact jets; nothing here solves a PDE.
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heis import (GroupPoint, HorizontalFrame, dilation_affine,
+from .heis import (GroupPoint, HorizontalFrame, dilation_affine, exponents,
                    horizontal_gradient, left_translation_affine, sublaplacian)
 from .jets import (AffineMapField, DomainError, Jet2, JetField, ScalarField,
                    lane_sum, power_factors, scale_rows)
@@ -61,26 +62,11 @@ class ExtremalParams:
     def centered(cls, n, c0=1.0, sigma=1.0):
         return cls(n=n, c0=c0, sigma=sigma, base=GroupPoint.identity(n))
 
-
-def _exponents(n):
-    """The homogeneous dimension Q = 4n + 6 and the critical Sobolev
-    exponent 2* = 2Q/(Q-2)."""
-    q = 4 * n + 6
-    return q, 2.0 * q / (q - 2)
-
-
-@dataclass(frozen=True)
-class YamabeConstants:
-    qdim: int
-    two_star: float
-    s_theta: float
-
-    @classmethod
-    def from_params(cls, params: ExtremalParams):
-        q, two_star = _exponents(params.n)
-        return cls(qdim=q, two_star=two_star,
-                   s_theta=128.0 * params.n * (params.n + 2)
-                   * params.c0 * params.sigma)
+    @property
+    def s_theta(self):
+        """The constant qc scalar curvature S = 128 n (n+2) c0 sigma of the
+        structure scaled by 1/(2h)."""
+        return 128.0 * self.n * (self.n + 2) * self.c0 * self.sigma
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +187,16 @@ def h_explicit(params: ExtremalParams) -> ScalarField:
     return JetField(d, builder, along)
 
 
-def phi_from_h(h_field: ScalarField, qdim) -> ScalarField:
-    """Phi = (2h)^{-(Q-2)/4}; raises DomainError wherever h <= 0.
+def phi_from_h(h_field: ScalarField) -> ScalarField:
+    """Phi = (2h)^{-(Q-2)/4}, with Q that of h_field's group of dimension
+    4n + 3; raises DomainError wherever h <= 0.
 
     Its second derivatives along X = [I | V] follow from h's by the chain
     rule for Phi = F(h): F'(h) D^2 h[X_a, X_b] + F''(h) dh_a dh_b, with
     dh = grad_q h + V grad_w h and no Hessian of h unless h_field's own
     hessian_along forms one."""
-    expo = -(qdim - 2) / 4.0
+    q, _ = exponents((h_field.dim - 3) // 4)
+    expo = -(q - 2) / 4.0
 
     def builder(points, order):
         # the factor 2 goes into pow_real's derivative factors, which saves
@@ -235,7 +223,7 @@ def phi_from_h(h_field: ScalarField, qdim) -> ScalarField:
 
 
 def phi_explicit(params: ExtremalParams) -> ScalarField:
-    return phi_from_h(h_explicit(params), _exponents(params.n)[0])
+    return phi_from_h(h_explicit(params))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +237,7 @@ def yamabe_residual(phi: ScalarField, s_const, points, frame: HorizontalFrame,
     With return_terms the two summands come back too, so callers can form
     residuals relative to the size of the terms that are cancelling.
     """
-    q, _ = _exponents(frame.n)
+    q, _ = exponents(frame.n)
     value, _, lap = sublaplacian(frame, phi, points)
     if np.any(value <= 0):
         raise DomainError("Phi must be positive at the evaluation points")
@@ -337,11 +325,14 @@ def translated_field(u: ScalarField, p0: GroupPoint) -> ScalarField:
                           scale=1.0)
 
 
-def dilated_field(u: ScalarField, lam, n, weight_power=0.0) -> ScalarField:
-    """lam^weight_power * (u o delta_lam); weight (Q-2)/2 preserves R."""
+def dilated_field(u: ScalarField, lam) -> ScalarField:
+    """lam^{(Q-2)/2} (u o delta_lam) for u on the group of dimension
+    4n + 3: the weight that keeps the Folland-Stein ratio R."""
+    n = (u.dim - 3) // 4
+    q, _ = exponents(n)
     A, _ = dilation_affine(lam, n)
-    return AffineMapField(u, np.array(A, dtype=float), np.zeros(4 * n + 3),
-                          scale=float(lam) ** weight_power)
+    return AffineMapField(u, np.array(A, dtype=float), np.zeros(u.dim),
+                          scale=float(lam) ** ((q - 2) / 2.0))
 
 
 # nodes within this much of the bump's boundary (in rho^2) are treated as
@@ -541,8 +532,8 @@ def extremal_ratio(n):
     optimal constant of the L^2 Folland-Stein inequality on the group
     (Folland and Stein, 1974; Ivanov, Minchev and Vassilev, JEMS 2010).
     """
-    q, _ = _exponents(n)
-    kappa = (q - 2) * 128 * n * (n + 2) / (4 * (q + 2))
+    q, _ = exponents(n)
+    kappa = (q - 2) * ExtremalParams.centered(n).s_theta / (4 * (q + 2))
 
     def half_beta(a, b):
         return math.gamma(a) * math.gamma(b) / math.gamma(a + b) / 2.0
@@ -553,9 +544,11 @@ def extremal_ratio(n):
     return kappa * den ** (2.0 / q)
 
 
-def _estimate(sums, two_star, center, B, m, of_bump):
+def _estimate(sums, center, B, m, of_bump):
     """One field's FunctionalEstimate from its [num, den, nodes] sums in
-    each of the two scrambles of 2^m nodes (qmc.scramble_sums)."""
+    each of the two scrambles of 2^m nodes (qmc.scramble_sums); 2* is that
+    of the group of the nodes' dimension 4n + 3."""
+    _, two_star = exponents((len(center) - 3) // 4)
     detB = abs(float(np.linalg.det(B)))
     nums, dens = ([detB * s[i] / 2 ** m for s in sums] for i in (0, 1))
     if min(dens) <= 0:
@@ -585,14 +578,12 @@ def folland_stein_ratio(u: ScalarField, n, samples_log2=18, seed=0,
     two fields on identical nodes, which makes their ratio difference far
     more accurate than the individual error bars.
     """
-    _, two_star = _exponents(n)
     if node_map is None:
-        center, B = adapted_map(u, n, two_star, seed, pilot_log2)
+        center, B = adapted_map(u, n, seed, pilot_log2)
     else:
         center, B = (np.asarray(a, dtype=float) for a in node_map)
-    (sums,), = scramble_sums([(u, center, B)], n, two_star, samples_log2,
-                             seed)
-    return _estimate(sums, two_star, center, B, samples_log2, False)
+    (sums,), = scramble_sums([(u, center, B)], n, samples_log2, seed)
+    return _estimate(sums, center, B, samples_log2, False)
 
 
 def functional_estimates(fields, bumps, eps, n, samples_log2=18, seed=0):
@@ -615,9 +606,7 @@ def functional_estimates(fields, bumps, eps, n, samples_log2=18, seed=0):
     gives b a value and gradient of exactly 0, so u + eps * b reproduces
     u's integrand there and the nonzero mask leaves the node uncounted.
     """
-    _, two_star = _exponents(n)
-    targets = [(u, *adapted_map(u, n, two_star, seed, _PILOT_LOG2))
-               for u in fields]
+    targets = [(u, *adapted_map(u, n, seed, _PILOT_LOG2)) for u in fields]
     bumps = list(bumps)
     centers, inv_r2, lin, const = (np.ascontiguousarray(
         np.array([getattr(bump, k) for bump in bumps], dtype=float).T)
@@ -634,10 +623,9 @@ def functional_estimates(fields, bumps, eps, n, samples_log2=18, seed=0):
         return (ks, rows, at, ju.value[rows] + jb.value * eps,
                 ju.grad.T[:, rows] + jb.grad.T * eps, jb.value != 0)
 
-    sums = scramble_sums(targets, n, two_star, samples_log2, seed, pairs,
-                         len(bumps))
-    estimates = [_estimate(rows[0], two_star, center, B, samples_log2, False)
+    sums = scramble_sums(targets, n, samples_log2, seed, pairs, len(bumps))
+    estimates = [_estimate(rows[0], center, B, samples_log2, False)
                  for rows, (_, center, B) in zip(sums, targets)]
     _, center, B = targets[0]
-    return estimates, [_estimate(row, two_star, center, B, samples_log2, True)
+    return estimates, [_estimate(row, center, B, samples_log2, True)
                        for row in sums[0][1:]]

@@ -26,9 +26,8 @@ from qcheis import cli, qmc, tensors, yamabe
 from qcheis.cli import _render_csv, build_parser, main
 from qcheis.heis import GroupPoint, HorizontalFrame
 from qcheis.tensors import _apply
-from qcheis.yamabe import (ExtremalParams, YamabeConstants, conformal_scal,
-                           conformal_torsion, h_explicit, phi_explicit,
-                           yamabe_residual)
+from qcheis.yamabe import (ExtremalParams, conformal_scal, conformal_torsion,
+                           h_explicit, phi_explicit, yamabe_residual)
 
 SCHEMA_KEYS = {"command", "config", "checks", "pass", "wall_ms"}
 CHECK_KEYS = {"name", "max_residual", "mean_residual", "tolerance", "pass"}
@@ -540,7 +539,7 @@ def test_csv_point_dump_for_scan_commands(tmp_path):
 def _dumped_by_one_batch(command, params, pts):
     """The column a scan command dumps, from one evaluation over all pts."""
     frame = HorizontalFrame(params.n)
-    s_theta = YamabeConstants.from_params(params).s_theta
+    s_theta = params.s_theta
     if command == "residual":
         r, t1, t2 = yamabe_residual(phi_explicit(params), s_theta, pts, frame,
                                     return_terms=True)
@@ -866,6 +865,16 @@ def test_functional_points_must_be_a_power_of_two_of_at_least_1024(
     out = tmp_path / "report.json"
     assert main(["functional", "--points", points, "--out", str(out)]) == 2
     assert "power of two >= 1024" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_functional_points_above_2_to_the_30_are_refused(tmp_path, capsys):
+    # 2^31 is a power of two, but the Sobol nodes hold 30 bits: the range
+    # the docs give is 1024 to 2^30
+    out = tmp_path / "report.json"
+    assert main(["functional", "--points", str(2 ** 31),
+                 "--out", str(out)]) == 2
+    assert "at most 2^30 points" in capsys.readouterr().err
     assert not out.exists()
 
 

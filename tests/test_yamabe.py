@@ -10,6 +10,7 @@ c0 = sigma = 1, which pins both integrals beyond their absolute values.
 import json
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,19 +18,18 @@ import pytest
 from scipy.integrate import IntegrationWarning, dblquad
 
 from qcheis import qmc, yamabe
-from qcheis.heis import (GroupPoint, HorizontalFrame, frame_second_order,
-                         left_translation_affine)
+from qcheis.heis import (GroupPoint, HorizontalFrame, exponents,
+                         frame_second_order, left_translation_affine)
 from qcheis.jets import (AffineMapField, CombinationField, DomainError, Jet2,
                          JetField, coordinate_jets, fd_oracle,
                          random_positive_polynomial)
 from qcheis.qmc import _polar_nodes, _sobol_chunks
 from qcheis.tensors import project_3_m1, trace_free
 from qcheis.yamabe import (BumpField, ExtremalParams, FunctionalEstimate,
-                           YamabeConstants, bump_field, conformal_scal,
-                           conformal_torsion, dilated_field, extremal_ratio,
-                           folland_stein_ratio, functional_estimates,
-                           h_explicit, phi_explicit, phi_from_h,
-                           translated_field, yamabe_residual)
+                           bump_field, conformal_scal, conformal_torsion,
+                           dilated_field, extremal_ratio, folland_stein_ratio,
+                           functional_estimates, h_explicit, phi_explicit,
+                           phi_from_h, translated_field, yamabe_residual)
 
 from test_heis import _assert_same_bits, _heavy_points, oracle_multiply
 
@@ -255,7 +255,7 @@ def test_every_jet_producer_returns_an_exactly_symmetric_hessian(n):
         "bump": bump,
         "polynomial": random_positive_polynomial(d, rng),
         "translated": translated_field(phi, _point(n, rng)),
-        "dilated": dilated_field(phi, 1.7, n, weight_power=(4 * n + 4) / 2),
+        "dilated": dilated_field(phi, 1.7),
         "combination": CombinationField([phi, bump], [1.0, 0.3]),
     }
     pts = bump.center + rng.uniform(-0.6, 0.6, size=(200, d))
@@ -293,8 +293,7 @@ def test_closed_form_second_derivatives_equal_the_dense_contraction(n):
     fields = {"h": h_explicit(params), "phi": phi,
               "translated": translated_field(phi, _point(n, rng)),
               "right_translated": _right_translated(phi, _point(n, rng)),
-              "dilated": dilated_field(phi, 1.7, n,
-                                       weight_power=(4 * n + 4) / 2)}
+              "dilated": dilated_field(phi, 1.7)}
     frame = HorizontalFrame(n)
     for size in (1, 37, 4096):
         heavy = _heavy_points(rng, size, d)
@@ -323,7 +322,7 @@ def test_phi_second_derivatives_refuse_nonpositive_h():
     # hessian_along keeps the jets' DomainError where h <= 0
     h = JetField(7, lambda p, order: Jet2(p[:, 0], np.ones_like(p),
                                           np.zeros((len(p), 7, 7))))
-    phi = phi_from_h(h, 10)
+    phi = phi_from_h(h)
     pts = np.array([[1.0] + [0.0] * 6, [-1.0] + [0.0] * 6])
     V = np.ones((2, 4, 3))
     for trace in (False, True):
@@ -372,7 +371,7 @@ def test_scans_hold_no_ambient_hessian():
     d, nh = 4 * n + 3, 4 * n
     rng = np.random.default_rng(13)
     params = ExtremalParams(n=n, c0=0.8, sigma=1.2, base=_point(n, rng))
-    s_theta = YamabeConstants.from_params(params).s_theta
+    s_theta = params.s_theta
     frame = HorizontalFrame(n)
     pts = rng.uniform(-2, 2, size=(N, d))
     h, phi = h_explicit(params), phi_explicit(params)
@@ -410,7 +409,7 @@ def test_family_closed_under_left_translation(n):
 def test_phi_is_inverse_power_of_2h(n):
     params = ExtremalParams.centered(n, c0=0.5, sigma=2.0)
     h_field = h_explicit(params)
-    phi = phi_from_h(h_field, 4 * n + 6)
+    phi = phi_from_h(h_field)
     rng = np.random.default_rng(4)
     pts = rng.uniform(-2, 2, size=(30, 4 * n + 3))
     hv = h_field.values(pts)
@@ -423,11 +422,10 @@ def test_phi_is_inverse_power_of_2h(n):
 def test_pde_residual_small(n, c0, sigma):
     rng = np.random.default_rng(17)
     params = ExtremalParams(n=n, c0=c0, sigma=sigma, base=_point(n, rng))
-    consts = YamabeConstants.from_params(params)
     phi = phi_explicit(params)
     frame = HorizontalFrame(n)
     pts = rng.uniform(-2, 2, size=(2000, 4 * n + 3))
-    r, t1, t2 = yamabe_residual(phi, consts.s_theta, pts, frame,
+    r, t1, t2 = yamabe_residual(phi, params.s_theta, pts, frame,
                                 return_terms=True)
     rel = np.abs(r) / np.maximum(np.abs(t1), np.abs(t2))
     assert np.max(rel) < 1e-11
@@ -437,11 +435,10 @@ def test_pde_residual_small(n, c0, sigma):
 def test_conformal_scal_is_the_constant(n):
     rng = np.random.default_rng(23)
     params = ExtremalParams(n=n, c0=2.0, sigma=0.5, base=_point(n, rng))
-    consts = YamabeConstants.from_params(params)
     frame = HorizontalFrame(n)
     pts = rng.uniform(-2, 2, size=(2000, 4 * n + 3))
     scal = conformal_scal(h_explicit(params), pts, frame)
-    assert np.max(np.abs(scal - consts.s_theta)) < 1e-9 * consts.s_theta
+    assert np.max(np.abs(scal - params.s_theta)) < 1e-9 * params.s_theta
     assert np.std(scal) < 1e-11 * np.mean(scal)
 
 
@@ -497,7 +494,6 @@ def test_perturbed_field_breaks_pde_on_support():
     n, seed = 1, 11
     frame = HorizontalFrame(n)
     params = ExtremalParams.centered(n)
-    consts = YamabeConstants.from_params(params)
     phi = phi_explicit(params)
     bump = bump_field(n, seed=seed)
     center = np.random.default_rng(seed).uniform(-1.0, 1.0, size=7)
@@ -505,7 +501,7 @@ def test_perturbed_field_breaks_pde_on_support():
     eps = 0.2 * float(np.min(phi.values(pts))) \
         / float(np.max(np.abs(bump.values(pts))))
     pert = CombinationField([phi, bump], [1.0, eps])
-    r, t1, t2 = yamabe_residual(pert, consts.s_theta, pts, frame,
+    r, t1, t2 = yamabe_residual(pert, params.s_theta, pts, frame,
                                 return_terms=True)
     rel = np.abs(r) / np.maximum(np.abs(t1), np.abs(t2))
     assert np.max(rel) > 1e-3
@@ -738,7 +734,7 @@ def test_node_pass_hands_fields_coordinate_major_batches(n):
 def test_dilated_field_composes_and_scales():
     phi = phi_explicit(ExtremalParams.centered(1))
     lam = 2.0
-    moved = dilated_field(phi, lam, 1, weight_power=4.0)
+    moved = dilated_field(phi, lam)
     rng = np.random.default_rng(8)
     pts = rng.uniform(-1, 1, size=(20, 7))
     scaled = np.array(pts)
@@ -746,6 +742,45 @@ def test_dilated_field_composes_and_scales():
     scaled[:, 4:] *= lam * lam
     expect = lam ** 4.0 * phi.values(scaled)
     assert np.max(np.abs(moved.values(pts) - expect) / expect) < 1e-13
+
+
+# the paper's constants written out as numbers: Q = 4n + 6, 2* = 2Q/(Q-2),
+# and S = 128 n (n+2) c0 sigma at two (c0, sigma, S) per n
+_PAPER_CONSTANTS = [
+    (1, 10, Fraction(5, 2), ((1.0, 1.0, 384.0), (2.0, 0.25, 192.0))),
+    (2, 14, Fraction(7, 3), ((1.0, 1.0, 1024.0), (0.75, 1.25, 960.0))),
+    (3, 18, Fraction(9, 4), ((1.0, 1.0, 1920.0), (2.0, 0.25, 960.0))),
+    (4, 22, Fraction(11, 5), ((1.0, 1.0, 3072.0), (0.5, 0.5, 768.0))),
+]
+
+
+@pytest.mark.parametrize("n,qdim,two_star,curvatures", _PAPER_CONSTANTS)
+def test_exponents_curvature_and_weights_match_the_paper(n, qdim, two_star,
+                                                         curvatures):
+    # heis.exponents and ExtremalParams.s_theta against the table; then
+    # Phi = (2h)^{-(Q-2)/4} on a (4n+3)-dimensional h, and the order-1 jets
+    # of dilated_field against lam^{(Q-2)/2} Phi o delta_lam and its chain
+    # rule, composed here from Phi's own jets at the dilated points
+    assert exponents(n) == (qdim, float(two_star))
+    rng = np.random.default_rng(70 + n)
+    for c0, sigma, s_theta in curvatures:
+        params = ExtremalParams(n=n, c0=c0, sigma=sigma, base=_point(n, rng))
+        assert params.s_theta == s_theta
+    h = h_explicit(ExtremalParams(n=n, c0=0.7, sigma=1.3,
+                                  base=_point(n, rng)))
+    pts = rng.uniform(-1.5, 1.5, size=(50, 4 * n + 3))
+    phi = phi_from_h(h)
+    expect = (2.0 * h.values(pts)) ** (-(qdim - 2) / 4)
+    assert np.max(np.abs(phi.values(pts) - expect) / expect) < 1e-13
+    for lam in (0.5, 2.0):
+        stretch = np.array([lam] * (4 * n) + [lam * lam] * 3)
+        at = phi.jets(pts * stretch, order=1)
+        weight = lam ** ((qdim - 2) / 2)
+        moved = dilated_field(phi, lam).jets(pts, order=1)
+        value, grad = weight * at.value, weight * at.grad * stretch
+        assert np.max(np.abs(moved.value - value) / value) < 1e-13
+        assert np.max(np.abs(moved.grad - grad)) \
+            < 1e-13 * np.max(np.abs(grad))
 
 
 def test_radial_oracle_reproduces_frozen_constants():
@@ -865,7 +900,7 @@ def test_functional_estimates_equal_separate_ratios(monkeypatch, n, m, chunk):
     d = 4 * n + 3
     phi = phi_explicit(ExtremalParams.centered(n))
     fields = [phi, translated_field(phi, _point(n, np.random.default_rng(2))),
-              dilated_field(phi, 2.0, n, weight_power=2.0 * n + 2.0)]
+              dilated_field(phi, 2.0)]
     far = BumpField(np.full(d, 1e4), np.ones(d), np.zeros(d), 1.0)
     twins = [BumpField(np.full(d, 0.1), np.ones(d), np.linspace(-0.3, 0.3, d),
                        1.0),
@@ -944,8 +979,8 @@ def test_functional_invariances_at_reduced_sampling():
     est_t = folland_stein_ratio(translated_field(phi, p0), 1,
                                 samples_log2=15, seed=0, pilot_log2=13)
     assert abs(est_t.ratio - est.ratio) / est.ratio < 1e-3
-    est_d = folland_stein_ratio(dilated_field(phi, 2.0, 1, weight_power=4.0),
-                                1, samples_log2=15, seed=0, pilot_log2=13)
+    est_d = folland_stein_ratio(dilated_field(phi, 2.0), 1, samples_log2=15,
+                                seed=0, pilot_log2=13)
     assert abs(est_d.ratio - est.ratio) / est.ratio < 1e-4
 
 
