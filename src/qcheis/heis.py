@@ -4,7 +4,7 @@ The group is H^n x Im(H) with product
 (q0, w0) . (q, w) = (q0 + q, w + w0 + 2 Im(q0 conj(q))) and homogeneous
 dimension Q = 4n + 6 under the parabolic dilations (q, w) -> (l q, l^2 w);
 exponents(n) gives Q and the critical Sobolev exponent 2* = 2Q/(Q-2), the
-one place either is computed.
+one place either is computed, and group_n(dim) the n of a dimension 4n + 3.
 Points are coordinatized as (t^1, x^1, y^1, z^1, ..., t^n, x^n, y^n, z^n,
 w_1, w_2, w_3) in R^{4n+3}.
 
@@ -91,8 +91,7 @@ class GroupPoint(tuple):
 
     def __new__(cls, coords):
         point = super().__new__(cls, coords)
-        if len(point) < 7 or len(point) % 4 != 3:
-            raise ValueError("a group point has 4n+3 coordinates, n >= 1")
+        group_n(len(point))
         return point
 
     @classmethod
@@ -108,7 +107,7 @@ class GroupPoint(tuple):
 
     @property
     def n(self):
-        return (len(self) - 3) // 4
+        return group_n(len(self))
 
     def flat(self):
         return list(self)
@@ -139,6 +138,14 @@ def dilation_affine(lam, n):
     diag = [lam] * (4 * n) + [lam * lam] * 3
     A = [[diag[i] if i == j else 0 for j in range(d)] for i in range(d)]
     return A, [0] * d
+
+
+def group_n(dim):
+    """The n of the group whose points have dim = 4n + 3 coordinates;
+    ValueError for any other dim."""
+    if dim < 7 or dim % 4 != 3:
+        raise ValueError("a group point has 4n+3 coordinates, n >= 1")
+    return (dim - 3) // 4
 
 
 def exponents(n):

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heis import (GroupPoint, HorizontalFrame, dilation_affine, exponents,
-                   horizontal_gradient, left_translation_affine, sublaplacian)
+                   group_n, horizontal_gradient, left_translation_affine,
+                   sublaplacian)
 from .jets import (AffineMapField, DomainError, Jet2, JetField, ScalarField,
                    lane_sum, power_factors, scale_rows)
 from .qmc import _PILOT_LOG2, adapted_map, scramble_sums
@@ -195,7 +196,7 @@ def phi_from_h(h_field: ScalarField) -> ScalarField:
     rule for Phi = F(h): F'(h) D^2 h[X_a, X_b] + F''(h) dh_a dh_b, with
     dh = grad_q h + V grad_w h and no Hessian of h unless h_field's own
     hessian_along forms one."""
-    q, _ = exponents((h_field.dim - 3) // 4)
+    q, _ = exponents(group_n(h_field.dim))
     expo = -(q - 2) / 4.0
 
     def builder(points, order):
@@ -328,7 +329,7 @@ def translated_field(u: ScalarField, p0: GroupPoint) -> ScalarField:
 def dilated_field(u: ScalarField, lam) -> ScalarField:
     """lam^{(Q-2)/2} (u o delta_lam) for u on the group of dimension
     4n + 3: the weight that keeps the Folland-Stein ratio R."""
-    n = (u.dim - 3) // 4
+    n = group_n(u.dim)
     q, _ = exponents(n)
     A, _ = dilation_affine(lam, n)
     return AffineMapField(u, np.array(A, dtype=float), np.zeros(u.dim),
@@ -548,7 +549,7 @@ def _estimate(sums, center, B, m, of_bump):
     """One field's FunctionalEstimate from its [num, den, nodes] sums in
     each of the two scrambles of 2^m nodes (qmc.scramble_sums); 2* is that
     of the group of the nodes' dimension 4n + 3."""
-    _, two_star = exponents((len(center) - 3) // 4)
+    _, two_star = exponents(group_n(len(center)))
     detB = abs(float(np.linalg.det(B)))
     nums, dens = ([detB * s[i] / 2 ** m for s in sums] for i in (0, 1))
     if min(dens) <= 0:

@@ -18,7 +18,7 @@ import pytest
 from scipy.integrate import IntegrationWarning, dblquad
 
 from qcheis import qmc, yamabe
-from qcheis.heis import (GroupPoint, HorizontalFrame, exponents,
+from qcheis.heis import (GroupPoint, HorizontalFrame, exponents, group_n,
                          frame_second_order, left_translation_affine)
 from qcheis.jets import (AffineMapField, CombinationField, DomainError, Jet2,
                          JetField, coordinate_jets, fd_oracle,
@@ -757,11 +757,14 @@ _PAPER_CONSTANTS = [
 @pytest.mark.parametrize("n,qdim,two_star,curvatures", _PAPER_CONSTANTS)
 def test_exponents_curvature_and_weights_match_the_paper(n, qdim, two_star,
                                                          curvatures):
-    # heis.exponents and ExtremalParams.s_theta against the table; then
+    # heis.exponents, group_n and ExtremalParams.s_theta against the table;
     # Phi = (2h)^{-(Q-2)/4} on a (4n+3)-dimensional h, and the order-1 jets
     # of dilated_field against lam^{(Q-2)/2} Phi o delta_lam and its chain
     # rule, composed here from Phi's own jets at the dilated points
     assert exponents(n) == (qdim, float(two_star))
+    assert group_n(4 * n + 3) == n
+    with pytest.raises(ValueError):
+        group_n(4 * n + 4)
     rng = np.random.default_rng(70 + n)
     for c0, sigma, s_theta in curvatures:
         params = ExtremalParams(n=n, c0=c0, sigma=sigma, base=_point(n, rng))

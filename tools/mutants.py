@@ -9,15 +9,13 @@ on the mutated one, and prints killed or survived with the wall time of
 the mutated run. A mutant whose text does not occur exactly once, or whose
 selector fails unmutated, is reported as broken.
 
-    python tools/mutants.py                 # the whole table
-    python tools/mutants.py s_theta_127     # the named mutants only
+    python tools/mutants.py
 
 Exit status 0 when every mutant run is killed, 1 otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -75,16 +73,8 @@ def run(mutants, tree):
         yield verdict
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    args = parser.parse_args(argv)
+def main():
     mutants = json.loads(TABLE.read_text())
-    unknown = set(args.names) - {m["name"] for m in mutants}
-    if unknown:
-        parser.error(f"no such mutants: {', '.join(sorted(unknown))}")
-    if args.names:
-        mutants = [m for m in mutants if m["name"] in args.names]
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         tree = Path(tmp)
